@@ -1,25 +1,19 @@
-"""Campaign engine v2: warm-worker pools vs the PR 3 throwaway pool.
+"""Campaign engine v2: the warm-worker pool against a pinned baseline.
 
 Writes ``benchmarks/output/BENCH_campaign2.json`` (CI uploads it, following
 the ``BENCH_campaign.json`` precedent):
 
 * the full 27-cell figure campaign, cold measurement cache, at
-  ``--jobs 4``: the PR 3 runner (``legacy_run_matrix``, preserved
-  verbatim) vs the campaign engine's persistent warm-worker pool —
-  both best-of-2, same machine;
-* the engine's wall time against the **recorded PR 3 baseline** (the
-  cold campaign wall time pinned in ``BENCH_campaign.json`` when PR 3
-  landed), asserted against a ≥2× floor — the compounding of the warm
-  pool, LPT scheduling, memoized workload images, and the simulation
-  speedups landed since;
+  ``--jobs 4`` through the campaign engine's persistent warm-worker pool
+  (best-of-2) and at ``--jobs 1``;
+* the engine's wall time against the **recorded baseline** of the
+  original throwaway-pool runner (the cold campaign wall time pinned in
+  ``BENCH_campaign.json`` at commit 286a99a), asserted against a ≥2×
+  floor — the compounding of the warm pool, LPT scheduling, memoized
+  workload images, and the simulation speedups landed since;
 * the correctness contract: summaries byte-identical to ``--jobs 1``,
   telemetry merged at ``--jobs 4``, resume re-running only unfinished
   cells.
-
-The live legacy-vs-engine ratio is recorded for trajectory context; like
-PR 3's parallel speedup it is hardware-dependent (≈1× on this 1-core
-container, grows with real cores), so its ≥2× floor is only enforced
-when ``REPRO_BENCH_REQUIRE_SPEEDUP=1`` (set on multi-core CI runners).
 """
 
 import json
@@ -29,17 +23,16 @@ import time
 from conftest import OUTPUT_DIR, SEED, emit
 
 from repro import obs
-from repro.measure.cache import MeasurementCache, measurement_to_dict
+from repro.measure.cache import MeasurementCache
 from repro.measure.campaign import render_campaign, run_campaign
 from repro.measure.experiment import ExperimentRunner
-from repro.measure.parallel import legacy_run_matrix, run_matrix
-from repro.measure.series import expand_series, run_series
+from repro.measure.series import Cell, execute_cells, expand_series, run_series
 from repro.obs.export import chrome_trace
 
-#: The PR 3 runner's cold-cache campaign wall time as recorded in
-#: ``BENCH_campaign.json`` when PR 3 landed (commit 286a99a, this
-#: container class). The tracked floor: the engine must stay ≥2× under it.
-PINNED_PR3_BASELINE = {
+#: The throwaway-pool runner's cold-cache campaign wall time as recorded
+#: in ``BENCH_campaign.json`` at commit 286a99a (one-CPU container). The
+#: tracked floor: the engine must stay ≥2× under it.
+PINNED_BASELINE = {
     "commit": "286a99a",
     "campaign_cold_seconds": 10.7,
     "note": "wall times are machine-dependent; speedup ratios are the "
@@ -79,18 +72,21 @@ def _deterministic_counters():
 
 def _telemetry_matches_sequential() -> bool:
     """Merged --jobs 4 counters + trace == a --jobs 1 run's, exactly."""
-    pairs = [("crun-wamr", 10), ("crun-python", 10)]
+    cells = [
+        Cell(series="matrix", kind="deploy", config=config, count=10, seed=SEED)
+        for config in ("crun-wamr", "crun-python")
+    ]
     was = obs.enabled()
     obs.set_enabled(True)
     try:
         obs.reset()
-        seq = run_matrix(pairs, seed=SEED, jobs=1, cache=None)
+        seq, _ = execute_cells(cells, jobs=1, cache=None)
         seq_counters = _deterministic_counters()
         seq_trace = json.dumps(
             chrome_trace(obs.tagged_spans(), obs.context_labels()), sort_keys=True
         )
         obs.reset()
-        par = run_matrix(pairs, seed=SEED, jobs=JOBS, cache=None)
+        par, _ = execute_cells(cells, jobs=JOBS, cache=None)
         par_counters = _deterministic_counters()
         par_trace = json.dumps(
             chrome_trace(obs.tagged_spans(), obs.context_labels()), sort_keys=True
@@ -146,9 +142,6 @@ def test_bench_campaign2_json(tmp_path):
     pairs = [(c.config, c.count) for c in expand_series("figures")]
     assert len(pairs) == 27
 
-    legacy, legacy_s = _best_of_two(
-        lambda: legacy_run_matrix(pairs, seed=SEED, jobs=JOBS, cache=None)
-    )
     engine, engine_s = _best_of_two(
         lambda: run_campaign(seed=SEED, jobs=JOBS, cache=None)
     )
@@ -157,31 +150,22 @@ def test_bench_campaign2_json(tmp_path):
     )
 
     render_identical = render_campaign(engine) == render_campaign(sequential)
-    measurements_identical = all(
-        json.dumps(measurement_to_dict(engine.measurements[key]))
-        == json.dumps(measurement_to_dict(legacy[key]))
-        for key in legacy
-    )
     telemetry_ok = _telemetry_matches_sequential()
     resume = _resume_reruns_remainder_only(tmp_path)
 
-    vs_pinned = PINNED_PR3_BASELINE["campaign_cold_seconds"] / engine_s
-    vs_live_legacy = legacy_s / engine_s
+    vs_pinned = PINNED_BASELINE["campaign_cold_seconds"] / engine_s
 
     report = {
-        "pinned_baseline": PINNED_PR3_BASELINE,
+        "pinned_baseline": PINNED_BASELINE,
         "jobs": JOBS,
         "cpus": os.cpu_count(),
         "campaign_cold": {
-            "legacy_pool_seconds": round(legacy_s, 4),
             "engine_seconds": round(engine_s, 4),
             "sequential_seconds": round(sequential_s, 4),
-            "speedup_vs_live_legacy": round(vs_live_legacy, 3),
             "speedup_vs_pinned_baseline": round(vs_pinned, 3),
         },
         "correctness": {
             "render_identical_to_jobs1": render_identical,
-            "measurements_identical_to_legacy": measurements_identical,
             "telemetry_merged_at_jobs4": telemetry_ok,
             "resume": resume,
         },
@@ -197,12 +181,11 @@ def test_bench_campaign2_json(tmp_path):
         "\n".join(
             [
                 f"[campaign2] figure campaign cold @ --jobs {JOBS}: "
-                f"{c['engine_seconds']:.3f} s engine vs "
-                f"{c['legacy_pool_seconds']:.3f} s PR 3 pool "
-                f"({c['speedup_vs_live_legacy']:.2f}x live, "
-                f"{os.cpu_count()} cpu)",
-                f"[campaign2] vs recorded PR 3 baseline "
-                f"({PINNED_PR3_BASELINE['campaign_cold_seconds']} s): "
+                f"{c['engine_seconds']:.3f} s engine, "
+                f"{c['sequential_seconds']:.3f} s at --jobs 1 "
+                f"({os.cpu_count()} cpu)",
+                f"[campaign2] vs recorded throwaway-pool baseline "
+                f"({PINNED_BASELINE['campaign_cold_seconds']} s): "
                 f"{c['speedup_vs_pinned_baseline']:.2f}x",
                 f"[campaign2] summaries byte-identical: {render_identical}, "
                 f"telemetry merged @ jobs={JOBS}: {telemetry_ok}, "
@@ -213,15 +196,9 @@ def test_bench_campaign2_json(tmp_path):
 
     assert engine.all_hold() and sequential.all_hold()
     assert render_identical, "engine campaign summary drifted from --jobs 1"
-    assert measurements_identical, "engine measurements drifted from PR 3 runner"
     assert telemetry_ok, "merged --jobs 4 telemetry drifted from --jobs 1"
     assert resume["ok"], f"resume re-ran the wrong cells: {resume}"
     assert vs_pinned >= ENGINE_SPEEDUP_FLOOR, (
         f"campaign engine lost its ≥{ENGINE_SPEEDUP_FLOOR}x floor over the "
-        f"recorded PR 3 baseline: {vs_pinned:.2f}x"
+        f"recorded baseline: {vs_pinned:.2f}x"
     )
-    if os.environ.get("REPRO_BENCH_REQUIRE_SPEEDUP") == "1":
-        assert vs_live_legacy >= ENGINE_SPEEDUP_FLOOR, (
-            f"live legacy-pool comparison below {ENGINE_SPEEDUP_FLOOR}x: "
-            f"{vs_live_legacy:.2f}x"
-        )

@@ -1,11 +1,10 @@
-"""Specialization-tier throughput: specialized closures vs flat bytecode.
+"""Specialization-tier throughput: compiled closures vs flat bytecode.
 
 Writes ``benchmarks/output/BENCH_specialize.json`` — instructions/second
-for the baseline prepared flat interpreter, the ``bytecode``
-specialization mode (folding + fusion + bounds elision + inline
-caches), and the full ``on`` mode (exec'd Python closures) on the same
-microbenchmark workloads `test_interpreter_micro` uses, plus the
-store-heavy churn variant whose bounds checks the elision pass removes.
+for the baseline prepared flat interpreter and the specialization tier
+(exec'd Python closures) on the same microbenchmark workloads
+`test_interpreter_micro` uses, plus the store-heavy churn variant whose
+bounds checks the closure drops where the bounds proof holds.
 
 The ≥2× floors on fib and memory_churn are the PR's acceptance
 criterion; CI runs this file in the ``specialize-bench`` job and uploads
@@ -37,17 +36,17 @@ _WORKLOADS = {
 _FLOORS = {"fib": 2.0, "memory_churn": 2.0}
 
 
-def _instantiate(src: str, specialize=None):
+def _instantiate(src: str, specialize=False):
     module = validate_module(parse_wat(src))
-    if specialize is not None:
+    if specialize:
         prepare_module(module)
-        specialize_module(module, specialize).attach(module)
+        specialize_module(module).attach(module)
     store = Store()
     inst = instantiate(store, module)
     return Interpreter(store), inst  # unmetered: the closure fast path
 
 
-def _throughput(src, export, args, specialize=None, min_seconds=0.4):
+def _throughput(src, export, args, specialize=False, min_seconds=0.4):
     interp, inst = _instantiate(src, specialize)
     addr = inst.export_addr(export, "func")
     interp.invoke(addr, args)  # warm up (lazy prepare, IC fills)
@@ -74,15 +73,10 @@ def test_bench_specialized_vs_flat_json():
     report = {"workloads": {}}
     for name, (src, export, args) in _WORKLOADS.items():
         flat = _throughput(src, export, args)
-        bytecode = _throughput(src, export, args, specialize="bytecode")
-        compiled = _throughput(src, export, args, specialize="on")
+        compiled = _throughput(src, export, args, specialize=True)
         report["workloads"][name] = {
             "flat": flat,
-            "bytecode": bytecode,
             "specialized": compiled,
-            "speedup_bytecode": round(
-                bytecode["instr_per_sec"] / flat["instr_per_sec"], 3
-            ),
             "speedup": round(
                 compiled["instr_per_sec"] / flat["instr_per_sec"], 3
             ),
@@ -94,7 +88,7 @@ def test_bench_specialized_vs_flat_json():
     lines = [
         f"[specialize] {name}: {w['specialized']['instr_per_sec'] / 1e6:.2f} "
         f"Minstr/s vs flat {w['flat']['instr_per_sec'] / 1e6:.2f} Minstr/s "
-        f"({w['speedup']:.2f}x; bytecode-only {w['speedup_bytecode']:.2f}x)"
+        f"({w['speedup']:.2f}x)"
         for name, w in report["workloads"].items()
     ]
     emit("specialize_throughput", "\n".join(lines))
@@ -107,14 +101,14 @@ def test_bench_specialized_vs_flat_json():
 
 
 def test_bench_specialized_fib(benchmark):
-    interp, inst = _instantiate(FIB_WAT, specialize="on")
+    interp, inst = _instantiate(FIB_WAT, specialize=True)
     addr = inst.export_addr("fib", "func")
     result = benchmark(lambda: interp.invoke(addr, [15]))
     assert result == [610]
 
 
 def test_bench_specialized_memory_churn(benchmark):
-    interp, inst = _instantiate(LOOP_WAT, specialize="on")
+    interp, inst = _instantiate(LOOP_WAT, specialize=True)
     addr = inst.export_addr("churn", "func")
     result = benchmark(lambda: interp.invoke(addr, [2000]))
     assert isinstance(result[0], int)
@@ -124,5 +118,5 @@ def test_bench_specialization_pass(benchmark):
     """Cost of the pass itself (amortized once per digest by the cache)."""
     module = validate_module(parse_wat(FIB_WAT))
     prepare_module(module)
-    sm = benchmark(lambda: specialize_module(module, "on"))
+    sm = benchmark(lambda: specialize_module(module))
     assert sm.functions[0].compiled is not None

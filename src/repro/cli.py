@@ -270,7 +270,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     elif args.cache_dir:
         cache = MeasurementCache(pathlib.Path(args.cache_dir))
     else:
-        from repro.measure.parallel import DEFAULT_CACHE as cache
+        from repro.measure.series import DEFAULT_CACHE as cache
 
     if telemetry and cache is not None:
         # Cache hits skip simulation — and with it the telemetry the

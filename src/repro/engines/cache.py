@@ -20,12 +20,12 @@ entry point:
   of the same blob;
 * **specialize** — the optimization tier's
   :class:`~repro.wasm.runtime.specialize.SpecializedModule` per digest
-  (``REPRO_SPECIALIZE``; skipped entirely when ``off``). Specialized
-  code is instance-independent like prepared code — the passes fold only
-  module-defined immutable globals and guard everything else at run
-  time — so it attaches to every decode of the blob. A failed pass
-  leaves the unspecialized prepared code attached (performance lost,
-  correctness kept);
+  (``REPRO_SPECIALIZE``; skipped entirely when ``off``). The compiled
+  closures are instance-independent like prepared code — they reach
+  every instance through the executing frame and guard their call
+  caches at run time — so they attach to every decode of the blob. A
+  failed pass leaves the unspecialized prepared code attached
+  (performance lost, correctness kept);
 * **zygote** — one :class:`~repro.wasm.runtime.snapshot.InstanceSnapshot`
   per digest: the post-initialization instance state the warm-start path
   clones instead of re-running two-phase instantiation. A ``None`` entry
@@ -313,33 +313,29 @@ def prepare_cached(module, digest: str) -> PreparedModule:
 
 
 def specialize_cached(module, digest: str) -> Optional[SpecializedModule]:
-    """Memoize the specialization tier's output per (digest, mode).
+    """Memoize the specialization tier's output per digest.
 
     Runs after :func:`prepare_cached`, so the unspecialized prepared code
     is always attached first — every failure path below simply leaves it
     in place. Returns ``None`` when the tier is off or the pass failed
     for the whole module; otherwise attaches the specialized functions
-    and returns the cache entry.
+    and returns the cache entry. Turning the tier off leaves the entry
+    cached, so turning it back on re-attaches it.
 
-    A cached entry built under a different ``REPRO_SPECIALIZE`` mode is
-    discarded and rebuilt (tests flip the toggle mid-process). A corrupt
-    hit under the chaos plan is dropped and re-specialized at most
-    :data:`MAX_REBUILDS_PER_ENTRY` times, exactly like the other layers.
+    A corrupt hit under the chaos plan is dropped and re-specialized at
+    most :data:`MAX_REBUILDS_PER_ENTRY` times, exactly like the other
+    layers.
     """
-    mode = specialize_mode()
-    if mode == "off":
+    if specialize_mode() == "off":
         return None
     sm = _SPECIALIZED_CACHE.get(digest)
-    if sm is not None and sm.mode != mode:
-        _SPECIALIZED_CACHE.pop(digest, None)
-        sm = None
     if sm is not None and _corrupt_hit("specialize", digest):
         _SPECIALIZED_CACHE.pop(digest, None)
         sm = None
     if sm is None:
         specialize_stats.miss()
         try:
-            sm = specialize_module(module, mode)
+            sm = specialize_module(module)
         except Exception:
             # Whole-module pass failure: stay on prepared code.
             return None

@@ -9,6 +9,7 @@ images — the state §IV-A's Continuum deployment would leave behind.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -17,7 +18,7 @@ from repro.container.highlevel.cri import CRIService
 from repro.container.nodeenv import NodeEnv
 from repro.container.startup import ablation_configs, known_configs
 from repro.core.integration import ABLATION_CONFIGS, RUNTIME_CONFIGS
-from repro.errors import KubernetesError
+from repro.errors import KubernetesError, SchedulingError
 from repro.k8s.apiserver import APIServer
 from repro.k8s.controllers import DeploymentController
 from repro.k8s.kubelet import Kubelet, ProbeConfig
@@ -139,20 +140,32 @@ class Cluster:
         runtime_config: str,
         count: int,
         env: Optional[Dict[str, str]] = None,
+        image: Optional[str] = None,
     ) -> List[Pod]:
         """Deploy ``count`` identical pods concurrently; run to Running.
 
         This is the §IV experiment shape: N pods at once, one container
-        per pod, identical workload.
+        per pod, identical workload. Raises :class:`SchedulingError`
+        (``.reasons`` maps the scheduler's classified reason to a pod
+        count) when any pod found no node, before anything runs, and
+        :class:`KubernetesError` when a scheduled pod failed to start.
         """
-        pods = [self.make_pod(runtime_config, env=env) for _ in range(count)]
-        activities = []
-        for pod in pods:
-            if pod.node_name is None:
-                raise KubernetesError(f"pod {pod.name} was not scheduled")
-            node = self.nodes[pod.node_name]
-            activities.append(node.kubelet.sync_pod(pod))
-        self.kernel.run_all(activities)
+        pods = [
+            self.make_pod(runtime_config, image=image, env=env)
+            for _ in range(count)
+        ]
+        unplaced = [p for p in pods if p.node_name is None]
+        if unplaced:
+            reasons = Counter(self.scheduler.failure_reason(p) for p in unplaced)
+            detail = ", ".join(f"{r}: {n}" for r, n in sorted(reasons.items()))
+            err = SchedulingError(
+                f"{len(unplaced)} of {count} pods were not scheduled ({detail})"
+            )
+            err.reasons = dict(reasons)
+            raise err
+        self.kernel.run_all(
+            [self.nodes[p.node_name].kubelet.sync_pod(p) for p in pods]
+        )
         failed = [p for p in pods if p.phase is not PodPhase.RUNNING]
         if failed:
             raise KubernetesError(

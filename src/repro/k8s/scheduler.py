@@ -164,8 +164,10 @@ class Scheduler:
             and node.matches_selector(selector)
         ]
 
-    def _failure_reason(self, pod: Pod, handler: Optional[str]) -> str:
-        """Classify why no node was feasible (most-specific cause wins)."""
+    def failure_reason(self, pod: Pod) -> str:
+        """Classify why no node is feasible for ``pod`` (most-specific
+        cause wins)."""
+        handler = self.api.resolve_handler(pod)
         nodes = list(self.api.nodes.values())
         if not nodes:
             return "no_nodes"
@@ -207,7 +209,7 @@ class Scheduler:
         handler = self.api.resolve_handler(pod)
         candidates = self.feasible_nodes(pod)
         if not candidates:
-            reason = self._failure_reason(pod, handler)
+            reason = self.failure_reason(pod)
             self._m_failures.labels(reason).inc()
             err = SchedulingError(
                 f"0/{len(self.api.nodes)} nodes available for pod {pod.name} "

@@ -132,22 +132,7 @@ class ExperimentRunner:
             sampler.mark_baseline()
         t0 = cluster.kernel.now
 
-        pods = [
-            cluster.make_pod(config, env=env, image=image) for _ in range(count)
-        ]
-        cluster.kernel.run_all(
-            [cluster.nodes[p.node_name].kubelet.sync_pod(p) for p in pods]
-        )
-        from repro.k8s.objects import PodPhase
-
-        failed = [p for p in pods if p.phase is not PodPhase.RUNNING]
-        if failed:
-            from repro.errors import KubernetesError
-
-            raise KubernetesError(
-                f"{len(failed)} pods failed: {failed[0].status_message}"
-            )
-
+        pods = cluster.deploy_and_wait(config, count, env=env, image=image)
         if cluster.monitor is not None:
             # Close the monitoring window: one final scrape at steady
             # state so gauges reflect convergence and alerts can resolve.

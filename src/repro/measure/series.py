@@ -606,10 +606,10 @@ def execute_cells(
 ) -> Tuple[Dict[str, Any], List[str]]:
     """Run cells (sequential order = the given order); returns results.
 
-    The shared engine under :func:`run_series` and ``run_matrix``:
-    cache partitioning, the warm pool, LPT scheduling, deterministic
-    telemetry merge, and manifest checkpointing all live here. Returns
-    ``(results by cell key, resumed cell keys)``.
+    The shared engine under :func:`run_series`: cache partitioning, the
+    warm pool, LPT scheduling, deterministic telemetry merge, and
+    manifest checkpointing all live here. Returns ``(results by cell
+    key, resumed cell keys)``.
     """
     cells = list(cells)
     if jobs <= 0:

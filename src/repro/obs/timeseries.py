@@ -3,9 +3,18 @@
 ``repro.obs`` exports *final* registry state; this module records how it
 evolved.  A :class:`Sampler` scrapes the ambient :class:`MetricsRegistry`
 (and any registered collector callbacks, e.g. the cluster monitor's
-metrics-server scrape) on a fixed sim-clock period into a
-:class:`TimeSeriesDB`: an append-only log of ``(kind, name, labels, ts,
-value)`` tuples with a columnar per-series index for queries.
+metrics-server scrape) into a :class:`TimeSeriesDB`: an append-only log
+of ``(kind, name, labels, ts, value)`` tuples with a columnar per-series
+index for queries.
+
+Scrapes are event-driven, not periodic.  The kubelet and scheduler call
+:meth:`Sampler.tick` from their own event handlers; the first tick that
+lands past a period boundary takes one sample, stamped at that event's
+simulated time, and experiment/chaos ends force one with
+:meth:`Sampler.sample_now`.  A quiet interval with no kubelet or
+scheduler event gets no sample, so window queries (``rate``,
+``*_over_time``) and alert ``for`` durations depend on event density,
+not only on the period.
 
 Everything here runs on *simulated* time, so a campaign's series are
 deterministic: the same seed produces the same samples at the same

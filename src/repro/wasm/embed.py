@@ -6,9 +6,10 @@ link WASI imports → instantiate → attach exported memory → call
 
 Repeated runs of one blob are collapsed through the engine caches: the
 bytes are decoded/validated once per digest (``decode`` layer), the
-**specialization tier** rewrites the prepared bytecode once per digest
-(``specialize`` layer — constant folding, bounds-check elision, inline
-caches, closure compilation; disable with ``REPRO_SPECIALIZE=off``), and
+**specialization tier** compiles the prepared code to Python closures
+once per digest (``specialize`` layer — closures for unmetered runs,
+with statically proven bounds checks dropped; disable with
+``REPRO_SPECIALIZE=off``), and
 the **zygote warm-start** path instantiates once per digest, captures an
 :class:`~repro.wasm.runtime.snapshot.InstanceSnapshot`, and clones every
 subsequent instance from it (``zygote`` layer) — observably identical to

@@ -4,10 +4,9 @@ Two interpreters share one store model: the production
 :class:`Interpreter` runs flat pre-compiled code (see ``compile.py``),
 while :class:`ReferenceInterpreter` walks the AST and serves as the
 executable specification for differential testing. A third, optional
-tier (``specialize.py``, ``REPRO_SPECIALIZE``) rewrites prepared code
-per module digest — constant folding, bounds-check elision, inline
-caches, and closure compilation — with guarded deopt back to the
-prepared baseline.
+tier (``specialize.py``, ``REPRO_SPECIALIZE``) compiles prepared code to
+Python closures per module digest, dropping the bounds checks a static
+proof shows are redundant; metered calls deopt to the prepared code.
 """
 
 from repro.wasm.runtime.store import (

@@ -136,7 +136,8 @@ class Interpreter:
                     self._depth -= 1
                     prof.exit(self.instructions_executed - base)
             # Metered activations need the per-entry fuel debit protocol;
-            # deopt to the specialized flat bytecode below.
+            # deopt to the prepared flat code below, the same code the
+            # tier-off path runs.
             METERED_DEOPT.inc()
         frame = Frame(args, inst, mem)
         stack: List[object] = []

@@ -1,61 +1,44 @@
-"""Specialization tier: digest-keyed bytecode optimization with guarded deopt.
+"""Specialization tier: digest-keyed closure compilation with a bounds proof.
 
-The flat interpreter (``compile.py``) still re-proves facts at run time
-that prepare time already settled: immutable globals are re-read from the
-store on every access, every memory access re-checks bounds the declared
-memory minimum already guarantees, and every ``call_indirect`` re-walks
-``table → store → type check``. This module is a second, optional lowering
-stage that rewrites finished :class:`PreparedFunction` code — the same
-``(handler, args, weight)`` triples, the same dispatch loop — through
-four passes, in order:
+The flat interpreter (``compile.py``) pays one Python call per flat entry
+and re-checks every memory access against the memory's current size.
+This module is an optional second stage over finished
+:class:`PreparedFunction` code: it compiles each function to a real
+Python closure (``exec``-generated, one ``while`` dispatch loop over
+basic blocks with stack slots and locals held in Python local
+variables). It never rewrites the flat code. A
+:class:`SpecializedFunction` shares the prepared ``code`` tuple and adds
+only the closure, attached as ``PreparedFunction.compiled``.
 
-1. **Constant folding** — ``global.get`` of a module-defined immutable
-   global with a constant initializer becomes ``h_const`` (the value is
-   instance-independent by construction; imported globals are resolved
-   per instance and are left alone).
-2. **Peephole re-fusion** — the prepare-time fusion pass runs over
-   structured bodies and misses pairs the fold just created; this pass
-   re-runs it over the *flat* stream to a fixpoint (``const+binop`` →
-   ``const_binop``, ``const+const_binop`` → ``const``, …), remapping
-   every stored pc. Windows never merge across a branch target, and a
-   fused entry carries the summed weight of its parts — fuel accounting
-   stays exactly equal to the reference tree-walker.
-3. **Bounds-check elision** — a per-basic-block abstract interpretation
-   tracks unsigned upper bounds on stack values (constants, ``x & mask``
-   results, comparison results); a checked load/store whose address is
-   provably below the declared memory *minimum* (a lower bound on the
-   memory's size for its whole lifetime — ``grow`` only extends) is
-   swapped for an unchecked ``u_*`` handler.
-4. **Inline caches** — each ``call_indirect`` site gets a mutable
-   monomorphic cache cell guarded on ``(table identity, slot address)``;
-   a hit skips the ``store.funcs`` index and the structural
-   ``FuncType.__eq__``. A miss (counted in
-   ``repro_specialize_deopts_total{reason="ic_miss"}``) takes the full
-   generic path, including its exact trap messages, then refills the
-   cell.
+``Interpreter._call_wasm`` dispatches to the closure **only for
+unmetered activations**: fuel metering needs the per-entry debit
+protocol, so metered calls deopt to the prepared flat code (counted as
+``repro_specialize_deopts_total{reason="metered"}``) — the very tuple
+they run with the tier off. The closure accumulates retired-instruction
+weights in a local and flushes in a ``finally``, flushing eagerly before
+every trap-capable statement — ``instructions_executed`` is exact under
+traps, exactly like the flat loop. Functions whose shape the compiler
+does not handle (conflicting static stack heights, ``br_table`` entries
+lowered without a static height, oversized bodies) silently stay on
+prepared code (outcome ``bytecode``).
 
-In the default ``on`` mode a fifth step compiles each specialized
-function to a real Python closure (``exec``-generated, one ``while``
-dispatch loop over basic blocks with stack slots and locals held in
-Python local variables). The closure is attached as
-``PreparedFunction.compiled`` and dispatched by
-``Interpreter._call_wasm`` **only for unmetered activations**: fuel
-metering needs the per-entry debit protocol, so metered calls deopt to
-the specialized flat bytecode (counted as ``reason="metered"``). The
-closure accumulates retired-instruction weights in a local and flushes
-in a ``finally``, flushing eagerly before every trap-capable statement —
-``instructions_executed`` is exact under traps, exactly like the flat
-loop. Functions whose shape the closure compiler does not handle
-(conflicting static stack heights, ``br_table`` entries lowered without
-a static height, oversized bodies) silently stay on specialized flat
-bytecode (outcome ``bytecode``).
+One analysis feeds the compiler. A per-basic-block abstract
+interpretation (:func:`_proven_in_bounds`) tracks unsigned upper bounds
+on stack values (constants, ``x & mask`` results, comparison results)
+and returns the pcs of loads and stores whose address is provably below
+the declared memory *minimum* — a lower bound on the memory's size for
+its whole lifetime, since ``grow`` only extends. The closure emits those
+accesses without their bounds check. Each ``call_indirect`` site in a
+closure keeps a monomorphic cache cell guarded on ``(table identity,
+slot address)``; a miss (counted as ``reason="ic_miss"``) takes the full
+generic path, including its exact trap messages, then refills the cell.
 
-Everything is behind ``REPRO_SPECIALIZE`` (default ``on``; ``bytecode``
-keeps passes 1–4 but skips closures; ``off``/``0``/``false``/``no``
-disables the tier). ``engines/cache.py`` keys the result by content
-digest (the ``specialize`` layer) so the passes run once per blob across
-N-hundred-pod experiments, and the ReferenceInterpreter remains the
-differential oracle for all of it (``tests/wasm/test_differential.py``).
+Everything is behind ``REPRO_SPECIALIZE`` (default ``on``;
+``off``/``0``/``false``/``no`` disables the tier). ``engines/cache.py``
+keys the result by content digest (the ``specialize`` layer) so
+compilation runs once per blob across N-hundred-pod experiments, and
+the ReferenceInterpreter remains the differential oracle for all of it
+(``tests/wasm/test_differential.py``).
 """
 
 from __future__ import annotations
@@ -115,50 +98,48 @@ _IC_MISS = _DEOPTS_TOTAL.labels("ic_miss")
 
 
 def specialize_mode() -> str:
-    """Resolve ``REPRO_SPECIALIZE`` to ``"on"``/``"bytecode"``/``"off"``.
+    """Resolve ``REPRO_SPECIALIZE`` to ``"on"`` or ``"off"``.
 
     Read per call (like ``zygote_enabled``) so tests and experiment
     sweeps can flip the toggle without re-importing anything.
     """
     raw = os.environ.get(SPECIALIZE_ENV, "on").strip().lower()
-    if raw in ("off", "0", "false", "no"):
-        return "off"
-    if raw == "bytecode":
-        return "bytecode"
-    return "on"
+    return "off" if raw in ("off", "0", "false", "no") else "on"
 
 
 class SpecializedFunction(PreparedFunction):
-    """Specialized flat code plus the original it deopts to.
+    """Prepared code plus its compiled closure.
 
-    Runs on the unmodified dispatch loop. ``fallback`` is the
-    unspecialized :class:`PreparedFunction` — kept so cache-layer
+    Shares ``code`` with ``fallback``, the unspecialized
+    :class:`PreparedFunction`, so metered activations run exactly the
+    code they run with the tier off. ``fallback`` is kept so cache-layer
     corruption and the ``off`` toggle can always restore baseline code,
     and so re-specializing an already-attached module never stacks
-    tiers.
+    tiers. ``compiled`` is ``None`` when the closure compiler declined
+    the function.
     """
 
     __slots__ = ("fallback",)
 
-    def __init__(self, code: Tuple, fallback: PreparedFunction) -> None:
+    def __init__(self, fallback: PreparedFunction, compiled) -> None:
         super().__init__(
-            code=code,
+            code=fallback.code,
             n_results=fallback.n_results,
             local_defaults=fallback.local_defaults,
             source_instrs=fallback.source_instrs,
             name=fallback.name,
         )
+        self.compiled = compiled
         self.fallback = fallback
 
 
 class SpecializedModule:
     """Specialized code for every defined function (digest-cache entry)."""
 
-    __slots__ = ("functions", "mode")
+    __slots__ = ("functions",)
 
-    def __init__(self, functions: List[PreparedFunction], mode: str) -> None:
+    def __init__(self, functions: List[PreparedFunction]) -> None:
         self.functions = functions
-        self.mode = mode
 
     def attach(self, module: Module) -> None:
         for func, pf in zip(module.funcs, self.functions):
@@ -166,159 +147,8 @@ class SpecializedModule:
 
 
 # ---------------------------------------------------------------------------
-# Unchecked memory handlers (installed by the bounds-elision pass only when
-# `addr_bound + offset + width <= declared_minimum_bytes` is proven).
+# Bounds proof
 # ---------------------------------------------------------------------------
-
-
-def u_i32_load(interp, frame, stack, args, pc):
-    stack[-1] = _U32.unpack_from(frame.mem.data, stack[-1] + args)[0]
-    return pc + 1
-
-
-def u_i64_load(interp, frame, stack, args, pc):
-    stack[-1] = _U64.unpack_from(frame.mem.data, stack[-1] + args)[0]
-    return pc + 1
-
-
-def u_f32_load(interp, frame, stack, args, pc):
-    stack[-1] = _F32.unpack_from(frame.mem.data, stack[-1] + args)[0]
-    return pc + 1
-
-
-def u_f64_load(interp, frame, stack, args, pc):
-    stack[-1] = _F64.unpack_from(frame.mem.data, stack[-1] + args)[0]
-    return pc + 1
-
-
-def u_loadn(interp, frame, stack, args, pc):
-    off, width, signed, bits = args
-    addr = stack[-1] + off
-    value = int.from_bytes(frame.mem.data[addr : addr + width], "little")
-    if signed:
-        value = V.sign_extend(value, width * 8, bits)
-    stack[-1] = value
-    return pc + 1
-
-
-def u_i32_store(interp, frame, stack, args, pc):
-    value = stack.pop()
-    _U32.pack_into(frame.mem.data, stack.pop() + args, value & V.MASK32)
-    return pc + 1
-
-
-def u_i64_store(interp, frame, stack, args, pc):
-    value = stack.pop()
-    _U64.pack_into(frame.mem.data, stack.pop() + args, value & V.MASK64)
-    return pc + 1
-
-
-def u_f32_store(interp, frame, stack, args, pc):
-    value = stack.pop()
-    _F32.pack_into(frame.mem.data, stack.pop() + args, value)
-    return pc + 1
-
-
-def u_f64_store(interp, frame, stack, args, pc):
-    value = stack.pop()
-    _F64.pack_into(frame.mem.data, stack.pop() + args, value)
-    return pc + 1
-
-
-def u_storen(interp, frame, stack, args, pc):
-    off, width = args
-    value = stack.pop()
-    addr = stack.pop() + off
-    frame.mem.data[addr : addr + width] = (
-        value & ((1 << (width * 8)) - 1)
-    ).to_bytes(width, "little")
-    return pc + 1
-
-
-# ---------------------------------------------------------------------------
-# Inline-cached call_indirect
-# ---------------------------------------------------------------------------
-
-
-def _ic_type_mismatch(expected, actual):
-    raise WasmTrap(
-        f"indirect call type mismatch: expected {expected}, got {actual}"
-    )
-
-
-def h_call_indirect_ic(interp, frame, stack, args, pc):
-    """``call_indirect`` with a monomorphic inline cache.
-
-    ``args = (expected_type, n_params, cell)`` where ``cell`` is the
-    per-site mutable ``[table, slot_addr, func_instance]``. The guard is
-    table *identity* plus slot address: store function lists are
-    append-only and ``FuncInstance`` objects are never rebound to a
-    different address, so a hit cannot go stale even across
-    ``table.set``-free module lifetimes. A miss replays the generic
-    path — identical traps, in the same order as the flat handler — and
-    refills the cell.
-    """
-    expected, n, cell = args
-    store = interp.store
-    table = store.tables[frame.instance.table_addrs[0]]
-    idx = stack.pop()
-    elements = table.elements
-    if idx < 0 or idx >= len(elements):
-        raise WasmTrap("undefined element")
-    addr = elements[idx]
-    if addr is None:
-        raise WasmTrap("uninitialized element")
-    if cell[0] is table and cell[1] == addr:
-        fi = cell[2]
-    else:
-        fi = store.funcs[addr]
-        if fi.type != expected:
-            _ic_type_mismatch(expected, fi.type)
-        _IC_MISS.inc()
-        cell[0] = table
-        cell[1] = addr
-        cell[2] = fi
-    if n:
-        cargs = stack[-n:]
-        del stack[-n:]
-    else:
-        cargs = []
-    if fi.host_fn is None:
-        stack.extend(interp._call_wasm(fi, cargs))
-    else:
-        result = fi.host_fn(*cargs)
-        if result:
-            stack.extend(result)
-    return pc + 1
-
-
-# ---------------------------------------------------------------------------
-# Pass 1: constant-fold immutable globals
-# ---------------------------------------------------------------------------
-
-
-def _foldable_globals(module: Module) -> Dict[int, object]:
-    """Joint-index-space map of foldable global values.
-
-    Only *module-defined* immutable globals with a single-instruction
-    constant initializer qualify: their value is identical in every
-    instance (``_eval_const`` applies the same mask at instantiation).
-    Imported globals resolve per instance; ``global.get`` of one stays a
-    store read.
-    """
-    n_imported = sum(1 for imp in module.imports if imp.kind == "global")
-    out: Dict[int, object] = {}
-    for i, glob in enumerate(module.globals):
-        if glob.type.mutable or len(glob.init) != 1:
-            continue
-        ins = glob.init[0]
-        if ins.op == "i32.const":
-            out[n_imported + i] = ins.args[0] & V.MASK32
-        elif ins.op == "i64.const":
-            out[n_imported + i] = ins.args[0] & V.MASK64
-        elif ins.op in ("f32.const", "f64.const"):
-            out[n_imported + i] = ins.args[0]
-    return out
 
 
 def _memory_min_bytes(module: Module) -> Optional[int]:
@@ -337,13 +167,38 @@ def _memory_min_bytes(module: Module) -> Optional[int]:
     return None
 
 
-# ---------------------------------------------------------------------------
-# Flat-code CFG helpers shared by the peephole, elision, and closure passes
-# ---------------------------------------------------------------------------
+_AND32 = BINOPS["i32.and"]
+_AND64 = BINOPS["i64.and"]
+_EQZ32 = UNOPS["i32.eqz"]
+_EQZ64 = UNOPS["i64.eqz"]
+
+#: checked flat memory handler -> (access width, struct packer bind name)
+_LOADS = {
+    flat.h_i32_load: (4, "LD32"),
+    flat.h_i64_load: (8, "LD64"),
+    flat.h_f32_load: (4, "LF32"),
+    flat.h_f64_load: (8, "LF64"),
+}
+_STORES = {
+    flat.h_i32_store: (4, "ST32"),
+    flat.h_i64_store: (8, "ST64"),
+    flat.h_f32_store: (4, "SF32"),
+    flat.h_f64_store: (8, "SF64"),
+}
+
+#: handlers ending a basic block; abstract state dies with the block
+_BLOCK_ENDERS = (
+    flat.h_goto,
+    flat.h_br_adjust,
+    flat.h_br_table,
+    flat.h_end,
+    flat.h_return,
+    flat.h_unreachable,
+)
 
 
 def _branch_targets(code) -> Set[int]:
-    """Every pc that some branch can land on (fusion must not cross one)."""
+    """Every pc that some branch can land on."""
     targets: Set[int] = set()
     for handler, args, _w in code:
         if handler is flat.h_goto or handler is flat.h_if or handler is flat.h_br_if:
@@ -360,139 +215,9 @@ def _branch_targets(code) -> Set[int]:
     return targets
 
 
-def _remap_pcs(entries, pcmap):
-    """Rewrite every stored pc through ``pcmap`` after entries moved."""
-    out = []
-    for handler, args, weight in entries:
-        if handler is flat.h_goto or handler is flat.h_if or handler is flat.h_br_if:
-            args = pcmap[args]
-        elif handler is flat.h_br_adjust or handler is flat.h_br_if_adjust:
-            args = (pcmap[args[0]], args[1], args[2])
-        elif handler is flat.h_cmp_br_if:
-            args = (args[0], pcmap[args[1]])
-        elif handler is flat.h_br_table:
-            table, default = args
-            args = (
-                tuple((pcmap[t], w, a) for t, w, a in table),
-                (pcmap[default[0]], default[1], default[2]),
-            )
-        out.append((handler, args, weight))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Pass 2: flat peephole fusion (to fixpoint)
-# ---------------------------------------------------------------------------
-
-_NOFOLD = object()
-
-
-def _try_pure(f, *operands):
-    """Apply a pure operator at specialization time; ``_NOFOLD`` if it
-    would trap (e.g. folded div-by-zero must stay a runtime trap)."""
-    try:
-        return f(*operands)
-    except Exception:
-        return _NOFOLD
-
-
-def _peephole_once(entries, targets):
-    """One left-to-right fusion sweep; returns (entries, targets, changed).
-
-    Merged windows never span a branch target (the second element of a
-    candidate pair must not be jumped into) and a fused entry carries the
-    summed weight — the fuel-exactness argument is the same as for
-    prepare-time fusion: every candidate is side-effect-free before its
-    last component.
-    """
-    out: List[tuple] = []
-    pcmap: Dict[int, int] = {}
-    changed = False
-    i = 0
-    n = len(entries)
-    while i < n:
-        pcmap[i] = len(out)
-        handler, args, weight = entries[i]
-        fused = None
-        if handler is flat.h_const and i + 1 < n and (i + 1) not in targets:
-            h2, a2, w2 = entries[i + 1]
-            if h2 is flat.h_binop:
-                fused = (flat.h_const_binop, (args, a2), weight + w2)
-            elif h2 is flat.h_cmp:
-                fused = (flat.h_const_cmp, (args, a2), weight + w2)
-            elif h2 is flat.h_unop:
-                value = _try_pure(a2, args)
-                if value is not _NOFOLD:
-                    fused = (flat.h_const, value, weight + w2)
-            elif h2 is flat.h_const_binop:
-                c2, f2 = a2
-                value = _try_pure(f2, args, c2)
-                if value is not _NOFOLD:
-                    fused = (flat.h_const, value, weight + w2)
-            elif h2 is flat.h_const_cmp:
-                c2, f2 = a2
-                value = _try_pure(f2, args, c2)
-                if value is not _NOFOLD:
-                    fused = (flat.h_const, 1 if value else 0, weight + w2)
-        if fused is not None:
-            out.append(fused)
-            changed = True
-            i += 2
-        else:
-            out.append((handler, args, weight))
-            i += 1
-    if not changed:
-        return entries, targets, False
-    pcmap[n] = len(out)  # end-of-code sentinel (never a real target)
-    return _remap_pcs(out, pcmap), {pcmap[t] for t in targets}, True
-
-
-def _peephole(entries, targets):
-    fused = 0
-    while True:
-        before = len(entries)
-        entries, targets, changed = _peephole_once(entries, targets)
-        if not changed:
-            return entries, targets, fused
-        fused += before - len(entries)
-
-
-# ---------------------------------------------------------------------------
-# Pass 3: bounds-check elision
-# ---------------------------------------------------------------------------
-
-_AND32 = BINOPS["i32.and"]
-_AND64 = BINOPS["i64.and"]
-_EQZ32 = UNOPS["i32.eqz"]
-_EQZ64 = UNOPS["i64.eqz"]
-
-_CHECKED_LOADS = {
-    flat.h_i32_load: (4, u_i32_load),
-    flat.h_i64_load: (8, u_i64_load),
-    flat.h_f32_load: (4, u_f32_load),
-    flat.h_f64_load: (8, u_f64_load),
-}
-_CHECKED_STORES = {
-    flat.h_i32_store: (4, u_i32_store),
-    flat.h_i64_store: (8, u_i64_store),
-    flat.h_f32_store: (4, u_f32_store),
-    flat.h_f64_store: (8, u_f64_store),
-}
-
-#: handlers ending a basic block; abstract state dies with the block
-_BLOCK_ENDERS = (
-    flat.h_goto,
-    flat.h_br_adjust,
-    flat.h_br_table,
-    flat.h_end,
-    flat.h_return,
-    flat.h_unreachable,
-)
-
-
-def _elide_bounds(module: Module, entries, targets, mem_min: Optional[int]):
-    """Swap checked memory handlers for unchecked ones where an unsigned
-    upper bound on the address proves ``addr + offset + width <= minimum``.
+def _proven_in_bounds(module: Module, code, mem_min: Optional[int]) -> Set[int]:
+    """The pcs of loads/stores whose address an unsigned upper bound
+    proves satisfies ``addr + offset + width <= minimum``.
 
     The abstract state is a suffix of the operand stack: each slot holds
     an upper bound (values are unsigned by representation, so a bound is
@@ -500,16 +225,16 @@ def _elide_bounds(module: Module, entries, targets, mem_min: Optional[int]):
     targets and block enders; conditional branches only pop. Pops on an
     empty abstract stack model unknown deeper values.
     """
+    safe: Set[int] = set()
     if mem_min is None or mem_min <= 0:
-        return entries, 0
-    out = list(entries)
-    elided = 0
+        return safe
+    targets = _branch_targets(code)
     st: List[Optional[int]] = []
 
     def pop():
         return st.pop() if st else None
 
-    for pc, (handler, args, _w) in enumerate(entries):
+    for pc, (handler, args, _w) in enumerate(code):
         if pc in targets:
             st.clear()
         if handler is flat.h_const:
@@ -566,36 +291,18 @@ def _elide_bounds(module: Module, entries, targets, mem_min: Optional[int]):
             st.append(1)
         elif handler is flat.h_lg_i32_load or handler is flat.h_lg_load:
             st.append(None)
-        elif handler in _CHECKED_LOADS:
-            width, unchecked = _CHECKED_LOADS[handler]
-            bound = st[-1] if st else None
-            if bound is not None and bound + args + width <= mem_min:
-                out[pc] = (unchecked, args, entries[pc][2])
-                elided += 1
-            pop()
-            st.append(None)
-        elif handler is flat.h_loadn:
-            off, width, _signed, _bits = args
+        elif handler in _LOADS or handler is flat.h_loadn:
+            off, width = (args, _LOADS[handler][0]) if handler in _LOADS else args[:2]
             bound = st[-1] if st else None
             if bound is not None and bound + off + width <= mem_min:
-                out[pc] = (u_loadn, args, entries[pc][2])
-                elided += 1
+                safe.add(pc)
             pop()
             st.append(None)
-        elif handler in _CHECKED_STORES:
-            width, unchecked = _CHECKED_STORES[handler]
-            bound = st[-2] if len(st) >= 2 else None
-            if bound is not None and bound + args + width <= mem_min:
-                out[pc] = (unchecked, args, entries[pc][2])
-                elided += 1
-            pop()
-            pop()
-        elif handler is flat.h_storen:
-            off, width = args
+        elif handler in _STORES or handler is flat.h_storen:
+            off, width = (args, _STORES[handler][0]) if handler in _STORES else args
             bound = st[-2] if len(st) >= 2 else None
             if bound is not None and bound + off + width <= mem_min:
-                out[pc] = (u_storen, args, entries[pc][2])
-                elided += 1
+                safe.add(pc)
             pop()
             pop()
         elif handler is flat.h_memory_grow:
@@ -615,7 +322,7 @@ def _elide_bounds(module: Module, entries, targets, mem_min: Optional[int]):
                 pop()
             for _ in range(len(_func_signatures(module)[idx].results)):
                 st.append(None)
-        elif handler is flat.h_call_indirect or handler is h_call_indirect_ic:
+        elif handler is flat.h_call_indirect:
             ft = args[0]
             for _ in range(len(ft.params) + 1):
                 pop()
@@ -634,31 +341,11 @@ def _elide_bounds(module: Module, entries, targets, mem_min: Optional[int]):
             st.clear()
         else:  # pragma: no cover - future handlers: be conservative
             st.clear()
-    return out, elided
+    return safe
 
 
 # ---------------------------------------------------------------------------
-# Pass 4: inline caches at call_indirect sites
-# ---------------------------------------------------------------------------
-
-
-def _install_ics(entries):
-    out = []
-    installed = 0
-    for handler, args, weight in entries:
-        if handler is flat.h_call_indirect:
-            expected, n = args
-            out.append(
-                (h_call_indirect_ic, (expected, n, [None, -1, None]), weight)
-            )
-            installed += 1
-        else:
-            out.append((handler, args, weight))
-    return out, installed
-
-
-# ---------------------------------------------------------------------------
-# Pass 5: closure compilation
+# Closure compilation
 # ---------------------------------------------------------------------------
 
 
@@ -691,21 +378,11 @@ _SIMPLE_DELTAS = {
     flat.h_f32_load: 0,
     flat.h_f64_load: 0,
     flat.h_loadn: 0,
-    u_i32_load: 0,
-    u_i64_load: 0,
-    u_f32_load: 0,
-    u_f64_load: 0,
-    u_loadn: 0,
     flat.h_i32_store: -2,
     flat.h_i64_store: -2,
     flat.h_f32_store: -2,
     flat.h_f64_store: -2,
     flat.h_storen: -2,
-    u_i32_store: -2,
-    u_i64_store: -2,
-    u_f32_store: -2,
-    u_f64_store: -2,
-    u_storen: -2,
     flat.h_memory_size: 1,
     flat.h_memory_grow: 0,
     flat.h_memory_fill: -3,
@@ -729,33 +406,12 @@ _CONTROL = frozenset(
     )
 )
 
-_MEMORY_HANDLERS = frozenset(
-    h
-    for h in _SIMPLE_DELTAS
-    if h
-    in (
+_MEMORY_HANDLERS = frozenset(_LOADS) | frozenset(_STORES) | frozenset(
+    (
         flat.h_lg_i32_load,
         flat.h_lg_load,
-        flat.h_i32_load,
-        flat.h_i64_load,
-        flat.h_f32_load,
-        flat.h_f64_load,
         flat.h_loadn,
-        u_i32_load,
-        u_i64_load,
-        u_f32_load,
-        u_f64_load,
-        u_loadn,
-        flat.h_i32_store,
-        flat.h_i64_store,
-        flat.h_f32_store,
-        flat.h_f64_store,
         flat.h_storen,
-        u_i32_store,
-        u_i64_store,
-        u_f32_store,
-        u_f64_store,
-        u_storen,
         flat.h_memory_size,
         flat.h_memory_grow,
         flat.h_memory_fill,
@@ -864,15 +520,21 @@ _MAX_CLOSURE_ENTRIES = 4000
 _OOB = "out of bounds memory access"
 
 
+def _ic_type_mismatch(expected, actual):
+    raise WasmTrap(
+        f"indirect call type mismatch: expected {expected}, got {actual}"
+    )
+
+
 class _ClosureCompiler:
-    """Compile one specialized flat function to an exec'd Python closure.
+    """Compile one prepared flat function to an exec'd Python closure.
 
     The closure signature is ``_spec(interp, frame, **bound)`` and its
     return value is the activation's result list. Stack slots live in
     Python locals ``s0..sN`` addressed by *absolute static height*
     (heights are propagated from pc 0 and must be consistent at every
-    join — a conflict aborts compilation, keeping the function on flat
-    bytecode). Locals live in ``l0..lK`` and are never written back:
+    join — a conflict aborts compilation, keeping the function on
+    prepared code). Locals live in ``l0..lK`` and are never written back:
     frames are per-activation and nothing outside the activation reads
     them. Control flow is a ``while True`` loop over an ``if pc ==``
     chain of basic blocks.
@@ -883,24 +545,30 @@ class _ClosureCompiler:
     the trapping instruction is charged, later ones are not, same as
     the reference.
 
+    Loads and stores at the pcs in ``safe`` (see
+    :func:`_proven_in_bounds`) are emitted without their bounds check.
     Direct calls carry a per-site cell ``[instance, fi, closure,
     defaults]`` guarded on caller-instance identity: a hit calls the
-    callee closure without going through ``_call_wasm``. Closures run
-    only in unmetered activations (the interpreter deopts metered calls
-    to flat bytecode), so the fast path never touches fuel.
+    callee closure without going through ``_call_wasm``; each
+    ``call_indirect`` site carries a ``[table, slot_addr, fi]`` cell.
+    Closures run only in unmetered activations (the interpreter deopts
+    metered calls to prepared code), so the fast path never touches fuel.
     """
 
-    def __init__(self, module: Module, func: Function, spec: PreparedFunction):
-        self.code = spec.code
-        self.n_results = spec.n_results
+    def __init__(
+        self, module: Module, func: Function, pf: PreparedFunction, safe: Set[int]
+    ):
+        self.code = pf.code
+        self.safe = safe
+        self.n_results = pf.n_results
         self.sigs = _func_signatures(module)
         ft = module.types[func.type_idx]
-        self.n_locals = len(ft.params) + len(spec.local_defaults)
-        self.name = spec.name or "fn"
-        self.end_pc = len(spec.code) - 1
-        if not spec.code or spec.code[self.end_pc][0] is not flat.h_end:
+        self.n_locals = len(ft.params) + len(pf.local_defaults)
+        self.name = pf.name or "fn"
+        self.end_pc = len(pf.code) - 1
+        if not pf.code or pf.code[self.end_pc][0] is not flat.h_end:
             raise _Unsupported("no terminal h_end")
-        if len(spec.code) > _MAX_CLOSURE_ENTRIES:
+        if len(pf.code) > _MAX_CLOSURE_ENTRIES:
             raise _Unsupported("function too large")
         self.binds: Dict[str, object] = {}
         self._bind_ids: Dict[int, str] = {}
@@ -933,11 +601,9 @@ class _ClosureCompiler:
         if handler is flat.h_call:
             idx, n = args
             return len(self.sigs[idx].results) - n
-        if handler is h_call_indirect_ic or handler is flat.h_call_indirect:
+        if handler is flat.h_call_indirect:
             ft = args[0]
             return len(ft.results) - len(ft.params) - 1
-        if handler is flat.h_nop:
-            return 0
         raise _Unsupported(
             f"handler {getattr(handler, '__name__', handler)!r}"
         )
@@ -1136,12 +802,20 @@ class _ClosureCompiler:
             stmts.append(f"s{base + k} = _r[{k}]")
         return stmts, base + results
 
-    def _call_indirect_stmts(self, expected, n: int, cell, h: int):
+    def _call_indirect_stmts(self, expected, n: int, h: int):
+        """``call_indirect`` through this site's monomorphic cell.
+
+        The guard is table *identity* plus slot address: store function
+        lists are append-only and ``FuncInstance`` objects are never
+        rebound to a different address, so a hit cannot go stale. A miss
+        replays the generic path — identical traps, in the same order as
+        the flat handler — and refills the cell.
+        """
         base = h - 1 - n
         results = len(expected.results)
         args_list = ", ".join(f"s{base + k}" for k in range(n))
         et = self._bind(expected, "ET")
-        cc = self._bind(cell, "C")
+        cc = self._bind([None, -1, None], "C")
         stmts = [
             "_t = store.tables[inst.table_addrs[0]]",
             "_e = _t.elements",
@@ -1170,7 +844,7 @@ class _ClosureCompiler:
 
     # -- per-entry emission --------------------------------------------------
 
-    def _emit_simple(self, handler, args, h: int):
+    def _emit_simple(self, pc: int, handler, args, h: int):
         """Return ``(trapping, stmts, new_height)`` for a non-control entry."""
         if handler is flat.h_nop:
             return False, [], h
@@ -1242,68 +916,31 @@ class _ClosureCompiler:
                                  f"s{h}", True),
                 h + 1,
             )
-        for table, checked in ((_CHECKED_LOADS, True),):
-            spec = table.get(handler)
-            if spec is not None:
-                width, _un = spec
-                packer = {4: "LD32", 8: "LD64"}[width]
-                if handler is flat.h_f32_load:
-                    packer = "LF32"
-                elif handler is flat.h_f64_load:
-                    packer = "LF64"
-                return (
-                    True,
-                    self._load_stmts(f"s{h - 1}", args, width, packer,
-                                     False, 0, f"s{h - 1}", True),
-                    h,
-                )
-        if handler in (u_i32_load, u_i64_load, u_f32_load, u_f64_load):
-            packer = {
-                u_i32_load: "LD32",
-                u_i64_load: "LD64",
-                u_f32_load: "LF32",
-                u_f64_load: "LF64",
-            }[handler]
-            width = 8 if handler in (u_i64_load, u_f64_load) else 4
-            return (
-                False,
-                self._load_stmts(f"s{h - 1}", args, width, packer,
-                                 False, 0, f"s{h - 1}", False),
-                h,
-            )
-        if handler is flat.h_loadn or handler is u_loadn:
-            off, width, signed, bits = args
-            return (
-                handler is flat.h_loadn,
-                self._load_stmts(f"s{h - 1}", off, width, None, signed, bits,
-                                 f"s{h - 1}", handler is flat.h_loadn),
-                h,
-            )
-        store_packers = {
-            flat.h_i32_store: ("ST32", 4, True),
-            flat.h_i64_store: ("ST64", 8, True),
-            flat.h_f32_store: ("SF32", 4, True),
-            flat.h_f64_store: ("SF64", 8, True),
-            u_i32_store: ("ST32", 4, False),
-            u_i64_store: ("ST64", 8, False),
-            u_f32_store: ("SF32", 4, False),
-            u_f64_store: ("SF64", 8, False),
-        }
-        spec = store_packers.get(handler)
-        if spec is not None:
-            packer, width, checked = spec
+        if handler in _LOADS or handler is flat.h_loadn:
+            if handler is flat.h_loadn:
+                off, width, signed, bits = args
+                packer = None
+            else:
+                width, packer = _LOADS[handler]
+                off, signed, bits = args, False, 0
+            checked = pc not in self.safe
             return (
                 checked,
-                self._store_stmts(f"s{h - 2}", args, width, packer,
-                                  f"s{h - 1}", checked),
-                h - 2,
+                self._load_stmts(f"s{h - 1}", off, width, packer, signed, bits,
+                                 f"s{h - 1}", checked),
+                h,
             )
-        if handler is flat.h_storen or handler is u_storen:
-            off, width = args
-            checked = handler is flat.h_storen
+        if handler in _STORES or handler is flat.h_storen:
+            if handler is flat.h_storen:
+                off, width = args
+                packer = None
+            else:
+                width, packer = _STORES[handler]
+                off = args
+            checked = pc not in self.safe
             return (
                 checked,
-                self._store_stmts(f"s{h - 2}", off, width, None,
+                self._store_stmts(f"s{h - 2}", off, width, packer,
                                   f"s{h - 1}", checked),
                 h - 2,
             )
@@ -1363,15 +1000,9 @@ class _ClosureCompiler:
             idx, n = args
             stmts, new_h = self._call_stmts(idx, n, h)
             return True, stmts, new_h
-        if handler is h_call_indirect_ic:
-            expected, n, cell = args
-            stmts, new_h = self._call_indirect_stmts(expected, n, cell, h)
-            return True, stmts, new_h
         if handler is flat.h_call_indirect:
             expected, n = args
-            stmts, new_h = self._call_indirect_stmts(
-                expected, n, [None, -1, None], h
-            )
+            stmts, new_h = self._call_indirect_stmts(expected, n, h)
             return True, stmts, new_h
         raise _Unsupported(
             f"handler {getattr(handler, '__name__', handler)!r}"
@@ -1471,7 +1102,7 @@ class _ClosureCompiler:
                     return
                 h = h_after
             else:
-                trapping, stmts, h_after = self._emit_simple(handler, args, h)
+                trapping, stmts, h_after = self._emit_simple(pc, handler, args, h)
                 if trapping:
                     total = pending + weight
                     if total:
@@ -1559,13 +1190,10 @@ class _ClosureCompiler:
 class SpecializeReport:
     """Per-module pass statistics (tests and `repro inspect`)."""
 
-    __slots__ = ("folded", "fused", "elided", "ic_sites", "compiled", "bytecode")
+    __slots__ = ("elided", "compiled", "bytecode")
 
     def __init__(self) -> None:
-        self.folded = 0
-        self.fused = 0
         self.elided = 0
-        self.ic_sites = 0
         self.compiled = 0
         self.bytecode = 0
 
@@ -1573,50 +1201,22 @@ class SpecializeReport:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-def _specialize_code(module, pf, fold_map, mem_min, report):
-    entries = list(pf.code)
-    targets = _branch_targets(pf.code)
-    for pc, (handler, args, weight) in enumerate(entries):
-        if handler is flat.h_global_get and args in fold_map:
-            entries[pc] = (flat.h_const, fold_map[args], weight)
-            report.folded += 1
-    entries, targets, fused = _peephole(entries, targets)
-    report.fused += fused
-    entries, elided = _elide_bounds(module, entries, targets, mem_min)
-    report.elided += elided
-    entries, ic_sites = _install_ics(entries)
-    report.ic_sites += ic_sites
-    code = tuple(entries)
-    total = sum(w for _h, _a, w in code)
-    assert total == pf.source_instrs, (
-        f"specialization changed instruction accounting for {pf.name!r}: "
-        f"{total} != {pf.source_instrs}"
-    )
-    return code
-
-
 def specialize_module(
-    module: Module,
-    mode: Optional[str] = None,
-    report: Optional[SpecializeReport] = None,
+    module: Module, report: Optional[SpecializeReport] = None
 ) -> SpecializedModule:
     """Specialize every defined function of ``module``.
 
     Returns a digest-cacheable :class:`SpecializedModule`; call
     ``.attach(module)`` to activate it (mirrors ``PreparedModule``).
     Already-specialized attachments are unwrapped through ``fallback``
-    first, so re-specializing is idempotent, and any per-function pass
+    first, so re-specializing is idempotent, and any per-function
     failure falls back to the unspecialized prepared code (counted as
     outcome ``failed``) — specialization can lose performance, never
     correctness.
     """
-    mode = specialize_mode() if mode is None else mode
-    if mode not in ("on", "bytecode"):
-        raise ValueError(f"cannot specialize with mode {mode!r}")
     started = time.perf_counter()
     if report is None:
         report = SpecializeReport()
-    fold_map = _foldable_globals(module)
     mem_min = _memory_min_bytes(module)
     functions: List[PreparedFunction] = []
     for func in module.funcs:
@@ -1628,26 +1228,25 @@ def specialize_module(
             pf = prepare_function(module, func)
             func.prepared = pf
         try:
-            code = _specialize_code(module, pf, fold_map, mem_min, report)
-            sf = SpecializedFunction(code, pf)
-            if mode == "on":
-                try:
-                    sf.compiled = _ClosureCompiler(module, func, sf).compile()
-                except _Unsupported:
-                    sf.compiled = None
+            safe = _proven_in_bounds(module, pf.code, mem_min)
+            try:
+                compiled = _ClosureCompiler(module, func, pf, safe).compile()
+            except _Unsupported:
+                compiled = None
         except Exception:
             _FUNCS_TOTAL.labels("failed").inc()
             functions.append(pf)
             continue
-        if sf.compiled is not None:
+        if compiled is not None:
             report.compiled += 1
+            report.elided += len(safe)
             _FUNCS_TOTAL.labels("compiled").inc()
         else:
             report.bytecode += 1
             _FUNCS_TOTAL.labels("bytecode").inc()
-        functions.append(sf)
+        functions.append(SpecializedFunction(pf, compiled))
     _PASS_SECONDS.observe(time.perf_counter() - started)
-    return SpecializedModule(functions, mode)
+    return SpecializedModule(functions)
 
 
 def specialize_counts() -> Dict[str, int]:

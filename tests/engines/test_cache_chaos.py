@@ -113,7 +113,7 @@ class TestSpecializeCorrupt:
         assert cache_rebuilds()[("specialize", digest)] == 1
 
     def test_pass_failure_falls_back_to_prepared(self, monkeypatch):
-        def boom(module, mode):
+        def boom(module):
             raise RuntimeError("specialization pass exploded")
 
         monkeypatch.setattr(engine_cache, "specialize_module", boom)
@@ -133,14 +133,21 @@ class TestSpecializeCorrupt:
         assert cache_stats()["specialize"]["entries"] == 0
 
     def test_mode_change_respecializes(self, monkeypatch):
+        # on -> off -> on: off restores the baseline prepared code, and
+        # turning the tier back on re-attaches the cached entry.
         blob = assemble_wat(WAT)
         module, _ = decode_cached(blob)
-        assert module.funcs[0].prepared.compiled is not None  # default: on
-        monkeypatch.setenv("REPRO_SPECIALIZE", "bytecode")
-        module2, _ = decode_cached(blob)
-        sf = module2.funcs[0].prepared
-        assert isinstance(sf, SpecializedFunction)
-        assert sf.compiled is None
+        sf = module.funcs[0].prepared
+        assert isinstance(sf, SpecializedFunction)  # default: on
+        assert sf.compiled is not None
+        monkeypatch.setenv("REPRO_SPECIALIZE", "off")
+        module, _ = decode_cached(blob)
+        assert module.funcs[0].prepared is sf.fallback
+        monkeypatch.setenv("REPRO_SPECIALIZE", "on")
+        module, _ = decode_cached(blob)
+        assert module.funcs[0].prepared is sf
+        stats = cache_stats()["specialize"]
+        assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 1, 1)
 
 
 class TestRunCacheBypass:

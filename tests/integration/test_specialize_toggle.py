@@ -4,9 +4,9 @@ The acceptance criterion for the specialization tier is that it changes
 *speed only*: every measurement feeding the paper's figures — working
 sets, free-memory deltas, startup makespans, per-phase traces — is
 byte-identical whether ``REPRO_SPECIALIZE`` is off or on. This holds
-because specialized code preserves exact instruction accounting (weight
-sums equal ``source_instrs``) and the metered engine path debits fuel
-through the same totals.
+by construction: metered engine runs execute the prepared flat code
+itself with the tier on or off, and the compiled closures keep exact
+instruction accounting for unmetered runs.
 
 The measurement caches (in-process lru + on-disk) are defeated so both
 sides of every comparison run the full simulation.
@@ -44,11 +44,6 @@ class TestMeasurementsByteIdentical:
         on = _measure_with(monkeypatch, "on", config)
         off = _measure_with(monkeypatch, "off", config)
         assert on == off  # full dataclass equality, phase traces included
-
-    def test_bytecode_mode_also_identical(self, monkeypatch):
-        on = _measure_with(monkeypatch, "bytecode", "crun-wamr")
-        off = _measure_with(monkeypatch, "off", "crun-wamr")
-        assert on == off
 
     def test_python_baseline_unaffected(self, monkeypatch):
         on = _measure_with(monkeypatch, "on", "runc-python")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SchedulingError
 from repro.measure.experiment import ExperimentRunner, measure
 from repro.measure.figures import (
     table1_software_stack,
@@ -87,6 +88,13 @@ class TestExperimentRunner:
         m = ExperimentRunner(seed=2).run("crun-python", 4)
         assert m.ready_fraction == 1.0
         assert m.metrics_mib > 4.0
+
+    def test_unschedulable_pods_raise_scheduling_error(self):
+        # A third pod on a 2-pod node stays Pending; the run reports it
+        # as a typed error carrying the scheduler's reason.
+        with pytest.raises(SchedulingError, match=r"1 of 3 pods .*capacity: 1") as err:
+            ExperimentRunner(seed=1).run("crun-wamr", 3, max_pods=2)
+        assert err.value.reasons == {"capacity": 1}
 
 
 class TestTables:

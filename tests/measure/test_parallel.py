@@ -1,4 +1,8 @@
-"""Parallel experiment scheduler + persistent measurement cache."""
+"""Parallel experiment scheduler + persistent measurement cache.
+
+Deploy cells run through the campaign engine
+(:func:`repro.measure.series.execute_cells`) at ``jobs=1`` and ``jobs=2``.
+"""
 
 import json
 
@@ -12,14 +16,25 @@ from repro.measure.cache import (
     toggle_fingerprint,
 )
 from repro.measure.experiment import ExperimentRunner, measure
-from repro.measure.parallel import auto_jobs, legacy_run_matrix, run_matrix
+from repro.measure.series import DEFAULT_CACHE, Cell, auto_jobs, execute_cells
 
 PAIRS = [("crun-wamr", 10), ("crun-python", 10)]
 
 
+def measure_pairs(pairs, seed=1, jobs=1, cache=DEFAULT_CACHE):
+    """Deploy cells for (config, count) pairs, in the engine's result order."""
+    cells = [
+        Cell(series="matrix", kind="deploy", config=config, count=count, seed=seed)
+        for config, count in pairs
+    ]
+    results, _ = execute_cells(cells, jobs=jobs, cache=cache)
+    pair_of = {cell.key: (cell.config, cell.count) for cell in cells}
+    return {pair_of[key]: m for key, m in results.items()}
+
+
 @pytest.fixture(scope="module")
 def sequential():
-    return run_matrix(PAIRS, seed=1, jobs=1)
+    return measure_pairs(PAIRS, seed=1, jobs=1)
 
 
 class TestRunMatrix:
@@ -28,28 +43,22 @@ class TestRunMatrix:
             assert sequential[(config, count)] == measure(config, count, seed=1)
 
     def test_parallel_results_identical(self, sequential, tmp_path):
-        parallel = run_matrix(
+        parallel = measure_pairs(
             PAIRS, seed=1, jobs=2, cache=MeasurementCache(tmp_path / "cache")
         )
         assert parallel == sequential
 
     def test_merge_order_is_caller_order(self, sequential):
-        reversed_result = run_matrix(list(reversed(PAIRS)), seed=1, jobs=1)
+        reversed_result = measure_pairs(list(reversed(PAIRS)), seed=1, jobs=1)
         assert list(reversed_result) == list(reversed(PAIRS))
         assert dict(reversed_result) == dict(sequential)
 
     def test_no_cache_recomputes(self, sequential):
-        fresh = run_matrix(PAIRS, seed=1, jobs=1, cache=None)
+        fresh = measure_pairs(PAIRS, seed=1, jobs=1, cache=None)
         assert fresh == sequential
 
     def test_auto_jobs_positive(self):
         assert auto_jobs() >= 1
-
-    def test_legacy_runner_matches_engine(self, sequential, tmp_path):
-        legacy = legacy_run_matrix(
-            PAIRS, seed=1, jobs=2, cache=MeasurementCache(tmp_path / "legacy")
-        )
-        assert legacy == sequential
 
 
 class TestMeasurementCache:
@@ -123,7 +132,7 @@ class TestMeasurementCache:
             raise AssertionError("cache miss: simulation ran on a warm cache")
 
         monkeypatch.setattr(ExperimentRunner, "run", boom)
-        warm = run_matrix(PAIRS, seed=1, jobs=2, cache=cache)
+        warm = measure_pairs(PAIRS, seed=1, jobs=2, cache=cache)
         assert warm == sequential
 
 
@@ -169,7 +178,7 @@ class TestTelemetryMerge:
         from repro.obs.export import chrome_trace
 
         obs = telemetry
-        seq = run_matrix(PAIRS, seed=1, jobs=1, cache=None)
+        seq = measure_pairs(PAIRS, seed=1, jobs=1, cache=None)
         seq_counters = self._deterministic_counters(obs)
         seq_trace = json.dumps(
             chrome_trace(obs.tagged_spans(), obs.context_labels()), sort_keys=True
@@ -178,7 +187,7 @@ class TestTelemetryMerge:
         assert seq_counters, "sequential run recorded no counters"
 
         obs.reset()
-        par = run_matrix(PAIRS, seed=1, jobs=2, cache=None)
+        par = measure_pairs(PAIRS, seed=1, jobs=2, cache=None)
         par_counters = self._deterministic_counters(obs)
         par_trace = json.dumps(
             chrome_trace(obs.tagged_spans(), obs.context_labels()), sort_keys=True
@@ -191,7 +200,7 @@ class TestTelemetryMerge:
 
     def test_registry_families_survive_merge(self, telemetry):
         obs = telemetry
-        run_matrix([("crun-wamr", 10)], seed=1, jobs=2, cache=None)
+        measure_pairs([("crun-wamr", 10)], seed=1, jobs=2, cache=None)
         names = {family.name for family in obs.default_registry().collect()}
         # Worker-side registrations propagate through the merged deltas.
         assert "repro_scheduler_placements_total" in names
@@ -243,7 +252,7 @@ class TestTimeseriesJobsIdentity:
 
     def test_artifacts_byte_identical_across_jobs(self, full_telemetry):
         obs = full_telemetry
-        seq_results = run_matrix(PAIRS, seed=1, jobs=1, cache=None)
+        seq_results = measure_pairs(PAIRS, seed=1, jobs=1, cache=None)
         seq = self._artifacts(obs)
         assert seq["timeseries"], "sequential run sampled nothing"
         assert '"kind": "alert"' in seq["timeseries"], (
@@ -253,7 +262,7 @@ class TestTimeseriesJobsIdentity:
         assert "hostcalls" in seq["wasi"]
 
         obs.reset()
-        par_results = run_matrix(PAIRS, seed=1, jobs=2, cache=None)
+        par_results = measure_pairs(PAIRS, seed=1, jobs=2, cache=None)
         par = self._artifacts(obs)
 
         assert par_results == seq_results

@@ -1,5 +1,5 @@
 """Property tests: interpreter numeric semantics vs Python reference,
-plus differential properties (flat interpreter, specialized tiers, and
+plus differential properties (flat interpreter, specialization tier, and
 reference tree-walker) over randomly generated straight-line/loop
 programs and fuel budgets."""
 
@@ -167,11 +167,11 @@ def _gen_module(ops):
     """
 
 
-def _observe(cls, src, args, fuel, specialize=None):
+def _observe(cls, src, args, fuel, specialize=False):
     module = validate_module(parse_wat(src))
-    if specialize is not None:
+    if specialize:
         prepare_module(module)
-        specialize_module(module, specialize).attach(module)
+        specialize_module(module).attach(module)
     store = Store()
     inst = instantiate(store, module)
     interp = cls(store, fuel=fuel)
@@ -201,6 +201,5 @@ def test_differential_random_programs(ops, n, seed, fuel):
     flat = _observe(Interpreter, src, (n, seed), fuel)
     ref = _observe(ReferenceInterpreter, src, (n, seed), fuel)
     assert flat == ref
-    for mode in ("bytecode", "on"):
-        spec = _observe(Interpreter, src, (n, seed), fuel, specialize=mode)
-        assert spec == ref, f"specialize={mode}: {spec} != {ref}"
+    spec = _observe(Interpreter, src, (n, seed), fuel, specialize=True)
+    assert spec == ref, f"specialized: {spec} != {ref}"

@@ -1,13 +1,12 @@
 """Differential testing: prepared and specialized code vs the reference.
 
 Every case executes the same module through the reference tree-walker,
-the prepared flat interpreter, and the specialization tier in both its
-modes (``bytecode``: folded/elided/IC'd flat code; ``on``: exec'd Python
-closures where compilable) and asserts identical observable behaviour:
-result values (including float bit patterns), trap type and message,
-fuel accounting, total ``instructions_executed``, and final
+the prepared flat interpreter, and the specialization tier (exec'd
+Python closures where compilable) and asserts identical observable
+behaviour: result values (including float bit patterns), trap type and
+message, fuel accounting, total ``instructions_executed``, and final
 linear-memory contents. Metered runs (``fuel`` set) exercise the
-specialized flat bytecode through the metered-deopt path; unmetered runs
+prepared flat code through the metered-deopt path; unmetered runs
 exercise the compiled closures.
 """
 
@@ -27,15 +26,14 @@ from repro.wasm.runtime import (
 from repro.workloads.microservice import build_microservice_wasm
 
 INTERPS = (Interpreter, ReferenceInterpreter)
-SPECIALIZE_MODES = ("bytecode", "on")
 
 
-def _observe(cls, src, func, args, fuel, specialize=None):
+def _observe(cls, src, func, args, fuel, specialize=False):
     """Run one interpreter; capture (outcome, instr count, fuel left, memory)."""
     module = validate_module(parse_wat(src))
-    if specialize is not None:
+    if specialize:
         prepare_module(module)
-        specialize_module(module, specialize).attach(module)
+        specialize_module(module).attach(module)
     store = Store()
     inst = instantiate(store, module)
     interp = cls(store, fuel=fuel)
@@ -53,9 +51,8 @@ def check(src, func="run", args=(), fuel=None):
     ref = _observe(ReferenceInterpreter, src, func, args, fuel)
     flat = _observe(Interpreter, src, func, args, fuel)
     assert flat == ref, f"\nflat: {flat}\nref : {ref}"
-    for mode in SPECIALIZE_MODES:
-        spec = _observe(Interpreter, src, func, args, fuel, specialize=mode)
-        assert spec == ref, f"\nspec({mode}): {spec}\nref : {ref}"
+    spec = _observe(Interpreter, src, func, args, fuel, specialize=True)
+    assert spec == ref, f"\nspec: {spec}\nref : {ref}"
     return flat[0]
 
 
@@ -268,10 +265,10 @@ class TestFuelAgrees:
 
 
 @pytest.mark.parametrize("fuel", [None, 5_000_000])
-@pytest.mark.parametrize("spec_mode", ["off", "bytecode", "on"])
+@pytest.mark.parametrize("spec_mode", ["off", "on"])
 def test_full_wasi_microservice_agrees(spec_mode, fuel, monkeypatch):
     # The reference walks the AST and ignores specialization entirely, so
-    # it is a fixed oracle across all three modes; the flat interpreter
+    # it is a fixed oracle across both modes; the flat interpreter
     # picks up whatever the digest cache attached for the current mode.
     from repro.engines.cache import reset_caches
 

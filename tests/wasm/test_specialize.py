@@ -1,12 +1,13 @@
-"""Unit tests for the specialization tier passes (`wasm/runtime/specialize`).
+"""Unit tests for the specialization tier (`wasm/runtime/specialize`).
 
-Each pass is exercised in isolation through `SpecializeReport` counts
-and by inspecting the rewritten flat code (handler identity), then the
-result is executed to confirm behaviour is unchanged. The differential
-suites (`tests/wasm/test_differential.py`, the hypothesis property)
-cover end-to-end equivalence; this file pins the mechanics: what gets
-folded, fused, elided, IC'd, and compiled, and that instruction
-accounting and the deopt chain survive every rewrite.
+The tier compiles prepared flat code to exec'd Python closures and never
+rewrites the flat code itself. These tests pin its mechanics at the
+closure level: which memory accesses the bounds proof lets the closure
+emit unchecked (read from ``__specialized_source__``), the per-site
+``call_indirect`` cache, exact instruction accounting, and that metered
+calls run the prepared code object itself. The differential suites
+(`tests/wasm/test_differential.py`, the hypothesis property) cover
+end-to-end equivalence against the reference interpreter.
 """
 
 import pytest
@@ -29,12 +30,14 @@ from repro.wasm.runtime.specialize import (
     specialize_counts,
 )
 
+_OOB_CHECK = "raise WT('out of bounds memory access')"
 
-def _specialized(src, mode="bytecode"):
+
+def _specialized(src):
     module = validate_module(parse_wat(src))
     prepare_module(module)
     report = SpecializeReport()
-    specialize_module(module, mode, report=report).attach(module)
+    specialize_module(module, report=report).attach(module)
     return module, report
 
 
@@ -45,68 +48,28 @@ def _run(module, func="run", args=(), fuel=None):
     return interp.invoke_export(inst, func, list(args))
 
 
-def _handlers(module, fi=0):
-    return [h.__name__ for h, _a, _w in module.funcs[fi].prepared.code]
+def _source(module, fi=0):
+    compiled = module.funcs[fi].prepared.compiled
+    assert compiled is not None, "function was not compiled to a closure"
+    return compiled.__specialized_source__
 
 
-class TestGlobalFolding:
-    IMMUT = """
-        (module (global $k i32 (i32.const 41))
-          (func (export "run") (result i32)
-            (i32.add (global.get $k) (i32.const 1))))
-    """
-    MUT = """
-        (module (global $k (mut i32) (i32.const 41))
-          (func (export "run") (result i32)
-            (i32.add (global.get $k) (i32.const 1))))
-    """
-
-    def test_immutable_global_becomes_const(self):
-        module, report = _specialized(self.IMMUT)
-        assert report.folded == 1
-        assert "h_global_get" not in _handlers(module)
-        assert _run(module) == [42]
-
-    def test_mutable_global_not_folded(self):
-        module, report = _specialized(self.MUT)
-        assert report.folded == 0
-        assert "h_global_get" in _handlers(module)
-        assert _run(module) == [42]
+def _trap(module, args):
+    """(trap message, instructions retired) of one unmetered run."""
+    store = Store()
+    inst = instantiate(store, module)
+    interp = Interpreter(store)
+    with pytest.raises(WasmTrap) as err:
+        interp.invoke_export(inst, "run", list(args))
+    return str(err.value), interp.instructions_executed
 
 
-class TestPeepholeFusion:
-    def test_const_const_binop_folds_to_const(self):
-        module, report = _specialized(
-            '(module (func (export "run") (result i32)'
-            " (i32.mul (i32.const 6) (i32.const 7))))"
-        )
-        assert report.fused >= 1
-        names = _handlers(module)
-        assert "h_binop" not in names and "h_const_binop" not in names
-        assert _run(module) == [42]
-
-    def test_folded_global_feeds_fusion(self):
-        # global.get -> const (pass 1) must then fuse with the binop.
-        module, report = _specialized(
-            "(module (global $k i32 (i32.const 5))"
-            ' (func (export "run") (param i32) (result i32)'
-            " (i32.add (local.get 0) (global.get $k))))"
-        )
-        assert report.folded == 1 and report.fused >= 1
-        assert "h_const_binop" in _handlers(module)
-        assert _run(module, args=(37,)) == [42]
-
-    def test_weight_sum_preserved(self):
-        module, _ = _specialized(
-            '(module (func (export "run") (result i32)'
-            " (i32.add (i32.add (i32.const 1) (i32.const 2))"
-            "          (i32.add (i32.const 3) (i32.const 4)))))"
-        )
-        pf = module.funcs[0].prepared
-        assert sum(w for _h, _a, w in pf.code) == pf.source_instrs
-        # Exact fuel accounting at the boundary: the run above costs
-        # source_instrs units regardless of how much got folded.
-        assert _run(module, fuel=pf.source_instrs) == [10]
+def _traps_like_flat(src, args):
+    """The closure traps exactly like the prepared flat code."""
+    module, _ = _specialized(src)
+    flat_module = validate_module(parse_wat(src))
+    prepare_module(flat_module)
+    assert _trap(module, args) == _trap(flat_module, args)
 
 
 class TestBoundsElision:
@@ -118,31 +81,37 @@ class TestBoundsElision:
             (i32.load (i32.and (local.get 0) (i32.const 0xfffc)))))
     """
 
+    UNBOUNDED = """
+        (module (memory 1) (func (export "run") (param i32) (result i32)
+          (i32.load (local.get 0))))
+    """
+    OVER_MINIMUM = """
+        (module (memory 1) (func (export "run") (param i32) (result i32)
+          (i32.load (i32.and (local.get 0) (i32.const 0x1ffff)))))
+    """
+
     def test_masked_access_uses_unchecked_handlers(self):
+        # Both accesses compile to bare struct calls on the memory.
         module, report = _specialized(self.MASKED)
         assert report.elided == 2
-        names = _handlers(module)
-        assert "u_i32_store" in names and "u_i32_load" in names
+        source = _source(module)
+        assert _OOB_CHECK not in source
+        assert "ST32(data, " in source and "LD32(data, " in source
         assert _run(module, args=(123456,)) == [7]
 
     def test_unbounded_access_stays_checked(self):
-        module, report = _specialized(
-            '(module (memory 1) (func (export "run") (param i32) (result i32)'
-            " (i32.load (local.get 0))))"
-        )
+        module, report = _specialized(self.UNBOUNDED)
         assert report.elided == 0
-        assert not any(n.startswith("u_") for n in _handlers(module))
-        with pytest.raises(WasmTrap, match="out of bounds memory access"):
-            _run(module, args=(70000,))
+        assert _OOB_CHECK in _source(module)
+        _traps_like_flat(self.UNBOUNDED, (70000,))
 
     def test_mask_exceeding_minimum_stays_checked(self):
         # 0x1ffff + 4 > one page: the proof must fail even though the
         # address is masked.
-        module, report = _specialized(
-            '(module (memory 1) (func (export "run") (param i32) (result i32)'
-            " (i32.load (i32.and (local.get 0) (i32.const 0x1ffff)))))"
-        )
+        module, report = _specialized(self.OVER_MINIMUM)
         assert report.elided == 0
+        assert _OOB_CHECK in _source(module)
+        _traps_like_flat(self.OVER_MINIMUM, (0x1FFFC,))
 
 
 class TestInlineCaches:
@@ -156,9 +125,10 @@ class TestInlineCaches:
     """
 
     def test_ic_installed_and_counts_misses(self):
-        module, report = _specialized(self.TABLE)
-        assert report.ic_sites == 1
-        assert "h_call_indirect_ic" in _handlers(module, fi=2)
+        # The closure's per-site cell: one miss while the site stays
+        # monomorphic, one more per switch of its target.
+        module, _ = _specialized(self.TABLE)
+        assert "MISS()" in _source(module, fi=2)
         before = specialize_counts()["deopts_ic_miss"]
         store = Store()
         inst = instantiate(store, module)
@@ -174,11 +144,12 @@ class TestInlineCaches:
         assert specialize_counts()["deopts_ic_miss"] - before == 3
 
     def test_ic_traps_match_generic_path(self):
-        module, _ = _specialized(self.TABLE)
-        with pytest.raises(WasmTrap, match="undefined element"):
-            _run(module, args=(9, 1))
-        with pytest.raises(WasmTrap, match="uninitialized element"):
-            _run(module, args=(2, 1))
+        for args, message in (((9, 1), "undefined element"),
+                              ((2, 1), "uninitialized element")):
+            module, _ = _specialized(self.TABLE)
+            with pytest.raises(WasmTrap, match=message):
+                _run(module, args=args)
+            _traps_like_flat(self.TABLE, args)
 
     def test_ic_type_mismatch_message(self):
         src = """(module (type $t (func (result i64)))
@@ -187,6 +158,7 @@ class TestInlineCaches:
             (func (export "run") (result i64)
               (call_indirect (type $t) (i32.const 0))))"""
         module, _ = _specialized(src)
+        assert module.funcs[1].prepared.compiled is not None
         with pytest.raises(WasmTrap, match="indirect call type mismatch"):
             _run(module)
 
@@ -203,27 +175,35 @@ class TestClosureTier:
           (local.get $acc)))
     """
 
-    def test_bytecode_mode_never_compiles(self):
-        module, report = _specialized(self.LOOP, mode="bytecode")
-        assert report.compiled == 0 and report.bytecode == 1
-        assert module.funcs[0].prepared.compiled is None
-
     def test_on_mode_compiles_closure(self):
-        module, report = _specialized(self.LOOP, mode="on")
+        module, report = _specialized(self.LOOP)
         sf = module.funcs[0].prepared
         assert report.compiled == 1
         assert sf.compiled is not None
         assert "while True:" in sf.compiled.__specialized_source__
         assert _run(module, args=(10,)) == [55]
 
-    def test_metered_run_deopts_to_bytecode(self):
-        module, _ = _specialized(self.LOOP, mode="on")
+    def test_metered_run_deopts_to_bytecode(self, monkeypatch):
+        # A metered call runs the prepared code object itself: the tier
+        # adds a closure and never rewrites the flat code.
+        module = validate_module(parse_wat(self.LOOP))
+        prepared = prepare_module(module).functions[0].code
+        specialize_module(module).attach(module)
+        ran = []
+        run_flat = Interpreter._run
+
+        def spy(interp, code, frame, stack):
+            ran.append(code)
+            return run_flat(interp, code, frame, stack)
+
+        monkeypatch.setattr(Interpreter, "_run", spy)
         before = METERED_DEOPT.value
         assert _run(module, args=(10,), fuel=10_000) == [55]
         assert METERED_DEOPT.value > before
+        assert ran == [prepared] and ran[0] is prepared
 
     def test_unmetered_counts_exact_instructions(self):
-        module, _ = _specialized(self.LOOP, mode="on")
+        module, _ = _specialized(self.LOOP)
         flat_module = validate_module(parse_wat(self.LOOP))
         store = Store()
         inst = instantiate(store, flat_module)
@@ -242,20 +222,15 @@ class TestDriver:
         sf = module.funcs[0].prepared
         assert isinstance(sf, SpecializedFunction)
         assert type(sf.fallback) is not SpecializedFunction
+        assert sf.code is sf.fallback.code
 
     def test_respecialize_is_idempotent(self):
         module, _ = _specialized(TestClosureTier.LOOP)
         first_fallback = module.funcs[0].prepared.fallback
-        specialize_module(module, "bytecode").attach(module)
+        specialize_module(module).attach(module)
         sf = module.funcs[0].prepared
         assert sf.fallback is first_fallback  # never stacks tiers
         assert _run(module, args=(4,)) == [10]
-
-    def test_invalid_mode_rejected(self):
-        module = validate_module(parse_wat(TestClosureTier.LOOP))
-        prepare_module(module)
-        with pytest.raises(ValueError):
-            specialize_module(module, "off")
 
     def test_counts_exposes_all_keys(self):
         counts = specialize_counts()
@@ -284,7 +259,7 @@ class TestModeParsing:
         [
             ("on", "on"),
             ("", "on"),
-            ("bytecode", "bytecode"),
+            ("bytecode", "on"),
             ("off", "off"),
             ("0", "off"),
             ("FALSE", "off"),
