@@ -123,7 +123,9 @@ def _resume_reruns_remainder_only(tmp_root) -> dict:
 
     reruns = []
     original = ExperimentRunner.run
-    ExperimentRunner.run = lambda self, c, n: reruns.append((c, n)) or original(self, c, n)
+    ExperimentRunner.run = lambda self, c, n, **kw: (
+        reruns.append((c, n)) or original(self, c, n, **kw)
+    )
     try:
         resumed = run_series(spec, jobs=1, cache=cache, manifest=manifest)
     finally:

@@ -664,7 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument(
         "--fleets", type=int, nargs="+", default=[1, 2, 4, 8], metavar="N",
-        help="fleet sizes to sweep (default: 1 2 4 8)",
+        help="fleet sizes to sweep; must include the 1-node baseline "
+             "(default: 1 2 4 8)",
     )
     p.add_argument(
         "--locality", action="store_true",

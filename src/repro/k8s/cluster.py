@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.container.highlevel.containerd import Containerd
 from repro.container.highlevel.cri import CRIService
@@ -154,15 +154,7 @@ class Cluster:
             self.make_pod(runtime_config, image=image, env=env)
             for _ in range(count)
         ]
-        unplaced = [p for p in pods if p.node_name is None]
-        if unplaced:
-            reasons = Counter(self.scheduler.failure_reason(p) for p in unplaced)
-            detail = ", ".join(f"{r}: {n}" for r, n in sorted(reasons.items()))
-            err = SchedulingError(
-                f"{len(unplaced)} of {count} pods were not scheduled ({detail})"
-            )
-            err.reasons = dict(reasons)
-            raise err
+        self._check_placed(pods)
         self.kernel.run_all(
             [self.nodes[p.node_name].kubelet.sync_pod(p) for p in pods]
         )
@@ -172,6 +164,27 @@ class Cluster:
                 f"{len(failed)} pods failed: {failed[0].status_message}"
             )
         return pods
+
+    def _check_placed(self, pods: List[Pod]) -> None:
+        """Raise :class:`SchedulingError` (``.reasons``: reason → pods)
+        if any of ``pods`` found no node."""
+        unplaced = [p for p in pods if p.node_name is None]
+        if unplaced:
+            reasons = Counter(self.scheduler.failure_reason(p) for p in unplaced)
+            detail = ", ".join(f"{r}: {n}" for r, n in sorted(reasons.items()))
+            err = SchedulingError(
+                f"{len(unplaced)} of {len(pods)} pods were not scheduled ({detail})"
+            )
+            err.reasons = dict(reasons)
+            raise err
+
+    def containers(self, pods: List[Pod]) -> List:
+        """The containers the kubelets realized for ``pods``, in pod order."""
+        return [
+            c
+            for p in pods
+            for c in self.nodes[p.node_name].kubelet.pod_containers[p.uid]
+        ]
 
     def teardown(self, pods: List[Pod]) -> None:
         for pod in pods:
@@ -183,21 +196,46 @@ class Cluster:
     def reconcile_and_wait(self, deployment_name: str) -> Dict[str, int]:
         """Run one reconciliation pass and realize its effects on nodes.
 
-        Created pods are synced to Running; removed pods are torn down.
-        Returns the deployment status afterwards.
+        Created pods are synced to Running (:class:`SchedulingError` if
+        one found no node); removed pods are torn down. Returns the
+        deployment status afterwards.
         """
         actions = self.deployments.reconcile(deployment_name)
-        activities = []
-        for pod in actions["created"]:
-            if pod.node_name is None:
-                raise KubernetesError(f"pod {pod.name} was not scheduled")
-            activities.append(self.nodes[pod.node_name].kubelet.sync_pod(pod))
-        if activities:
-            self.kernel.run_all(activities)
+        created = actions["created"]
+        self._check_placed(created)
+        if created:
+            self.kernel.run_all(
+                [self.nodes[p.node_name].kubelet.sync_pod(p) for p in created]
+            )
         # Surplus pods and disowned FAILED/evicted pods both need their
         # node-side state released, or they'd leak memory forever.
         self.teardown(actions["removed"] + actions["failed"])
         return self.deployments.status(deployment_name)
+
+    def converge(
+        self, name: str, template: PodSpec, replicas: int, max_rounds: int
+    ) -> Tuple[int, Dict[str, int], List[Pod]]:
+        """Create deployment ``name``; reconcile until ``replicas`` are ready.
+
+        Each round scrapes every node, so the metrics path stays under
+        fire too; a final monitor sample at steady state lets gauges read
+        the converged state and alerts resolve. Returns ``(rounds,
+        status, owned pods)``.
+        """
+        self.deployments.create(name, template, replicas=replicas)
+        rounds = 0
+        status = self.deployments.status(name)
+        while rounds < max_rounds and status["ready"] < replicas:
+            rounds += 1
+            status = self.reconcile_and_wait(name)
+            for worker in self.nodes.values():
+                worker.metrics.scrape()
+        if self.monitor is not None:
+            self.monitor.sample_now()
+        owned = self.deployments.deployments[name]
+        return rounds, status, [
+            self.api.pods[uid] for uid in owned.pod_uids if uid in self.api.pods
+        ]
 
     def delete_deployment(self, deployment_name: str) -> None:
         """Delete a deployment AND tear down every pod it still owns.

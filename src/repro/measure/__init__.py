@@ -1,12 +1,18 @@
 """Measurement and experiment harness.
 
 * :mod:`repro.measure.free` — the ``free(1)`` sampling channel,
-* :mod:`repro.measure.experiment` — deploy-N-pods experiments with both
-  memory channels and the startup probe,
-* :mod:`repro.measure.recovery` — fault-injection recovery experiments,
+* :mod:`repro.measure.experiment` — ``open_run`` (every runner's set-up)
+  and deploy-N-pods experiments with both memory channels and the
+  startup probe,
+* :mod:`repro.measure.recovery`, :mod:`repro.measure.chaos` — recovery
+  experiments and the chaos campaign under injected faults,
+* :mod:`repro.measure.fleet`, :mod:`repro.measure.zygote` — fleet
+  scaling, the locality ablation, cold vs zygote warm starts,
 * :mod:`repro.measure.stats` — summary statistics,
 * :mod:`repro.measure.figures` — one generator per paper table/figure,
-* :mod:`repro.measure.report` — plain-text rendering of figure data.
+* :mod:`repro.measure.report` — plain-text rendering of figure data,
+* :mod:`repro.measure.campaign`, ``series``, ``pool``, ``cache`` — the
+  campaign engine.
 """
 
 from repro.measure.experiment import (

@@ -28,17 +28,17 @@ interpolated from its cumulative buckets
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro import obs
 from repro.engines import cache as engine_cache
 from repro.errors import SimulationError
-from repro.k8s.cluster import build_cluster
 from repro.k8s.kubelet import ProbeConfig
 from repro.k8s.objects import PodPhase
+from repro.measure.experiment import open_run
 from repro.measure.stats import histogram_quantile
 from repro.obs.registry import MetricsRegistry
-from repro.sim.faults import FaultPlan, FaultPoint, full_lifecycle_plan
+from repro.sim.faults import FaultPoint, full_lifecycle_plan
 
 #: recovery-time buckets (seconds): pod creation → Running under faults.
 #: Wide tail — a pod can walk several capped 10 s backoffs before landing.
@@ -160,35 +160,28 @@ def run_chaos(
     count: int = 400,
     seed: int = 1,
     rate: float = 0.25,
-    plan: Optional[FaultPlan] = None,
     max_rounds: int = 15,
-    probes: Optional[ProbeConfig] = None,
-    admission_shedding: bool = True,
-    memory_bytes: Optional[int] = None,
 ) -> ChaosMeasurement:
     """Run the full-lifecycle chaos campaign; returns the measurement.
 
-    ``plan`` defaults to :func:`full_lifecycle_plan` at ``rate`` per
-    attempt across every armed point (finite budgets guarantee the
-    campaign converges once they are spent). Telemetry is forced on for
-    the duration — the counter-balance invariants read the registry
-    functionally — and restored afterwards.
+    The plan is :func:`full_lifecycle_plan` at ``rate`` per attempt
+    (finite budgets guarantee convergence once spent); probes and
+    admission shedding are on. A run that does not converge within
+    ``max_rounds`` returns with its ``converged`` invariant failing.
+    Telemetry is forced on for the duration — the counter-balance
+    invariants read the registry functionally — and restored afterwards.
     """
-    # State only: the invariants below subtract their own base counter
-    # snapshots, and zeroing would break the worker delta/merge protocol.
-    engine_cache.clear_cache_state()
     was_enabled = obs.enabled()
     obs.set_enabled(True)
     try:
-        obs.new_context(f"chaos {config} n={count} seed={seed}")
-        plan = plan if plan is not None else full_lifecycle_plan(seed=seed, rate=rate)
-        kwargs = {} if memory_bytes is None else {"memory_bytes": memory_bytes}
-        cluster = build_cluster(
+        plan = full_lifecycle_plan(seed=seed, rate=rate)
+        cluster = open_run(
+            f"chaos {config} n={count} seed={seed}",
+            count,
             seed=seed,
             fault_plan=plan,
-            probes=probes or ProbeConfig(enabled=True),
-            admission_shedding=admission_shedding,
-            **kwargs,
+            probes=ProbeConfig(enabled=True),
+            admission_shedding=True,
         )
         node = cluster.node
         base_backoffs = _counter_total("repro_kubelet_backoffs_total")
@@ -207,30 +200,9 @@ def run_chaos(
         base_working_set = node.env.memory.node_working_set()
 
         deployment_name = f"chaos-{config}"
-        cluster.deployments.create(
-            deployment_name, cluster.pod_template(config), replicas=count
+        rounds, status, replicas = cluster.converge(
+            deployment_name, cluster.pod_template(config), count, max_rounds
         )
-        rounds = 0
-        status = {"desired": count, "current": 0, "ready": 0}
-        for _ in range(max_rounds):
-            rounds += 1
-            status = cluster.reconcile_and_wait(deployment_name)
-            # One scrape per round: the metrics path stays under fire too.
-            node.metrics.scrape()
-            if status["ready"] >= count:
-                break
-
-        if cluster.monitor is not None:
-            # Scrape the converged state: ready_fraction returns to 1.0
-            # here, which is what lets PodReadyAvailabilityLow resolve.
-            cluster.monitor.sample_now()
-
-        deployment = cluster.deployments.deployments[deployment_name]
-        replicas = [
-            cluster.api.pods[uid]
-            for uid in deployment.pod_uids
-            if uid in cluster.api.pods
-        ]
         running = [p for p in replicas if p.phase is PodPhase.RUNNING]
         ready = [p for p in running if p.ready]
         terminal_pods = int(
@@ -250,11 +222,14 @@ def run_chaos(
             if pod.running_at is not None:
                 hist.observe(pod.running_at - pod.created_at)
         child = hist.labels()
+        # No pod reached Running: no percentile exists, and the run's
+        # convergence invariants report the failure.
         percentiles = {
             f"p{int(q * 100)}": histogram_quantile(
                 hist.buckets, child.bucket_counts, child.count, q
             )
             for q in PERCENTILES
+            if child.count
         }
         histogram_pairs = tuple(
             zip(hist.buckets, tuple(child.bucket_counts))
@@ -412,9 +387,12 @@ def render_chaos(m: ChaosMeasurement) -> str:
         f"  kubelet retries:      {m.restarts_total} total,"
         f" max {m.restarts_max}/pod",
         f"  recovery time:        "
-        + ", ".join(
-            f"{name}={value:.2f}s"
-            for name, value in m.recovery_percentiles.items()
+        + (
+            ", ".join(
+                f"{name}={value:.2f}s"
+                for name, value in m.recovery_percentiles.items()
+            )
+            or "none"
         ),
         f"  zygote fallbacks:     {m.zygote_fallbacks}",
         f"  cache rebuilds:       "

@@ -14,6 +14,8 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.engines import cache as engine_cache
+from repro.errors import ReproError
 from repro.k8s.cluster import Cluster, build_cluster
 from repro.measure.free import FreeSampler
 from repro.measure.stats import summarize, Summary
@@ -80,6 +82,31 @@ class DeploymentMeasurement:
         return warm / total if total else None
 
 
+def open_run(label: str, count: int, **cluster_args) -> Cluster:
+    """Every runner's set-up: check ``count``, open telemetry, build.
+
+    With telemetry on, the run gets its own trace context named ``label``
+    and cold engine caches: runs of one config share a run-cache key, so
+    guest execution counters (and series sampled from them) would
+    otherwise depend on which run came first in the process, and differ
+    at ``--jobs N``. Measurements are warmth-independent
+    (``test_no_cache_recomputes``). State only: zeroing the counters
+    would break the worker delta protocol.
+    """
+    if count < 1:
+        raise ReproError(f"{label}: pod count must be at least 1, got {count}")
+    if obs.enabled():
+        engine_cache.clear_cache_state()
+        obs.new_context(label)
+    return build_cluster(**cluster_args)
+
+
+def zygote_starts(containers: List) -> Tuple[int, int]:
+    """``(warm, cold)`` starts among zygote-capable ``containers``."""
+    flags = [c.facts.get("zygote_warm") for c in containers]
+    return flags.count(True), flags.count(False)
+
+
 class ExperimentRunner:
     """Runs deployment experiments on fresh clusters.
 
@@ -101,26 +128,13 @@ class ExperimentRunner:
         image: Optional[str] = None,
         nodes: int = 1,
         max_pods: Optional[int] = None,
-        locality_weight: float = 0.3,
     ) -> DeploymentMeasurement:
-        if obs.enabled():
-            # Each experiment gets its own trace context (one Chrome-trace
-            # process row per deployment) and starts from cold engine
-            # caches: cells of one config share a run-cache key, so guest
-            # execution counters would otherwise depend on which cell of
-            # the campaign ran first in this process. Chaos cells already
-            # clear for the same reason; measurements themselves are
-            # warmth-independent (test_no_cache_recomputes). State only —
-            # zeroing the counters would break the worker delta protocol.
-            from repro.engines import cache as engine_cache
-
-            engine_cache.clear_cache_state()
-            obs.new_context(f"deploy {config} n={count}")
-        cluster = build_cluster(
+        cluster = open_run(
+            f"deploy {config} n={count}",
+            count,
             seed=self.seed,
             node_count=nodes,
             max_pods=max_pods if max_pods is not None else 500,
-            locality_weight=locality_weight,
         )
         workers = list(cluster.nodes.values())
         for extra in self.extra_images:
@@ -154,11 +168,7 @@ class ExperimentRunner:
         ws_summary = summarize(working_sets)
         free_total = sum(s.delta().footprint_bytes for s in samplers)
 
-        containers = [
-            c
-            for p in pods
-            for c in cluster.nodes[p.node_name].kubelet.pod_containers[p.uid]
-        ]
+        containers = cluster.containers(pods)
         ready = sum(1 for c in containers if b"ready" in c.stdout)
         if len(workers) == 1:
             phase_means = workers[0].env.tracer.phase_means(config=config)
@@ -173,28 +183,19 @@ class ExperimentRunner:
                     sums[cat] = sums.get(cat, 0.0) + total
                     counts[cat] = counts.get(cat, 0) + n
             phase_means = {c: sums[c] / counts[c] for c in sums}
-        per_node = tuple(
-            NodeUsage(
-                name=worker.name,
-                pods=sum(1 for p in pods if p.node_name == worker.name),
-                working_set_bytes=worker.env.memory.node_working_set(),
-                warm_starts=sum(
-                    1
-                    for p in pods
-                    if p.node_name == worker.name
-                    for c in worker.kubelet.pod_containers[p.uid]
-                    if c.facts.get("zygote_warm") is True
-                ),
-                cold_starts=sum(
-                    1
-                    for p in pods
-                    if p.node_name == worker.name
-                    for c in worker.kubelet.pod_containers[p.uid]
-                    if c.facts.get("zygote_warm") is False
-                ),
+        per_node = []
+        for worker in workers:
+            mine = [p for p in pods if p.node_name == worker.name]
+            warm, cold = zygote_starts(cluster.containers(mine))
+            per_node.append(
+                NodeUsage(
+                    name=worker.name,
+                    pods=len(mine),
+                    working_set_bytes=worker.env.memory.node_working_set(),
+                    warm_starts=warm,
+                    cold_starts=cold,
+                )
             )
-            for worker in workers
-        )
         measurement = DeploymentMeasurement(
             config=config,
             count=count,
@@ -209,7 +210,7 @@ class ExperimentRunner:
             ready_fraction=ready / len(containers),
             phase_means=phase_means,
             nodes=len(workers),
-            per_node=per_node,
+            per_node=tuple(per_node),
         )
         cluster.teardown(pods)
         return measurement

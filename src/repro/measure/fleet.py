@@ -28,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.k8s.cluster import build_cluster
+from repro.errors import ReproError
 from repro.measure.experiment import DeploymentMeasurement, ExperimentRunner
+from repro.measure.experiment import open_run, zygote_starts
 
 #: fleet sizes the shipped scaling sweep visits
 DEFAULT_FLEETS = (1, 2, 4, 8)
@@ -82,8 +83,12 @@ def run_fleet(
     Each point is a fresh cluster; ``max_pods`` is raised to ``count``
     when a single node could not otherwise hold the deployment (the
     1-node baseline of a 10k-pod sweep), matching the paper's 500-pod
-    extension in spirit.
+    extension in spirit. ``fleets`` must include the 1-node baseline.
     """
+    if 1 not in fleets or min(fleets) < 1:
+        raise ReproError(
+            f"fleet sizes {list(fleets)} must include 1 and be positive"
+        )
     runner = ExperimentRunner(seed=seed)
     points = []
     for nodes in fleets:
@@ -131,21 +136,19 @@ def _warm_wave(
     any wave pod is scheduled — the decision the locality bonus exists
     to exploit.
     """
-    cluster = build_cluster(
-        seed=seed, node_count=nodes, locality_weight=locality_weight
+    cluster = open_run(
+        f"locality {config} n={count} weight={locality_weight}",
+        count,
+        seed=seed,
+        node_count=nodes,
+        locality_weight=locality_weight,
     )
     cluster.deploy_and_wait(config, 1)
     wave = cluster.deploy_and_wait(config, count)
-    warm = cold = 0
     placement: Dict[str, int] = {name: 0 for name in sorted(cluster.nodes)}
     for pod in wave:
         placement[pod.node_name] += 1
-        for c in cluster.nodes[pod.node_name].kubelet.pod_containers[pod.uid]:
-            flag = c.facts.get("zygote_warm")
-            if flag is True:
-                warm += 1
-            elif flag is False:
-                cold += 1
+    warm, cold = zygote_starts(cluster.containers(wave))
     total = warm + cold
     return (warm / total if total else 0.0), placement
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro import obs
 from repro.errors import KubernetesError
-from repro.k8s.cluster import build_cluster
-from repro.k8s.objects import PodPhase, RestartPolicy
+from repro.k8s.objects import PodPhase
+from repro.measure.experiment import open_run
 from repro.sim.faults import FaultPlan, transient_plan
 
 
@@ -73,55 +72,25 @@ def run_recovery(
     count: int = 100,
     seed: int = 1,
     plan: Optional[FaultPlan] = None,
-    restart_policy: RestartPolicy = RestartPolicy.ALWAYS,
     max_rounds: int = 10,
-    memory_bytes: Optional[int] = None,
 ) -> RecoveryMeasurement:
     """Deploy ``count`` pods of ``config`` under a fault plan; converge.
 
     ``plan`` defaults to :func:`~repro.sim.faults.transient_plan` seeded
     with ``seed`` (≥30% transient pull + compile failures). Reconciling
-    up to ``max_rounds`` times lets the DeploymentController replace pods
-    that failed permanently or were evicted.
+    up to ``max_rounds`` times (:meth:`~repro.k8s.cluster.Cluster.converge`)
+    lets the DeploymentController replace pods that failed permanently
+    or were evicted.
     """
     plan = plan if plan is not None else transient_plan(seed=seed)
-    if obs.enabled():
-        # Cold engine caches per telemetry-enabled cell (see
-        # ExperimentRunner.run): keeps warmth counters — and therefore
-        # the sampled time series — identical at any --jobs N.
-        from repro.engines import cache as engine_cache
-
-        engine_cache.clear_cache_state()
-        obs.new_context(f"recover {config} n={count}")
-    kwargs = {} if memory_bytes is None else {"memory_bytes": memory_bytes}
-    cluster = build_cluster(seed=seed, fault_plan=plan, **kwargs)
-    deployment_name = f"recover-{config}"
-    cluster.deployments.create(
-        deployment_name,
-        cluster.pod_template(config, restart_policy=restart_policy),
-        replicas=count,
+    cluster = open_run(
+        f"recover {config} n={count}", count, seed=seed, fault_plan=plan
     )
-
+    deployment_name = f"recover-{config}"
     t0 = cluster.kernel.now
-    rounds = 0
-    status = {"ready": 0}
-    for _ in range(max_rounds):
-        rounds += 1
-        status = cluster.reconcile_and_wait(deployment_name)
-        if status["ready"] >= count:
-            break
-
-    if cluster.monitor is not None:
-        # Final scrape at convergence so availability gauges read the
-        # recovered state and any firing alerts can resolve.
-        cluster.monitor.sample_now()
-
-    deployment = cluster.deployments.deployments[deployment_name]
-    replicas = [
-        cluster.api.pods[uid]
-        for uid in deployment.pod_uids
-        if uid in cluster.api.pods
-    ]
+    rounds, status, replicas = cluster.converge(
+        deployment_name, cluster.pod_template(config), count, max_rounds
+    )
     running = [p for p in replicas if p.phase is PodPhase.RUNNING]
     if status["ready"] >= count and len(running) != count:
         raise KubernetesError("recovery bookkeeping drift: ready != running")

@@ -465,12 +465,9 @@ def run_cell(cell: Cell) -> Any:
     """Execute one cell; returns its kind's measurement object."""
     params = dict(cell.params)
     if cell.kind == "deploy":
-        if cell.nodes != 1:
-            return ExperimentRunner(seed=cell.seed).run(
-                cell.config, cell.count, nodes=cell.nodes
-            )
-        # nodes=1 keeps the exact pre-fleet call shape (and stubs of it).
-        return ExperimentRunner(seed=cell.seed).run(cell.config, cell.count)
+        return ExperimentRunner(seed=cell.seed).run(
+            cell.config, cell.count, nodes=cell.nodes
+        )
     if cell.kind == "recovery":
         from repro.measure.recovery import run_recovery
 

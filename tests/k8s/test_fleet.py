@@ -3,9 +3,11 @@
 import pytest
 
 from repro import obs
-from repro.errors import KubernetesError
+from repro.errors import KubernetesError, ReproError
 from repro.k8s import PodPhase
 from repro.k8s.cluster import NodeSpec, build_cluster
+from repro.measure.experiment import ExperimentRunner
+from repro.measure.fleet import run_fleet, run_locality_ablation
 from repro.sim.faults import fleet_plan
 from repro.sim.memory import GIB
 
@@ -168,12 +170,30 @@ class TestZygoteLocality:
     def test_locality_raises_warm_fraction(self):
         # The acceptance criterion: locality-aware placement wins strictly
         # more warm starts than locality-blind spreading of the same wave.
-        from repro.measure.fleet import run_locality_ablation
-
         ablation = run_locality_ablation(count=24, nodes=4, seed=3)
         assert ablation.warm_fraction_with == 1.0
         assert ablation.warm_fraction_with > ablation.warm_fraction_without
         assert ablation.warm_gain > 0.5
+
+    def test_each_wave_gets_its_own_trace_context(self, telemetry):
+        # A wave is a run of its own: its spans must not land under the
+        # context of whatever ran before it.
+        ExperimentRunner(seed=3).run("crun-wamr", 2)
+        before = len(telemetry.tagged_spans())
+        run_locality_ablation(count=12, nodes=4, seed=3)
+        labels = telemetry.context_labels()
+        spans = telemetry.tagged_spans()
+        assert all(labels[cid] == "deploy crun-wamr n=2" for cid, _ in spans[:before])
+        waves = {labels[cid] for cid, _ in spans[before:]}
+        assert waves == {
+            "locality crun-wamr-zygote n=12 weight=0.3",
+            "locality crun-wamr-zygote n=12 weight=0.0",
+        }
+
+    def test_warm_fractions_do_not_depend_on_telemetry(self, telemetry):
+        with_telemetry = run_locality_ablation(count=12, nodes=4, seed=3)
+        telemetry.set_enabled(False)
+        assert run_locality_ablation(count=12, nodes=4, seed=3) == with_telemetry
 
     def test_non_zygote_configs_skip_the_bonus(self):
         # crun-wamr has no warm profile: placement must stay pure
@@ -185,6 +205,15 @@ class TestZygoteLocality:
         for p in wave:
             by_node[p.node_name] = by_node.get(p.node_name, 0) + 1
         assert by_node["node-1"] >= 4  # not packed onto the snapshot node
+
+
+class TestFleetSweep:
+    @pytest.mark.parametrize("fleets", [(2, 4), (0, 1), ()])
+    def test_sweep_needs_the_one_node_baseline(self, fleets):
+        # Speedups divide by the 1-node point; a sweep that cannot have
+        # one is refused before any point is simulated.
+        with pytest.raises(ReproError, match="must include 1"):
+            run_fleet(count=8, fleets=fleets)
 
 
 class TestNodeFailure:

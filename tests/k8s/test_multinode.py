@@ -47,6 +47,17 @@ class TestMultiNode:
         with pytest.raises(KubernetesError, match="not scheduled"):
             cluster.deploy_and_wait("crun-wamr", 4)
 
+    def test_reconcile_over_capacity_raises_with_reasons(self):
+        from repro.errors import SchedulingError
+
+        cluster = build_cluster(seed=2, node_count=1, max_pods=3)
+        cluster.deployments.create(
+            "svc", cluster.pod_template("crun-wamr"), replicas=4
+        )
+        with pytest.raises(SchedulingError, match="1 of 4 pods") as err:
+            cluster.reconcile_and_wait("svc")
+        assert err.value.reasons == {"capacity": 1}
+
     def test_parallel_nodes_share_simulated_clock(self):
         cluster = build_cluster(seed=2, node_count=2)
         pods = cluster.deploy_and_wait("crun-wamr", 8)

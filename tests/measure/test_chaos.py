@@ -94,3 +94,16 @@ class TestPayload:
         assert isinstance(chaos, ChaosMeasurement)
         with pytest.raises(Exception):
             chaos.count = 1  # type: ignore[misc]
+
+
+class TestNoRunningPod:
+    def test_unconverged_run_reports_instead_of_crashing(self):
+        # At rate 0.5 the single pod of seed 0 never reaches Running, so
+        # the recovery histogram is empty: the run still returns, and the
+        # convergence invariant carries the failure.
+        m = run_chaos(count=1, rate=0.5, seed=0)
+        assert m.recovery_percentiles == {}
+        assert not m.converged and not m.all_hold()
+        failing = {c.name for c in m.invariants if not c.passed}
+        assert failing == {"converged", "all_ready_or_terminal"}
+        assert "recovery time:        none" in render_chaos(m)

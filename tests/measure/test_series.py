@@ -250,9 +250,9 @@ class TestManifestResume:
         calls = []
         original = ExperimentRunner.run
 
-        def counting(self, config, count):
+        def counting(self, config, count, **kwargs):
             calls.append((config, count))
-            return original(self, config, count)
+            return original(self, config, count, **kwargs)
 
         monkeypatch.setattr(ExperimentRunner, "run", counting)
         return calls

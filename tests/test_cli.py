@@ -130,6 +130,30 @@ class TestDeployCommand:
         assert main(["deploy", "--config", "docker-v8", "-n", "2"]) == 1
 
 
+class TestFailureContract:
+    """Bad inputs exit 1 with a typed error instead of a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["deploy", "-n", "0"], "pod count must be at least 1"),
+            (["recover", "-n", "501"], "were not scheduled (capacity: 1)"),
+            (["fleet", "--fleets", "2", "4", "-n", "8"], "must include 1"),
+        ],
+    )
+    def test_bad_input_reports_error(self, argv, err, capsys):
+        assert main(argv) == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: ")
+        assert err in stderr
+
+    def test_chaos_without_running_pod_fails_invariants(self, capsys):
+        assert main(["chaos", "-n", "1", "--rate", "0.5", "--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "recovery time:        none" in out
+        assert "[FAIL] converged" in out
+
+
 class TestTelemetryExport:
     @pytest.fixture()
     def restore_obs(self):
