@@ -132,6 +132,9 @@ class Module:
     datas: List[DataSegment] = field(default_factory=list)
     customs: List[CustomSection] = field(default_factory=list)
     name: Optional[str] = None
+    #: set by ``validate_module`` once the module has passed, so an
+    #: embedder handed this object does not validate it again
+    validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     # -- index-space helpers (imports precede definitions) -------------------
 

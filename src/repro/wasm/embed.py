@@ -7,9 +7,9 @@ link WASI imports → instantiate → attach exported memory → call
 Repeated runs of one blob are collapsed through the engine caches: the
 bytes are decoded/validated once per digest (``decode`` layer), the
 **specialization tier** compiles the prepared code to Python closures
-once per digest (``specialize`` layer — closures for unmetered runs,
-with statically proven bounds checks dropped; disable with
-``REPRO_SPECIALIZE=off``), and
+once per digest (``specialize`` layer — an unmetered and a metered
+closure per function, with statically proven bounds checks dropped;
+disable with ``REPRO_SPECIALIZE=off``), and
 the **zygote warm-start** path instantiates once per digest, captures an
 :class:`~repro.wasm.runtime.snapshot.InstanceSnapshot`, and clones every
 subsequent instance from it (``zygote`` layer) — observably identical to
@@ -176,7 +176,8 @@ def run_wasi(
     """Execute a WASI command module to completion.
 
     Args:
-        module: binary bytes or an already-decoded :class:`Module`.
+        module: binary bytes or an already-decoded :class:`Module`
+            (validated here unless ``validate_module`` already passed it).
         args: argv (``args[0]`` is the program name).
         env: environment variables.
         preopens: guest path → host-fs path preopened directories.
@@ -202,7 +203,9 @@ def run_wasi(
 
     if isinstance(module, (bytes, bytearray)):
         module, digest = engine_cache.decode_cached(bytes(module), digest)
-    else:
+    elif not module.validated:
+        # Once per module object: WasmEngine.compile already validated
+        # every module the engines run.
         validate_module(module)
 
     use_zygote = zygote_enabled() if zygote is None else bool(zygote)
@@ -330,12 +333,13 @@ def run_wasi(
         ).labels(mode).inc()
         pf = module.funcs[0].prepared if module.funcs else None
         if getattr(pf, "fallback", None) is not None:
-            spec_mode = "compiled" if pf.compiled is not None else "bytecode"
+            closure = pf.compiled if fuel is None else pf.metered
+            spec_mode = "compiled" if closure is not None else "bytecode"
         else:
             spec_mode = "off"
         obs.counter(
             "repro_specialize_runs_total",
-            "guest runs by specialization-tier attachment",
+            "guest runs by the specialization-tier code they dispatch to",
             ("mode",),
         ).labels(spec_mode).inc()
         if restored:

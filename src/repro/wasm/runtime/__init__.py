@@ -6,7 +6,9 @@ while :class:`ReferenceInterpreter` walks the AST and serves as the
 executable specification for differential testing. A third, optional
 tier (``specialize.py``, ``REPRO_SPECIALIZE``) compiles prepared code to
 Python closures per module digest, dropping the bounds checks a static
-proof shows are redundant; metered calls deopt to the prepared code.
+proof shows are redundant: an unmetered and a metered closure per
+function, the metered one handing only the segment where its fuel runs
+out back to the prepared code.
 """
 
 from repro.wasm.runtime.store import (

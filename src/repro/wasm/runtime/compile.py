@@ -60,10 +60,11 @@ class PreparedFunction:
     take ``(interp, frame, stack, args, pc)`` and return the next pc
     (``-1`` terminates the activation).
 
-    ``compiled`` is an optional exec'd Python closure produced by the
-    specialization tier (``specialize.py``); ``Interpreter._call_wasm``
-    dispatches to it for unmetered activations and falls back to
-    ``code`` otherwise.
+    ``compiled`` and ``metered`` are optional exec'd Python closures
+    produced by the specialization tier (``specialize.py``), one for
+    unmetered and one for metered activations; ``Interpreter._call_wasm``
+    dispatches to the one matching the run and falls back to ``code``
+    when it is ``None``.
     """
 
     __slots__ = (
@@ -73,6 +74,7 @@ class PreparedFunction:
         "source_instrs",
         "name",
         "compiled",
+        "metered",
     )
 
     def __init__(
@@ -89,6 +91,7 @@ class PreparedFunction:
         self.source_instrs = source_instrs  # AST instrs represented (= sum of weights)
         self.name = name
         self.compiled = None
+        self.metered = None
 
 
 class PreparedModule:

@@ -21,6 +21,13 @@ Fuel bookkeeping is hoisted out of the common path: when ``fuel`` is
 ``None`` the loop accumulates the count in a local and flushes it once
 per activation (a ``try/finally`` keeps the count exact across traps),
 so the unmetered configuration pays no per-instruction conditional.
+
+With the specialization tier on, ``_call_wasm`` runs a function's
+compiled closure instead: the unmetered one when ``fuel`` is ``None``,
+the metered one otherwise. The metered closure checks fuel once per
+straight-line segment and hands a segment the remaining fuel cannot
+cover back to this loop (``_run`` from that segment's ``pc``), which
+then exhausts or traps at exactly the instruction it always would.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from typing import List, Optional, Sequence
 
 from repro.errors import ExhaustionError, WasmTrap
 from repro.wasm.runtime.compile import prepare_function
-from repro.wasm.runtime.specialize import METERED_DEOPT
 from repro.wasm.runtime.store import FuncInstance, ModuleInstance, Store
 
 
@@ -114,31 +120,27 @@ class Interpreter:
         if mem is None and inst.mem_addrs:
             mem = inst.mem0 = self.store.mems[inst.mem_addrs[0]]
         prof = self.profiler
-        compiled = prepared.compiled
+        compiled = prepared.compiled if self.fuel is None else prepared.metered
         if compiled is not None:
-            if self.fuel is None:
-                # Specialization tier: the exec'd closure flushes its own
-                # retired-instruction count and raises the same traps as
-                # the flat code; results come back as the final list.
-                self._depth += 1
-                if prof is None:
-                    try:
-                        return compiled(self, Frame(args, inst, mem))
-                    finally:
-                        self._depth -= 1
-                # Inner activations flush their counts in their own
-                # finally first, so the delta seen here is inclusive.
-                prof.enter(fi.name or "<anonymous>")
-                base = self.instructions_executed
+            # Specialization tier: the exec'd closure of the run's kind
+            # flushes its own retired-instruction count (and fuel, when
+            # metered) and raises the same traps as the flat code;
+            # results come back as the final list.
+            self._depth += 1
+            if prof is None:
                 try:
                     return compiled(self, Frame(args, inst, mem))
                 finally:
                     self._depth -= 1
-                    prof.exit(self.instructions_executed - base)
-            # Metered activations need the per-entry fuel debit protocol;
-            # deopt to the prepared flat code below, the same code the
-            # tier-off path runs.
-            METERED_DEOPT.inc()
+            # Inner activations flush their counts in their own
+            # finally first, so the delta seen here is inclusive.
+            prof.enter(fi.name or "<anonymous>")
+            base = self.instructions_executed
+            try:
+                return compiled(self, Frame(args, inst, mem))
+            finally:
+                self._depth -= 1
+                prof.exit(self.instructions_executed - base)
         frame = Frame(args, inst, mem)
         stack: List[object] = []
         self._depth += 1
@@ -166,8 +168,12 @@ class Interpreter:
 
     # -- dispatch loop ---------------------------------------------------------
 
-    def _run(self, code, frame: Frame, stack: List[object]) -> None:
-        pc = 0
+    def _run(self, code, frame: Frame, stack: List[object], pc: int = 0) -> None:
+        """Execute ``code`` from ``pc`` until the activation returns.
+
+        A metered closure's deopt enters mid-function: ``pc`` is the
+        segment it hands over and ``stack`` the operands it held there.
+        """
         if self.fuel is None:
             # Unmetered: count in a local, flush once. The finally keeps
             # `instructions_executed` exact when a handler traps (the

@@ -8,21 +8,26 @@ Python closure (``exec``-generated, one ``while`` dispatch loop over
 basic blocks with stack slots and locals held in Python local
 variables). It never rewrites the flat code. A
 :class:`SpecializedFunction` shares the prepared ``code`` tuple and adds
-only the closure, attached as ``PreparedFunction.compiled``.
+only closures, attached as ``PreparedFunction.compiled`` and
+``PreparedFunction.metered``.
 
-``Interpreter._call_wasm`` dispatches to the closure **only for
-unmetered activations**: fuel metering needs the per-entry debit
-protocol, so metered calls deopt to the prepared flat code (counted as
-``repro_specialize_deopts_total{reason="metered"}``) — the very tuple
-they run with the tier off. The closure accumulates retired-instruction
-weights in a local and flushes in a ``finally``, flushing eagerly before
-every trap-capable statement — ``instructions_executed`` is exact under
-traps, exactly like the flat loop. Functions whose shape the compiler
-does not handle (conflicting static stack heights, ``br_table`` entries
-lowered without a static height, oversized bodies) silently stay on
-prepared code (outcome ``bytecode``).
+One analysis, two emissions: every compiled function gets an
+unmetered closure (``compiled``) and a metered one (``metered``), and
+``Interpreter._call_wasm`` runs the one matching whether the run has
+fuel. Both accumulate retired-instruction weights in a local and flush
+in a ``finally``, adding pending weights before every trap-capable
+statement — ``instructions_executed`` is exact under traps, exactly
+like the flat loop. The metered closure also checks the fuel once per
+straight-line segment and flushes count and fuel before every call; a
+segment the remaining fuel cannot cover deopts to the prepared flat
+code from that segment's pc (counted as
+``repro_specialize_deopts_total{reason="metered"}``), which exhausts or
+traps at exactly the instruction it always would. Functions whose shape
+the compiler does not handle (conflicting static stack heights,
+``br_table`` entries lowered without a static height, oversized bodies)
+silently stay on prepared code (outcome ``bytecode``) in both modes.
 
-One analysis feeds the compiler. A per-basic-block abstract
+The bounds proof feeds both emissions. A per-basic-block abstract
 interpretation (:func:`_proven_in_bounds`) tracks unsigned upper bounds
 on stack values (constants, ``x & mask`` results, comparison results)
 and returns the pcs of loads and stores whose address is provably below
@@ -58,6 +63,7 @@ from repro.wasm.runtime.compile import (
     _func_signatures,
     prepare_function,
 )
+from repro.wasm.runtime.interpreter import Frame
 from repro.wasm.runtime.ops import BINOPS, CMPOPS, UNOPS
 from repro.wasm.types import PAGE_SIZE
 
@@ -91,8 +97,9 @@ _PASS_SECONDS = obs.histogram(
     always=True,
 )
 
-#: pre-bound children: the metered deopt fires per guest call, the IC
-#: miss per megamorphic call site — neither can afford a labels() lookup.
+#: pre-bound children: the metered deopt fires per segment the fuel runs
+#: out in, the IC miss per megamorphic call site — neither can afford a
+#: labels() lookup.
 METERED_DEOPT = _DEOPTS_TOTAL.labels("metered")
 _IC_MISS = _DEOPTS_TOTAL.labels("ic_miss")
 
@@ -108,20 +115,20 @@ def specialize_mode() -> str:
 
 
 class SpecializedFunction(PreparedFunction):
-    """Prepared code plus its compiled closure.
+    """Prepared code plus its unmetered and metered closures.
 
     Shares ``code`` with ``fallback``, the unspecialized
-    :class:`PreparedFunction`, so metered activations run exactly the
-    code they run with the tier off. ``fallback`` is kept so cache-layer
+    :class:`PreparedFunction`, so a metered closure's deopt runs exactly
+    the code the tier-off path runs. ``fallback`` is kept so cache-layer
     corruption and the ``off`` toggle can always restore baseline code,
     and so re-specializing an already-attached module never stacks
-    tiers. ``compiled`` is ``None`` when the closure compiler declined
-    the function.
+    tiers. ``compiled`` and ``metered`` are both ``None`` when the
+    closure compiler declined the function.
     """
 
     __slots__ = ("fallback",)
 
-    def __init__(self, fallback: PreparedFunction, compiled) -> None:
+    def __init__(self, fallback: PreparedFunction, compiled, metered) -> None:
         super().__init__(
             code=fallback.code,
             n_results=fallback.n_results,
@@ -130,6 +137,7 @@ class SpecializedFunction(PreparedFunction):
             name=fallback.name,
         )
         self.compiled = compiled
+        self.metered = metered
         self.fallback = fallback
 
 
@@ -422,7 +430,8 @@ _MEMORY_HANDLERS = frozenset(_LOADS) | frozenset(_STORES) | frozenset(
 
 #: operator name -> Python expression template (a/b are operand exprs).
 #: Everything here is exactly equivalent to the table callable: unsigned
-#: representation in, unsigned out.
+#: representation in, unsigned out (so ``& 31`` on a shift count is the
+#: callable's ``% 32``).
 _INLINE_BINOPS = {
     "i32.add": "({a} + {b}) & 0xFFFFFFFF",
     "i32.sub": "({a} - {b}) & 0xFFFFFFFF",
@@ -430,12 +439,16 @@ _INLINE_BINOPS = {
     "i32.and": "{a} & {b}",
     "i32.or": "{a} | {b}",
     "i32.xor": "{a} ^ {b}",
+    "i32.shl": "({a} << ({b} & 31)) & 0xFFFFFFFF",
+    "i32.shr_u": "{a} >> ({b} & 31)",
     "i64.add": "({a} + {b}) & 0xFFFFFFFFFFFFFFFF",
     "i64.sub": "({a} - {b}) & 0xFFFFFFFFFFFFFFFF",
     "i64.mul": "({a} * {b}) & 0xFFFFFFFFFFFFFFFF",
     "i64.and": "{a} & {b}",
     "i64.or": "{a} | {b}",
     "i64.xor": "{a} ^ {b}",
+    "i64.shl": "({a} << ({b} & 63)) & 0xFFFFFFFFFFFFFFFF",
+    "i64.shr_u": "{a} >> ({b} & 63)",
     "f64.add": "{a} + {b}",
     "f64.sub": "{a} - {b}",
     "f64.mul": "{a} * {b}",
@@ -519,6 +532,16 @@ _MAX_CLOSURE_ENTRIES = 4000
 
 _OOB = "out of bounds memory access"
 
+#: the calls that end a metered segment
+_CALLS = (flat.h_call, flat.h_call_indirect)
+
+#: metered closure: hand the pending count and its fuel to the interpreter
+_FLUSH = (
+    "interp.instructions_executed += _n",
+    "interp.fuel -= _n",
+    "_n = 0",
+)
+
 
 def _ic_type_mismatch(expected, actual):
     raise WasmTrap(
@@ -526,33 +549,69 @@ def _ic_type_mismatch(expected, actual):
     )
 
 
-class _ClosureCompiler:
-    """Compile one prepared flat function to an exec'd Python closure.
+def _deopter(code, name: str):
+    """The metered closure's exit to flat code for a segment the fuel
+    cannot cover.
 
-    The closure signature is ``_spec(interp, frame, **bound)`` and its
+    The closure has flushed its count and fuel; this restores its locals
+    into the frame and runs ``code`` from the segment's ``pc`` with the
+    operand stack the closure held there. The segment is straight-line
+    and costs more than the fuel left, so the flat loop must raise inside
+    it: exhaustion, or a trap that comes first. A return is a compiler
+    bug, not an exhaustion.
+    """
+
+    def deopt(interp, frame, pc, stack, locals_):
+        METERED_DEOPT.inc()
+        frame.locals = locals_
+        interp._run(code, frame, stack, pc)
+        raise RuntimeError(
+            f"metered deopt of {name} at pc {pc} returned instead of "
+            "exhausting its fuel"
+        )
+
+    return deopt
+
+
+class _ClosureCompiler:
+    """Compile one prepared flat function to two exec'd Python closures.
+
+    :meth:`compile` analyzes the function once and emits it twice: an
+    unmetered closure that never touches fuel, and a metered one. Each
+    closure's signature is ``_spec(interp, frame, **bound)`` and its
     return value is the activation's result list. Stack slots live in
     Python locals ``s0..sN`` addressed by *absolute static height*
     (heights are propagated from pc 0 and must be consistent at every
     join — a conflict aborts compilation, keeping the function on
-    prepared code). Locals live in ``l0..lK`` and are never written back:
-    frames are per-activation and nothing outside the activation reads
-    them. Control flow is a ``while True`` loop over an ``if pc ==``
-    chain of basic blocks.
+    prepared code). Locals live in ``l0..lK`` and are written back only
+    by a metered deopt: frames are per-activation and nothing else
+    outside the activation reads them. Control flow is a ``while True``
+    loop over an ``if pc ==`` chain of basic blocks.
 
     Instruction accounting matches the flat loop exactly: weights
     accumulate into a local ``_n`` (flushed by ``finally``), and the
-    pending count is flushed *before* any statement that can raise —
-    the trapping instruction is charged, later ones are not, same as
-    the reference.
+    pending count is added *before* any statement that can raise — the
+    trapping instruction is charged, later ones are not, same as the
+    reference.
+
+    Fuel, in the metered closure: a *segment* runs from a block leader,
+    or from the entry after a call, up to and including the next call,
+    the block's control entry or the entry before the next leader. With
+    ``_f`` the fuel left at the last flush, each segment of weight W
+    starts with ``if _n + W > _f:``, which flushes and deopts to the
+    flat code at the segment's pc (see :func:`_deopter`). Before each
+    call the closure flushes ``_n`` into ``instructions_executed`` and
+    ``fuel`` and re-reads ``_f`` after it returns; its ``finally``
+    debits only a non-zero ``_n``, so the ``-1`` a callee's exhaustion
+    stores stays.
 
     Loads and stores at the pcs in ``safe`` (see
     :func:`_proven_in_bounds`) are emitted without their bounds check.
     Direct calls carry a per-site cell ``[instance, fi, closure,
     defaults]`` guarded on caller-instance identity: a hit calls the
-    callee closure without going through ``_call_wasm``; each
-    ``call_indirect`` site carries a ``[table, slot_addr, fi]`` cell.
-    Closures run only in unmetered activations (the interpreter deopts
-    metered calls to prepared code), so the fast path never touches fuel.
+    callee's closure of the same kind without going through
+    ``_call_wasm``; each ``call_indirect`` site carries a ``[table,
+    slot_addr, fi]`` cell.
     """
 
     def __init__(
@@ -575,6 +634,7 @@ class _ClosureCompiler:
         self.heights: Dict[int, int] = {}
         self.leaders: Set[int] = set()
         self.uses_memory = False
+        self.metered = False  # the emission in progress
 
     # -- binding ------------------------------------------------------------
 
@@ -758,6 +818,7 @@ class _ClosureCompiler:
         results = len(self.sigs[idx].results)
         args_list = ", ".join(f"s{base + k}" for k in range(n))
         cell = self._bind([None, None, None, None, None, None], "D")
+        kind = "metered" if self.metered else "compiled"
         stmts = [
             f"_d = {cell}",
             "if inst is _d[0]:",
@@ -768,12 +829,12 @@ class _ClosureCompiler:
             "    _cc = None",
             "    if _fi.host_fn is None:",
             "        _pp = _fi.code.prepared",
-            "        if _pp is not None and _pp.compiled is not None:",
+            f"        if _pp is not None and _pp.{kind} is not None:",
             "            _m = _fi.module",
             "            _mm = _m.mem0",
             "            if _mm is None and _m.mem_addrs:",
             "                _mm = _m.mem0 = store.mems[_m.mem_addrs[0]]",
-            "            _cc = _pp.compiled",
+            f"            _cc = _pp.{kind}",
             "            _d[1] = _fi",
             "            _d[2] = _cc",
             "            _d[3] = list(_pp.local_defaults)",
@@ -1082,16 +1143,45 @@ class _ClosureCompiler:
             f"control {getattr(handler, '__name__', handler)!r}"
         )
 
+    def _segment_weight(self, pc: int) -> int:
+        """Summed weight of the metered segment starting at ``pc``."""
+        total = 0
+        while True:
+            handler, _args, weight = self.code[pc]
+            total += weight
+            if handler in _CONTROL or handler in _CALLS:
+                return total
+            pc += 1
+            if pc in self.leaders:
+                return total
+
+    def _fuel_check(self, pc: int, h: int, emit) -> None:
+        """Metered segment guard: deopt when the fuel left cannot cover
+        the segment starting at ``pc`` (stack height ``h``)."""
+        weight = self._segment_weight(pc)
+        if not weight:
+            return
+        stack = ", ".join(f"s{k}" for k in range(h))
+        locals_ = ", ".join(f"l{i}" for i in range(self.n_locals))
+        emit(f"if _n + {weight} > _f:")
+        for stmt in _FLUSH:
+            emit(stmt, 1)
+        emit(f"DEOPT(interp, frame, {pc}, [{stack}], [{locals_}])", 1)
+
     def _emit_block(self, leader: int, out: List[str]) -> None:
         pc = leader
         h = self.heights[leader]
         pending = 0
+        metered = self.metered
 
         def emit(stmt: str, extra: int = 0) -> None:
             out.append(" " * (16 + 4 * extra) + stmt)
 
+        if metered:
+            self._fuel_check(pc, h, emit)
         while True:
             handler, args, weight = self.code[pc]
+            call = False
             if handler in _CONTROL:
                 total = pending + weight
                 if total:
@@ -1110,8 +1200,14 @@ class _ClosureCompiler:
                     pending = 0
                 else:
                     pending += weight
+                call = metered and handler in _CALLS
+                if call:
+                    for stmt in _FLUSH:
+                        emit(stmt)
                 for stmt in stmts:
                     emit(stmt)
+                if call:
+                    emit("_f = interp.fuel")
                 h = h_after
             pc += 1
             if pc in self.leaders:
@@ -1120,16 +1216,20 @@ class _ClosureCompiler:
                 emit(f"pc = {pc}")
                 emit("continue")
                 return
+            if call:
+                self._fuel_check(pc, h, emit)
 
     # -- top level -----------------------------------------------------------
 
     def compile(self):
-        # Deferred import: interpreter.py imports this module at load
-        # time (for the metered-deopt counter); binding Frame lazily
-        # keeps the import graph acyclic.
-        from repro.wasm.runtime.interpreter import Frame
-
+        """``(unmetered, metered)`` closures from one analysis."""
         self._analyze()
+        return self._emit(metered=False), self._emit(metered=True)
+
+    def _emit(self, metered: bool):
+        self.metered = metered
+        self.binds = {}
+        self._bind_ids = {}
         self.binds.update(
             WT=WasmTrap,
             EE=ExhaustionError,
@@ -1148,6 +1248,8 @@ class _ClosureCompiler:
             MISS=_IC_MISS.inc,
             TMISS=_ic_type_mismatch,
         )
+        if metered:
+            self.binds["DEOPT"] = _deopter(self.code, self.name)
         body: List[str] = []
         for bi, leader in enumerate(sorted(self.leaders)):
             body.append(
@@ -1168,15 +1270,23 @@ class _ClosureCompiler:
             lines.append("    mem = frame.mem")
             lines.append("    data = mem.data")
         lines.append("    _n = 0")
+        if metered:
+            lines.append("    _f = interp.fuel")
         lines.append("    try:")
         lines.append("        pc = 0")
         lines.append("        while True:")
         lines.extend(body)
         lines.append("    finally:")
-        lines.append("        interp.instructions_executed += _n")
+        if metered:
+            lines.append("        if _n:")
+            lines.append("            interp.instructions_executed += _n")
+            lines.append("            interp.fuel -= _n")
+        else:
+            lines.append("        interp.instructions_executed += _n")
         source = "\n".join(lines)
         namespace = dict(self.binds)
-        exec(compile(source, f"<specialized:{self.name}>", "exec"), namespace)
+        kind = "metered" if metered else "specialized"
+        exec(compile(source, f"<{kind}:{self.name}>", "exec"), namespace)
         fn = namespace["_spec"]
         fn.__specialized_source__ = source  # introspection / tests
         return fn
@@ -1230,9 +1340,10 @@ def specialize_module(
         try:
             safe = _proven_in_bounds(module, pf.code, mem_min)
             try:
-                compiled = _ClosureCompiler(module, func, pf, safe).compile()
+                compiler = _ClosureCompiler(module, func, pf, safe)
+                compiled, metered = compiler.compile()
             except _Unsupported:
-                compiled = None
+                compiled = metered = None
         except Exception:
             _FUNCS_TOTAL.labels("failed").inc()
             functions.append(pf)
@@ -1244,7 +1355,7 @@ def specialize_module(
         else:
             report.bytecode += 1
             _FUNCS_TOTAL.labels("bytecode").inc()
-        functions.append(SpecializedFunction(pf, compiled))
+        functions.append(SpecializedFunction(pf, compiled, metered))
     _PASS_SECONDS.observe(time.perf_counter() - started)
     return SpecializedModule(functions)
 

@@ -499,10 +499,11 @@ class _Validator:
 
 
 def validate_module(module: Module) -> Module:
-    """Validate ``module``; returns it unchanged on success.
+    """Validate ``module``; returns it, marked ``validated``, on success.
 
     Raises:
         InvalidModule: on any type or index-space violation.
     """
     _Validator(module).validate()
+    module.validated = True
     return module

@@ -15,9 +15,10 @@ from repro.engines.cache import (
     run_stats,
 )
 from repro.engines.profiles import ALL_PROFILES, STACK_VERSIONS
-from repro.errors import EngineError
+from repro.errors import EngineError, InvalidModule
 from repro.sim.memory import MIB
-from repro.wasm import assemble_wat
+from repro.wasm import assemble_wat, parse_wat, validation
+from repro.wasm.embed import run_wasi
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,25 @@ class TestCompileRun:
         r1 = wamr.run(wamr.compile(blob))
         r2 = wasmtime.run(wasmtime.compile(blob))
         assert r1.exec_seconds > r2.exec_seconds  # interp slower than JIT
+
+    def test_compile_validates_once_for_every_run(self, blob, monkeypatch):
+        calls = []
+        validate = validation._Validator.validate
+        monkeypatch.setattr(
+            validation._Validator,
+            "validate",
+            lambda self: calls.append(self) or validate(self),
+        )
+        engine = get_engine("wamr")
+        compiled = engine.compile(blob)
+        for _ in range(3):
+            assert engine.run(compiled, args=["svc"]).exit_code == 0
+        assert len(calls) == 1
+
+    def test_run_wasi_validates_a_module_handed_to_it(self):
+        module = parse_wat('(module (func (export "_start") (drop (i32.add (i32.const 1)))))')
+        with pytest.raises(InvalidModule):
+            run_wasi(module)
 
     def test_run_trap_becomes_engine_error(self):
         bad = assemble_wat('(module (func (export "_start") unreachable))')

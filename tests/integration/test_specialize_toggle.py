@@ -3,10 +3,11 @@
 The acceptance criterion for the specialization tier is that it changes
 *speed only*: every measurement feeding the paper's figures — working
 sets, free-memory deltas, startup makespans, per-phase traces — is
-byte-identical whether ``REPRO_SPECIALIZE`` is off or on. This holds
-by construction: metered engine runs execute the prepared flat code
-itself with the tier on or off, and the compiled closures keep exact
-instruction accounting for unmetered runs.
+byte-identical whether ``REPRO_SPECIALIZE`` is off or on. Engine runs
+are metered: with the tier on they run the metered closures, which
+retire the same instructions, debit the same fuel and exhaust at the
+same instruction as the flat code the tier-off runs execute (the fuel
+sweeps in ``tests/wasm/test_differential.py`` pin that per budget).
 
 The measurement caches (in-process lru + on-disk) are defeated so both
 sides of every comparison run the full simulation.

@@ -5,13 +5,15 @@ the prepared flat interpreter, and the specialization tier (exec'd
 Python closures where compilable) and asserts identical observable
 behaviour: result values (including float bit patterns), trap type and
 message, fuel accounting, total ``instructions_executed``, and final
-linear-memory contents. Metered runs (``fuel`` set) exercise the
-prepared flat code through the metered-deopt path; unmetered runs
-exercise the compiled closures.
+linear-memory contents. Unmetered runs exercise the unmetered closures;
+metered runs (``fuel`` set) exercise the metered closures, including
+their deopt to the prepared flat code in the segment where the fuel
+runs out, which every corpus program meets at every budget it has.
 """
 
 import pytest
 
+from repro.engines.cache import reset_caches
 from repro.errors import ExhaustionError, WasmTrap
 from repro.wasm import parse_wat, validate_module
 from repro.wasm.embed import run_wasi
@@ -23,6 +25,8 @@ from repro.wasm.runtime import (
     prepare_module,
     specialize_module,
 )
+from repro.wasm.runtime.specialize import METERED_DEOPT
+from repro.wasm.wasi import WasiEnv
 from repro.workloads.microservice import build_microservice_wasm
 
 INTERPS = (Interpreter, ReferenceInterpreter)
@@ -34,6 +38,11 @@ def _observe(cls, src, func, args, fuel, specialize=False):
     if specialize:
         prepare_module(module)
         specialize_module(module).attach(module)
+    return _execute(cls, module, func, args, fuel)
+
+
+def _execute(cls, module, func, args, fuel):
+    """One run of an already-built module on a fresh store."""
     store = Store()
     inst = instantiate(store, module)
     interp = cls(store, fuel=fuel)
@@ -168,22 +177,80 @@ MODULES = {
         (module (func (export "run") (param i32) (result i32)
           (loop $l (result i32) (local.get 0))))
     """,
+    # Shift counts at and past the operand width, through every flat
+    # form a shift takes: local.get pairs, a constant count, a plain binop.
+    "shifts": """
+        (module (func (export "run") (param i32) (result i64)
+          (local $x i64) (local $k i64)
+          (local.set $x (i64.const 0x8000000000000001))
+          (local.set $k (i64.extend_i32_u (i32.add (local.get 0) (i32.const 60))))
+          (i64.add
+            (i64.add (i64.shl (local.get $x) (local.get $k))
+                     (i64.shr_u (local.get $x) (local.get $k)))
+            (i64.extend_i32_u
+              (i32.xor (i32.shl (local.get 0) (i32.const 33))
+                       (i32.shr_u (i32.const -1)
+                                  (i32.add (local.get 0) (i32.const 30))))))))
+    """,
 }
+
+
+def _args(src, arg):
+    """The corpus calling convention: one or two i32s, one f64, or none."""
+    if "param i32 i32" in src:
+        return (arg, arg % 2)
+    if "(param f64)" in src:
+        return (float(arg),)
+    if "(param" in src.split("func", 2)[-1]:
+        return (arg,)
+    return ()
+
+
+def _variants(src):
+    """Reference, flat and specialized builds of one program, made once."""
+    ref = validate_module(parse_wat(src))
+    flat = validate_module(parse_wat(src))
+    prepare_module(flat)
+    spec = validate_module(parse_wat(src))
+    prepare_module(spec)
+    specialize_module(spec).attach(spec)
+    return (ReferenceInterpreter, ref), (Interpreter, flat), (Interpreter, spec)
+
+
+def sweep(src, func="run", args=(), cap=200, upto=None):
+    """Check every fuel budget from 0 to cost+1, or to ``upto`` if later,
+    against the reference.
+
+    A program costing more than ``2 * cap`` instructions is checked at
+    its first and last ``cap`` budgets. Returns ``{fuel: observation}``.
+    """
+    variants = _variants(src)
+    cost = _execute(ReferenceInterpreter, variants[0][1], func, args, None)[1]
+    end = max(cost + 2, (upto or 0) + 1)
+    budgets = sorted(set(range(min(end, cap))) | set(range(max(0, end - cap), end)))
+    seen = {}
+    for fuel in budgets:
+        ref, flat, spec = (
+            _execute(cls, module, func, args, fuel) for cls, module in variants
+        )
+        assert flat == ref, f"fuel={fuel}\nflat: {flat}\nref : {ref}"
+        assert spec == ref, f"fuel={fuel}\nspec: {spec}\nref : {ref}"
+        seen[fuel] = ref
+    assert seen[cost + 1][0][0] != "exhausted"
+    return seen
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
 @pytest.mark.parametrize("arg", [0, 1, 2, 7, 13])
 def test_corpus_agrees(name, arg):
     src = MODULES[name]
-    if "param i32 i32" in src:
-        args = (arg, arg % 2)
-    elif "(param f64)" in src:
-        args = (float(arg),)
-    elif "(param" in src.split("func", 2)[-1]:
-        args = (arg,)
-    else:
-        args = ()
-    check(src, args=args)
+    check(src, args=_args(src, arg))
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_corpus_agrees_at_every_fuel_budget(name):
+    src = MODULES[name]
+    sweep(src, args=_args(src, 7))
 
 
 class TestTrapsAgree:
@@ -264,14 +331,182 @@ class TestFuelAgrees:
             check(src, args=(50,), fuel=fuel)
 
 
+class TestMeteredClosures:
+    """Fuel running out at the places a metered closure hands over.
+
+    Each program is swept over every budget; the spot checks pin where
+    the budget named in the test runs out, from the reference's count of
+    source instructions (block and loop headers count one).
+    """
+
+    CALLS = """
+        (module (memory 1)
+          (func $g (param i32) (result i32)
+            (i32.store (i32.const 0) (local.get 0))
+            (i32.add (local.get 0) (i32.const 3)))
+          (func (export "run") (param i32) (result i32)
+            (local $acc i32)
+            (block $out (loop $top
+              (br_if $out (i32.eqz (local.get 0)))
+              (local.set $acc (call $g (local.get $acc)))
+              (local.set 0 (i32.sub (local.get 0) (i32.const 1)))
+              (br $top)))
+            (local.get $acc)))
+    """
+
+    def test_inside_a_callee_through_its_call_cell(self):
+        # Every loop iteration after the first reaches $g through the
+        # call site's filled cell; the sweep runs out inside each one.
+        _, _, (_, spec) = _variants(self.CALLS)
+        caller = spec.funcs[1].prepared.metered
+        assert "_cc = _pp.metered" in caller.__specialized_source__
+        seen = sweep(self.CALLS, args=(4,))
+        # 2 headers, then per iteration: loop test (3), local.get + call
+        # (2), $g (6), the rest of the body (6). The second iteration's
+        # $g runs instructions 25-30 and stores acc = 3 at the 27th.
+        assert seen[26][0][0] == "exhausted" and seen[26][3][:4] == bytes(4)
+        assert seen[27][0][0] == "exhausted"
+        assert seen[27][3][:4] == (3).to_bytes(4, "little")
+
+    def test_on_the_first_instruction_after_a_call(self):
+        src = """
+            (module (memory 1)
+              (func $g (param i32) (result i32)
+                (i32.store (i32.const 0) (local.get 0))
+                (local.get 0))
+              (func (export "run") (param i32) (result i32)
+                (i32.store (i32.const 4) (call $g (local.get 0)))
+                (i32.load (i32.const 4))))
+        """
+        seen = sweep(src, args=(9,))
+        # i32.const, local.get, call, then $g's 4: the caller's store is
+        # the 8th instruction, so budget 7 runs out right after the return.
+        nine = (9).to_bytes(4, "little")
+        assert seen[7][0] == ("exhausted", "fuel exhausted")
+        assert seen[7][3][:8] == nine + bytes(4)
+        assert seen[8][3][:8] == nine + nine
+
+    def test_inside_a_call_indirect_target(self):
+        src = """
+            (module (memory 1)
+              (type $t (func (param i32) (result i32)))
+              (table 2 funcref) (elem (i32.const 0) $inc $dbl)
+              (func $inc (type $t)
+                (i32.store (i32.const 0) (local.get 0))
+                (i32.add (local.get 0) (i32.const 1)))
+              (func $dbl (type $t)
+                (i32.store (i32.const 4) (local.get 0))
+                (i32.add (local.get 0) (local.get 0)))
+              (func (export "run") (param i32) (result i32)
+                (local $acc i32)
+                (block $out (loop $top
+                  (br_if $out (i32.eqz (local.get 0)))
+                  (local.set $acc
+                    (call_indirect (type $t) (local.get $acc)
+                      (i32.and (local.get 0) (i32.const 1))))
+                  (local.set 0 (i32.sub (local.get 0) (i32.const 1)))
+                  (br $top)))
+                (local.get $acc)))
+        """
+        seen = sweep(src, args=(5,))
+        assert sum(obs[0][0] == "exhausted" for obs in seen.values()) > 40
+
+    def test_across_a_fused_entry(self):
+        src = """
+            (module (memory 1)
+              (func (export "run") (param i32) (result i32)
+                (i32.store (i32.const 0) (i32.add (local.get 0) (local.get 0)))
+                (i32.load (local.get 0))))
+        """
+        seen = sweep(src, args=(8,))
+        # `local.get local.get i32.add` is one flat entry of weight 3
+        # after the i32.const: budgets 2 and 3 stop inside it.
+        for fuel in (1, 2, 3):
+            assert seen[fuel][:3] == (("exhausted", "fuel exhausted"), fuel, -1)
+            assert seen[fuel][3][:4] == bytes(4)
+
+    def test_a_trap_before_the_exhaustion_point_in_the_same_segment(self):
+        src = """
+            (module (memory 1)
+              (func (export "run") (param i32 i32) (result i32)
+                (i32.store (i32.const 0) (i32.const 7))
+                (drop (i32.div_u (local.get 0) (local.get 1)))
+                (i32.store (i32.const 4) (i32.const 8))
+                (i32.store (i32.const 8) (i32.const 9))
+                (i32.load (i32.const 4))))
+        """
+        # One straight-line segment of weight 15: from budget 6 (the
+        # division) to 14 the closure hands it over and the flat loop
+        # traps; from 15 the closure runs it and traps itself.
+        seen = sweep(src, args=(9, 0), upto=16)
+        assert seen[5][0][0] == "exhausted"
+        for fuel in range(6, 17):
+            assert seen[fuel][0] == ("trap", "integer divide by zero")
+            assert seen[fuel][1:3] == (6, fuel - 6)
+
+
+class TestMicroserviceFuel:
+    """The full-WASI microservice run out of fuel around each ``fd_write``."""
+
+    def _observe(self, monkeypatch, cls, fuel):
+        interps, writes = [], []
+
+        class Recording(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                interps.append(self)
+
+        def fd_write(env, *args):
+            writes.append(interps[-1].instructions_executed)
+            return original(env, *args)
+
+        original = WasiEnv.fd_write
+        monkeypatch.setattr(WasiEnv, "fd_write", fd_write)
+        try:
+            r = run_wasi(
+                build_microservice_wasm(),
+                args=["svc"],
+                env={"REQUESTS": "3"},
+                fuel=fuel,
+                interpreter_cls=Recording,
+                zygote=False,
+            )
+            outcome = ("ok", r.exit_code, r.stdout)
+        except ExhaustionError as e:
+            outcome = ("exhausted", str(e))
+        finally:
+            monkeypatch.setattr(WasiEnv, "fd_write", original)
+        interp = interps[-1]
+        return outcome, writes, interp.instructions_executed, interp.fuel
+
+    def test_budgets_around_each_write(self, monkeypatch):
+        reset_caches()
+        try:
+            writes = self._observe(monkeypatch, ReferenceInterpreter, None)[1]
+            assert len(writes) == 4
+            for k in writes:
+                # k - 1 runs out on the call itself, k right after it
+                for fuel in (k - 2, k - 1, k, k + 1):
+                    ref = self._observe(monkeypatch, ReferenceInterpreter, fuel)
+                    assert ref[0][0] == "exhausted"
+                    for mode in ("off", "on"):
+                        monkeypatch.setenv("REPRO_SPECIALIZE", mode)
+                        deopts = METERED_DEOPT.value
+                        got = self._observe(monkeypatch, Interpreter, fuel)
+                        assert got == ref, f"{mode} fuel={fuel}"
+                        # On: every function has a metered closure, and
+                        # exactly the segment the fuel ran out in deopts.
+                        assert METERED_DEOPT.value - deopts == (mode == "on")
+        finally:
+            reset_caches()
+
+
 @pytest.mark.parametrize("fuel", [None, 5_000_000])
 @pytest.mark.parametrize("spec_mode", ["off", "on"])
 def test_full_wasi_microservice_agrees(spec_mode, fuel, monkeypatch):
     # The reference walks the AST and ignores specialization entirely, so
     # it is a fixed oracle across both modes; the flat interpreter
     # picks up whatever the digest cache attached for the current mode.
-    from repro.engines.cache import reset_caches
-
     monkeypatch.setenv("REPRO_SPECIALIZE", spec_mode)
     reset_caches()
     try:

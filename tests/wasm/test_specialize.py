@@ -4,17 +4,26 @@ The tier compiles prepared flat code to exec'd Python closures and never
 rewrites the flat code itself. These tests pin its mechanics at the
 closure level: which memory accesses the bounds proof lets the closure
 emit unchecked (read from ``__specialized_source__``), the per-site
-``call_indirect`` cache, exact instruction accounting, and that metered
-calls run the prepared code object itself. The differential suites
-(`tests/wasm/test_differential.py`, the hypothesis property) cover
-end-to-end equivalence against the reference interpreter.
+``call_indirect`` cache, exact instruction accounting, that the
+unmetered emission is unchanged by metering, that a metered call hands
+only the segment its fuel runs out in to the prepared code object
+itself, and which code the runs counter says a run dispatched to. The
+differential suites (`tests/wasm/test_differential.py`, the hypothesis
+property) cover end-to-end equivalence against the reference
+interpreter.
 """
 
+import hashlib
+
 import pytest
+from test_differential import MODULES
 
 from repro import obs
-from repro.errors import WasmTrap
-from repro.wasm import parse_wat, validate_module
+from repro.engines.cache import reset_caches
+from repro.errors import ExhaustionError, WasmTrap
+from repro.wasm import assemble_wat, parse_wat, validate_module
+from repro.wasm.embed import run_wasi
+from repro.wasm.runtime import compile as flat
 from repro.wasm.runtime import (
     Interpreter,
     SpecializedFunction,
@@ -183,24 +192,34 @@ class TestClosureTier:
         assert "while True:" in sf.compiled.__specialized_source__
         assert _run(module, args=(10,)) == [55]
 
-    def test_metered_run_deopts_to_bytecode(self, monkeypatch):
-        # A metered call runs the prepared code object itself: the tier
-        # adds a closure and never rewrites the flat code.
+    def test_metered_run_deopts_only_where_fuel_runs_out(self, monkeypatch):
+        # With enough fuel the metered closure runs the whole call. When
+        # the fuel runs out, the segment it runs out in, and only that,
+        # goes to the prepared code object itself, from its first pc.
         module = validate_module(parse_wat(self.LOOP))
         prepared = prepare_module(module).functions[0].code
         specialize_module(module).attach(module)
         ran = []
         run_flat = Interpreter._run
 
-        def spy(interp, code, frame, stack):
-            ran.append(code)
-            return run_flat(interp, code, frame, stack)
+        def spy(interp, code, frame, stack, pc=0):
+            ran.append((code, pc))
+            return run_flat(interp, code, frame, stack, pc)
 
         monkeypatch.setattr(Interpreter, "_run", spy)
         before = METERED_DEOPT.value
         assert _run(module, args=(10,), fuel=10_000) == [55]
-        assert METERED_DEOPT.value > before
-        assert ran == [prepared] and ran[0] is prepared
+        assert ran == [] and METERED_DEOPT.value == before
+        # Fuel for the block and loop headers and the first loop test,
+        # plus one: the loop body's segment after the br_if runs out.
+        body = 1 + next(
+            pc for pc, entry in enumerate(prepared) if entry[0] is flat.h_br_if
+        )
+        fuel = 1 + sum(weight for _h, _a, weight in prepared[:body])
+        with pytest.raises(ExhaustionError):
+            _run(module, args=(10,), fuel=fuel)
+        assert ran == [(prepared, body)] and ran[0][0] is prepared
+        assert METERED_DEOPT.value == before + 1
 
     def test_unmetered_counts_exact_instructions(self):
         module, _ = _specialized(self.LOOP)
@@ -214,6 +233,80 @@ class TestClosureTier:
         spec = Interpreter(store2)
         spec.invoke_export(inst2, "run", [10])
         assert spec.instructions_executed == flat.instructions_executed
+
+
+class TestUnmeteredEmission:
+    """Metering adds a second emission; the unmetered one must not move.
+
+    Digests of every function's unmetered closure source per corpus
+    program. The metered emission must leave them as they are; only a
+    deliberate change to the unmetered emission may update them.
+    """
+
+    PINNED = {
+        "br_table_dispatch": "38b6acdd0db4c1a0",
+        "branch_stack_repair": "b3568c48018dfca8",
+        "cmp_brif_stack_repair": "fc244f2c07e9218c",
+        "fib_recursive": "99dc7c59025aec50",
+        "float_mix": "7f46b4c9b09a6ba2",
+        "fused_cmp_brif": "7e05ba690865b9fc",
+        "globals": "ac3ccc58ad8e2a41",
+        "indirect": "a2c72003c201cdc1",
+        "loop_sum": "26cd16634eed400e",
+        "loop_with_result": "d7258fd821ee6e75",
+        "memory_churn": "043d5c70d3ae7ad8",
+        "multivalue_block": "2355632ec7a06fc5",
+        "narrow_memory": "064764982920be3d",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_unmetered_source_is_pinned(self, name):
+        module, _ = _specialized(MODULES[name])
+        digest = hashlib.sha256()
+        for func in module.funcs:
+            digest.update(func.prepared.compiled.__specialized_source__.encode())
+        assert digest.hexdigest()[:16] == self.PINNED[name]
+
+    @pytest.mark.parametrize("name", sorted(MODULES))
+    def test_only_the_metered_source_touches_fuel(self, name):
+        module, _ = _specialized(MODULES[name])
+        for func in module.funcs:
+            unmetered = func.prepared.compiled.__specialized_source__
+            metered = func.prepared.metered.__specialized_source__
+            assert "fuel" not in unmetered and "DEOPT" not in unmetered
+            assert "_f = interp.fuel" in metered
+
+
+class TestRunsLabel:
+    """``repro_specialize_runs_total{mode}`` names the code a run ran."""
+
+    @pytest.fixture(autouse=True)
+    def telemetry(self):
+        was = obs.enabled()
+        obs.set_enabled(True)
+        obs.reset()
+        reset_caches()
+        yield
+        reset_caches()
+        obs.reset()
+        obs.set_enabled(was)
+
+    def _modes(self, monkeypatch, spec_mode, body):
+        monkeypatch.setenv("REPRO_SPECIALIZE", spec_mode)
+        blob = assemble_wat(f'(module (func (export "_start") {body}))')
+        run_wasi(blob, fuel=1_000_000)
+        family = obs.default_registry().get("repro_specialize_runs_total")
+        return {labels[0]: c.value for labels, c in family.samples() if c.value}
+
+    def test_metered_run_on_the_tier_is_compiled(self, monkeypatch):
+        assert self._modes(monkeypatch, "on", "nop") == {"compiled": 1}
+
+    def test_declined_function_is_bytecode(self, monkeypatch):
+        # Past the closure compiler's size limit: flat code in both modes.
+        assert self._modes(monkeypatch, "on", "nop " * 4001) == {"bytecode": 1}
+
+    def test_tier_off_is_off(self, monkeypatch):
+        assert self._modes(monkeypatch, "off", "nop") == {"off": 1}
 
 
 class TestDriver:
