@@ -4,6 +4,8 @@ The kernel (:mod:`repro.sim.kernel`) is a small coroutine-based
 discrete-event engine in the style of SimPy: simulated activities are
 generator functions that ``yield`` :class:`~repro.sim.kernel.Timeout` or
 resource requests, and the kernel advances a virtual clock between events.
+It owns its event heap: ``(time, seq, callback)`` tuples, so events at
+one instant run in the order they were scheduled.
 
 On top of it sit the machine models used throughout the reproduction:
 
@@ -19,7 +21,6 @@ named :class:`~repro.sim.rng.RngStreams`.
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.events import Event, EventQueue
 from repro.sim.faults import FaultPlan, FaultPoint, FaultSpec, InjectedFault
 from repro.sim.kernel import Kernel, Timeout, Acquire, Release, WaitEvent, SimEvent
 from repro.sim.rng import RngStreams
@@ -29,8 +30,6 @@ from repro.sim.cpu import CpuModel
 
 __all__ = [
     "SimClock",
-    "Event",
-    "EventQueue",
     "FaultPlan",
     "FaultPoint",
     "FaultSpec",

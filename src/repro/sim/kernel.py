@@ -28,13 +28,15 @@ Example::
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
-from repro.sim.events import EventQueue
 
 SimGen = Generator[Any, Any, Any]
 
@@ -140,22 +142,34 @@ class _Failure:
     exc: BaseException
 
 
-@dataclass
 class _Task:
-    """Bookkeeping for one spawned activity."""
+    """Bookkeeping for one spawned activity.
 
-    gen: SimGen
-    done: SimEvent = field(default_factory=SimEvent)
-    parent: Optional["_Task"] = None
+    ``resume`` is the task's one resume callable, reused for every effect
+    it yields; it is cleared when the generator finishes, which breaks the
+    task → partial → task cycle without waiting for the cyclic GC.
+    """
+
+    __slots__ = ("gen", "done", "resume")
+
+    def __init__(self, gen: SimGen, kernel: "Kernel") -> None:
+        self.gen = gen
+        self.done = SimEvent()
+        self.resume: Optional[Callable[..., None]] = partial(kernel._step, self)
 
 
 class Kernel:
-    """The discrete-event scheduler."""
+    """The discrete-event scheduler.
+
+    Events are ``(time, seq, callback)`` tuples on a heap. ``seq`` is
+    unique, so ``heapq`` orders them in C without ever comparing
+    callbacks, and events at the same instant run in scheduling order.
+    """
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock or SimClock()
-        self.queue = EventQueue()
-        self._active = 0
+        self._heap: list[tuple[float, int, Callable[[], Any]]] = []
+        self._seq = itertools.count()
 
     # -- public API --------------------------------------------------------
 
@@ -165,40 +179,36 @@ class Kernel:
 
     def spawn(self, gen: SimGen) -> SimEvent:
         """Start an activity; returns a :class:`SimEvent` for its result."""
-        task = _Task(gen=gen)
-        self._active += 1
-        self.queue.push(self.clock.now, lambda: self._step(task, None), label="spawn")
+        task = _Task(gen, self)
+        self._push(self.clock.now, task.resume)
         return task.done
 
-    def call_at(self, time: float, fn: Callable[[], Any], label: str = "") -> None:
+    def call_at(self, time: float, fn: Callable[[], Any]) -> None:
         """Schedule a plain callback at absolute simulated time."""
         if time < self.clock.now:
             raise SimulationError(f"call_at in the past: {time} < {self.clock.now}")
-        self.queue.push(time, fn, label=label)
+        self._push(time, fn)
 
-    def call_after(self, delay: float, fn: Callable[[], Any], label: str = "") -> None:
+    def call_after(self, delay: float, fn: Callable[[], Any]) -> None:
         """Schedule a plain callback after a relative delay."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        self.queue.push(self.clock.now + delay, fn, label=label)
+        self._push(self.clock.now + delay, fn)
 
     def run(self, until: Optional[float] = None) -> float:
         """Process events until the queue drains (or ``until`` is reached).
 
         Returns the final simulated time.
         """
-        while True:
-            t = self.queue.peek_time()
-            if t is None:
-                break
+        heap, clock = self._heap, self.clock
+        while heap:
+            t = heap[0][0]
             if until is not None and t > until:
-                self.clock.advance_to(until)
-                return self.clock.now
-            ev = self.queue.pop()
-            assert ev is not None
-            self.clock.advance_to(ev.time)
-            ev.callback()
-        return self.clock.now
+                clock.advance_to(until)
+                return clock.now
+            clock.advance_to(t)
+            heappop(heap)[2]()
+        return clock.now
 
     def run_all(self, gens: Iterable[SimGen]) -> list[Any]:
         """Spawn ``gens`` concurrently, run to completion, return results.
@@ -222,7 +232,12 @@ class Kernel:
 
     # -- internals ----------------------------------------------------------
 
-    def _step(self, task: _Task, send_value: Any) -> None:
+    def _push(self, time: float, fn: Callable[[], Any]) -> None:
+        if time != time:  # NaN guard
+            raise SimulationError("event time is NaN")
+        heappush(self._heap, (time, next(self._seq), fn))
+
+    def _step(self, task: _Task, send_value: Any = None) -> None:
         """Resume ``task.gen`` with ``send_value`` and process its yield.
 
         If the value is a :class:`_Failure` (a child activity raised), the
@@ -235,30 +250,31 @@ class Kernel:
             else:
                 yielded = task.gen.send(send_value)
         except StopIteration as stop:
-            self._active -= 1
+            task.resume = None
             task.done.trigger(stop.value)
             return
         except SimulationError:
+            task.resume = None
             raise
         except Exception as exc:  # noqa: BLE001 - forwarded to the waiter
-            self._active -= 1
+            task.resume = None
             task.done.trigger(_Failure(exc))
             return
         self._dispatch(task, yielded)
 
     def _dispatch(self, task: _Task, eff: Any) -> None:
-        resume = lambda v=None: self._step(task, v)  # noqa: E731
+        resume = task.resume
         if isinstance(eff, Timeout):
             if eff.delay < 0:
                 raise SimulationError(f"negative timeout: {eff.delay}")
-            self.queue.push(self.clock.now + eff.delay, resume, label="timeout")
+            self._push(self.clock.now + eff.delay, resume)
         elif isinstance(eff, Acquire):
             eff.resource.acquire(resume)
         elif isinstance(eff, Release):
             handoff = eff.resource.release()
             if handoff is not None:
                 # Waiter runs as a fresh event at the current instant.
-                self.queue.push(self.clock.now, lambda: handoff(None), label="handoff")
+                self._push(self.clock.now, partial(handoff, None))
             resume(None)
         elif isinstance(eff, WaitEvent):
             eff.event.add_waiter(resume)
@@ -266,9 +282,8 @@ class Kernel:
             eff.add_waiter(resume)
         elif hasattr(eff, "send") and hasattr(eff, "throw"):
             # Sub-activity: run child, resume parent with its return value.
-            child = _Task(gen=eff)
-            self._active += 1
+            child = _Task(eff, self)
             child.done.add_waiter(resume)
-            self.queue.push(self.clock.now, lambda: self._step(child, None), label="sub")
+            self._push(self.clock.now, child.resume)
         else:
             raise SimulationError(f"activity yielded unsupported effect: {eff!r}")

@@ -107,8 +107,8 @@ class ReferenceAccountant:
         segment's clean *and* dirty pages stay resident node-wide: the
         snapshot image is never shrunk by one process's writes).
         """
-        mappers = self._m._file_mappers.get(file_key, ())
-        first = self._m._procs.get(mappers[0]) if mappers else None
+        mappers = self._m._file_mappers.get(file_key)
+        first = self._m._procs.get(next(iter(mappers))) if mappers else None
         if first is None:
             return 0
         for seg in first.shared_segments():
@@ -171,8 +171,9 @@ class SystemMemoryModel:
         self.kernel_bytes = kernel_base
         self._procs: Dict[int, SimProcess] = {}
         self._next_pid = 100
-        # file_key -> ordered list of mapping pids (first = charge owner)
-        self._file_mappers: Dict[str, List[int]] = {}
+        # file_key -> {pid: mappings}, in first-mapping order (first = charge
+        # owner); a pid keeps its place while it holds any mapping of the key
+        self._file_mappers: Dict[str, Dict[int, int]] = {}
         # file_key -> resident page-cache bytes (image layers, etc.)
         self._page_cache: Dict[str, int] = {}
         # -- incremental ledger -------------------------------------------
@@ -288,7 +289,7 @@ class SystemMemoryModel:
     def _refresh_file_size(self, file_key: str) -> None:
         """Re-derive one shared key's accounted size from its first mapper."""
         size = 0
-        first = self._procs.get(self._file_mappers[file_key][0])
+        first = self._procs.get(next(iter(self._file_mappers[file_key])))
         if first is not None:
             for seg in first.shared_segments():
                 if seg.file_key == file_key:
@@ -340,12 +341,7 @@ class SystemMemoryModel:
         key = proc.add_segment(
             MemorySegment(SegmentKind.FILE_TEXT, size, file_key=file_key, label=label or file_key)
         )
-        mappers = self._file_mappers.setdefault(file_key, [])
-        mappers.append(proc.pid)
-        if len(mappers) == 1:
-            self._file_sizes[file_key] = size
-            self._file_total += size
-            self._file_owner[file_key] = proc.cgroup if proc.alive else None
+        self._add_mapper(proc, file_key, size)
         return key
 
     def map_cow(
@@ -369,30 +365,46 @@ class SystemMemoryModel:
         key = proc.add_segment(
             MemorySegment(SegmentKind.COW, size, file_key=cow_key, label=label or cow_key)
         )
-        mappers = self._file_mappers.setdefault(cow_key, [])
-        mappers.append(proc.pid)
-        if len(mappers) == 1:
-            self._file_sizes[cow_key] = size
-            self._file_total += size
-            self._file_owner[cow_key] = proc.cgroup if proc.alive else None
+        self._add_mapper(proc, cow_key, size)
         return key
+
+    def _add_mapper(self, proc: SimProcess, file_key: str, size: int) -> None:
+        """Count one more mapping of a shared key by ``proc``.
+
+        The first mapping of a key that had no mappers sets its accounted
+        size and owner; a pid already mapping the key keeps its place.
+        """
+        mappers = self._file_mappers.get(file_key)
+        if mappers is None:
+            self._file_mappers[file_key] = {proc.pid: 1}
+            self._file_sizes[file_key] = size
+            self._file_total += size
+            self._file_owner[file_key] = proc.cgroup if proc.alive else None
+        else:
+            mappers[proc.pid] = mappers.get(proc.pid, 0) + 1
 
     def _unmap_file(self, pid: int, file_key: str) -> None:
         mappers = self._file_mappers.get(file_key)
-        if mappers and pid in mappers:
-            was_first = mappers[0] == pid
-            mappers.remove(pid)
+        count = mappers.get(pid) if mappers else None
+        if count is None:
+            return
+        was_first = next(iter(mappers)) == pid
+        if count > 1:
+            mappers[pid] = count - 1
+        else:
+            del mappers[pid]
             if not mappers:
                 del self._file_mappers[file_key]
                 self._file_total -= self._file_sizes.pop(file_key)
                 self._file_owner.pop(file_key)
                 return
-            if was_first:
-                self._refresh_file_size(file_key)
-            self._refresh_file_owner(file_key)
+        if was_first:
+            self._refresh_file_size(file_key)
+        self._refresh_file_owner(file_key)
 
     def file_mapper_count(self, file_key: str) -> int:
-        return len(self._file_mappers.get(file_key, ()))
+        """Live mappings of a shared key (a pid mapping it twice counts twice)."""
+        return sum(self._file_mappers.get(file_key, {}).values())
 
     # -- page cache / kernel ---------------------------------------------------
 

@@ -22,6 +22,57 @@ def test_activities_complete_at_their_delays(delays):
     assert k.now == max(delays)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("call_at", "call_after", "timeout")),
+            st.sampled_from((0.0, 0.5, 1.0)),  # few delays: many equal times
+            st.integers(min_value=-1, max_value=39),  # the op that schedules it
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_events_fire_in_time_then_scheduling_order(ops):
+    """Whatever schedules an event (``call_at``, ``call_after`` or a
+    ``Timeout`` yield, before the run or from a firing event), events fire
+    in (time, scheduling order)."""
+    k = Kernel()
+    roots, children = [], {}
+    for i, (_, _, parent) in enumerate(ops):
+        (children.setdefault(parent, []) if 0 <= parent < i else roots).append(i)
+    scheduled = []  # (time, scheduling order, op), recorded as each is scheduled
+    fired = []
+
+    def fire(i):
+        fired.append((k.now, i))
+        for child in children.get(i, ()):
+            schedule(child)
+
+    def waiter(i, delay):
+        scheduled.append((k.now + delay, len(scheduled), i))
+        yield Timeout(delay)
+        fire(i)
+
+    def schedule(i):
+        kind, delay, _ = ops[i]
+        if kind == "timeout":
+            k.spawn(waiter(i, delay))
+            return
+        scheduled.append((k.now + delay, len(scheduled), i))
+        if kind == "call_at":
+            k.call_at(k.now + delay, lambda: fire(i))
+        else:
+            k.call_after(delay, lambda: fire(i))
+
+    for i in roots:
+        schedule(i)
+    k.run()
+    assert fired == [(t, i) for t, _, i in sorted(scheduled)]
+    assert len(fired) == len(ops)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=8),

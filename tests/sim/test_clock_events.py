@@ -1,10 +1,9 @@
-"""Clock and event-queue unit tests."""
+"""Simulated clock unit tests (event ordering lives in test_kernel.py)."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
-from repro.sim.events import EventQueue
 
 
 class TestSimClock:
@@ -28,61 +27,3 @@ class TestSimClock:
         clock = SimClock(10.0)
         with pytest.raises(SimulationError):
             clock.advance_to(9.999)
-
-
-class TestEventQueue:
-    def test_orders_by_time(self):
-        q = EventQueue()
-        fired = []
-        q.push(2.0, lambda: fired.append("b"))
-        q.push(1.0, lambda: fired.append("a"))
-        q.push(3.0, lambda: fired.append("c"))
-        while (ev := q.pop()) is not None:
-            ev.callback()
-        assert fired == ["a", "b", "c"]
-
-    def test_fifo_within_same_time(self):
-        q = EventQueue()
-        fired = []
-        for i in range(5):
-            q.push(1.0, lambda i=i: fired.append(i))
-        while (ev := q.pop()) is not None:
-            ev.callback()
-        assert fired == [0, 1, 2, 3, 4]
-
-    def test_len_tracks_live_events(self):
-        q = EventQueue()
-        e1 = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        assert len(q) == 2
-        q.cancel(e1)
-        assert len(q) == 1
-
-    def test_cancelled_event_is_skipped(self):
-        q = EventQueue()
-        e1 = q.push(1.0, lambda: None, label="first")
-        q.push(2.0, lambda: None, label="second")
-        q.cancel(e1)
-        popped = q.pop()
-        assert popped is not None and popped.label == "second"
-
-    def test_double_cancel_is_idempotent(self):
-        q = EventQueue()
-        e = q.push(1.0, lambda: None)
-        q.cancel(e)
-        q.cancel(e)
-        assert len(q) == 0
-
-    def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        e1 = q.push(1.0, lambda: None)
-        q.push(5.0, lambda: None)
-        q.cancel(e1)
-        assert q.peek_time() == 5.0
-
-    def test_empty_pop_returns_none(self):
-        assert EventQueue().pop() is None
-
-    def test_nan_time_rejected(self):
-        with pytest.raises(SimulationError):
-            EventQueue().push(float("nan"), lambda: None)

@@ -1,8 +1,12 @@
 """Discrete-event kernel behaviour."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.clock import SimClock
 from repro.sim.kernel import (
     Acquire,
     Kernel,
@@ -311,3 +315,85 @@ class TestRunControls:
         k.spawn(bad())
         with pytest.raises(SimulationError, match="unsupported effect"):
             k.run()
+
+
+class TestEventOrdering:
+    """The kernel's event heap: time order, FIFO at one instant, NaN guard."""
+
+    def test_orders_by_time(self):
+        k = Kernel()
+        fired = []
+
+        def act():
+            yield Timeout(4.0)
+            fired.append("timeout")
+
+        k.call_at(2.0, lambda: fired.append("b"))
+        k.call_after(1.0, lambda: fired.append("a"))
+        k.spawn(act())
+        k.call_at(3.0, lambda: fired.append("c"))
+        k.run()
+        assert fired == ["a", "b", "c", "timeout"]
+
+    def test_fifo_within_same_time(self):
+        k = Kernel()
+        fired = []
+        for i in range(5):
+            k.call_at(1.0, lambda i=i: fired.append(i))
+        k.run()
+        assert fired == [0, 1, 2, 3, 4]
+
+    def test_same_instant_runs_in_scheduling_order_across_kinds(self):
+        k = Kernel()
+        fired = []
+
+        def act(name):
+            yield Timeout(1.0)
+            fired.append(name)
+
+        k.call_at(1.0, lambda: fired.append("at"))
+        k.spawn(act("first"))  # its Timeout is scheduled when it starts, at t=0
+        k.call_after(1.0, lambda: fired.append("after"))
+        k.spawn(act("second"))
+        k.run()
+        assert fired == ["at", "after", "first", "second"]
+
+    def test_nan_time_rejected(self):
+        nan = float("nan")
+        with pytest.raises(SimulationError, match="NaN"):
+            Kernel().call_at(nan, lambda: None)
+        with pytest.raises(SimulationError, match="NaN"):
+            Kernel().call_after(nan, lambda: None)
+
+        def act():
+            yield Timeout(nan)
+
+        k = Kernel()
+        k.spawn(act())
+        with pytest.raises(SimulationError, match="NaN"):
+            k.run()
+
+    def test_empty_run_returns_current_time(self):
+        k = Kernel(SimClock(2.0))
+        assert k.run() == 2.0
+        assert k.run(until=5.0) == 2.0
+
+    def test_finished_activities_free_without_cyclic_gc(self):
+        k = Kernel()
+
+        def child():
+            yield Timeout(1.0)
+            return 1
+
+        def parent():
+            return (yield child())
+
+        gen = parent()
+        ref = weakref.ref(gen)
+        gc.disable()
+        try:
+            assert k.run_all([gen]) == [1]
+            del gen
+            assert ref() is None
+        finally:
+            gc.enable()

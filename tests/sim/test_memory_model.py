@@ -225,6 +225,50 @@ class TestMunmapSemantics:
         assert memory.free_report().used == 100 * MIB + 4 * MIB
 
 
+class TestRepeatedMappings:
+    """One process mapping one shared key more than once."""
+
+    def test_first_mapper_keeps_charge_while_it_still_maps(self, memory):
+        p1 = memory.spawn("a", cgroup="/kubepods/pod-a")
+        p2 = memory.spawn("b", cgroup="/kubepods/pod-b")
+        k1 = memory.map_file(p1, "lib.so", 4 * MIB)
+        memory.map_file(p2, "lib.so", 4 * MIB)
+        memory.map_file(p1, "lib.so", 4 * MIB)
+        p1.drop_segment(k1)
+        assert memory.cgroup_working_set("/kubepods/pod-a") == 4 * MIB
+        assert memory.cgroup_working_set("/kubepods/pod-b") == 0
+        memory.verify_accounting()
+
+    def test_first_mapper_size_rederived_after_dropping_one_mapping(self, memory):
+        p1 = memory.spawn("a", cgroup="/pods/a")
+        p2 = memory.spawn("b", cgroup="/pods/b")
+        k1 = memory.map_file(p1, "lib.so", 4 * MIB)
+        k2 = memory.map_file(p1, "lib.so", 4 * MIB)
+        memory.map_file(p2, "lib.so", 4 * MIB)
+        p1.resize_segment(k2, 6 * MIB)
+        # The accounted extent is the first mapper's first mapping.
+        assert memory.node_working_set() == 4 * MIB
+        p1.drop_segment(k1)
+        assert memory.node_working_set() == 6 * MIB
+        assert memory.cgroup_working_set("/pods/a") == 6 * MIB
+        memory.verify_accounting()
+
+    def test_mapper_count_counts_mappings(self, memory):
+        p1 = memory.spawn("a")
+        p2 = memory.spawn("b")
+        k1 = memory.map_file(p1, "lib.so", 4 * MIB)
+        memory.map_file(p1, "lib.so", 4 * MIB)
+        memory.map_cow(p2, "zygote/svc", 2 * MIB)
+        memory.map_file(p2, "lib.so", 4 * MIB)
+        assert memory.file_mapper_count("lib.so") == 3
+        p1.drop_segment(k1)
+        assert memory.file_mapper_count("lib.so") == 2
+        memory.exit(p1)
+        assert memory.file_mapper_count("lib.so") == 1
+        assert memory.file_mapper_count("zygote/svc") == 1
+        memory.verify_accounting()
+
+
 class TestCowSegments:
     """Zygote clones: shared snapshot extent + per-process dirty split."""
 
