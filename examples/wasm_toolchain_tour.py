@@ -84,8 +84,9 @@ def main() -> None:
 
     print("5. call an export directly with arguments")
     store = Store()
-    inst = instantiate(store, decode_module(blob), run_start=False,
-                       imports=_wasi_imports(store))
+    decoded = decode_module(blob)
+    inst = instantiate(store, decoded, run_start=False,
+                       imports=_wasi_imports(store, decoded))
     interp = Interpreter(store)
     for n in (6, 7, 27, 97):
         [steps] = interp.invoke_export(inst, "collatz", [n])
@@ -106,10 +107,10 @@ def main() -> None:
         print(f"   ExhaustionError: {exc}")
 
 
-def _wasi_imports(store: Store):
+def _wasi_imports(store: Store, module):
     from repro.wasm.wasi import WasiEnv
 
-    return WasiEnv().register(store).import_map()
+    return WasiEnv().register(store, module).import_map()
 
 
 if __name__ == "__main__":

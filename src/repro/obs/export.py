@@ -654,8 +654,9 @@ def render_wasi(text: str, top: Optional[int] = None, sort: str = "total") -> st
     rows = profile.wasi_report(
         {"repro_wasi_calls_total": calls, "repro_wasi_bytes_total": bytes_fam}
     )
-    # The preview1 shim pre-registers every hostcall child; only rows the
-    # guest actually exercised carry information.
+    # The preview1 shim materializes a zero series for every function a
+    # module imports; only rows the guest actually exercised carry
+    # information.
     rows = [r for r in rows if r["calls"] or r["bytes"]]
     if not rows:
         return "wasi: no repro_wasi_calls_total samples (telemetry off?)"

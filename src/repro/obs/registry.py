@@ -169,7 +169,7 @@ class MetricFamily:
 
     __slots__ = (
         "registry", "name", "kind", "help", "labelnames", "buckets",
-        "_children", "_sorted",
+        "_children", "_sorted", "_solo",
     )
 
     def __init__(
@@ -189,8 +189,8 @@ class MetricFamily:
         self.buckets = tuple(sorted(buckets))
         self._children: Dict[Tuple[str, ...], _Child] = {}
         self._sorted: Optional[List[Tuple[Tuple[str, ...], _Child]]] = None
-        if not labelnames:
-            self.labels()  # materialize the single series at 0
+        #: the single series of a labelless family (materialized at 0)
+        self._solo: Optional[_Child] = None if labelnames else self.labels()
 
     def labels(self, *values: str, **kv: str) -> _Child:
         """Child for one label-value combination (created on first use)."""
@@ -210,19 +210,20 @@ class MetricFamily:
             self._sorted = None
         return child
 
-    # Labelless convenience: family doubles as its single child.
+    # Labelless convenience: family doubles as its single child. A family
+    # with label names has no ``_solo``; ``labels()`` raises for it.
     def inc(self, amount: float = 1.0) -> None:
-        self.labels().inc(amount)  # type: ignore[union-attr]
+        (self._solo or self.labels()).inc(amount)  # type: ignore[union-attr]
 
     def set(self, value: float) -> None:
-        self.labels().set(value)  # type: ignore[union-attr]
+        (self._solo or self.labels()).set(value)  # type: ignore[union-attr]
 
     def observe(self, value: float) -> None:
-        self.labels().observe(value)  # type: ignore[union-attr]
+        (self._solo or self.labels()).observe(value)  # type: ignore[union-attr]
 
     @property
     def value(self) -> float:
-        return self.labels().value  # type: ignore[union-attr]
+        return (self._solo or self.labels()).value  # type: ignore[union-attr]
 
     def samples(self) -> List[Tuple[Tuple[str, ...], _Child]]:
         """Children in numeric-aware sorted label order.

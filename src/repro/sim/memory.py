@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import OutOfMemory, SimulationError
@@ -70,6 +70,26 @@ class FreeReport:
         populated by image pulls all land in it.
         """
         return self.used + self.buff_cache
+
+
+def _prefix_totals(
+    prefixes: Iterable[str], charges: Iterable[Tuple[str, int]]
+) -> Dict[str, int]:
+    """Sum ``(cgroup, bytes)`` charges into every prefix the cgroup starts with.
+
+    Every prefix matching a cgroup is one of its string truncations, so a
+    charge costs ``len(cgroup) + 1`` set lookups, not one ``startswith``
+    per prefix. A byte charged under two matching prefixes counts toward
+    both, as separate :meth:`SystemMemoryModel.cgroup_working_set` calls
+    would count it.
+    """
+    totals = dict.fromkeys(prefixes, 0)
+    for cgroup, amount in charges:
+        for k in range(len(cgroup) + 1):
+            p = cgroup[:k]
+            if p in totals:
+                totals[p] += amount
+    return totals
 
 
 class ReferenceAccountant:
@@ -146,6 +166,20 @@ class ReferenceAccountant:
             if owner is not None and owner.startswith(cgroup_prefix):
                 total += self.shared_key_size(file_key)
         return total
+
+    def cgroup_working_sets(self, cgroup_prefixes: Iterable[str]) -> Dict[str, int]:
+        """:meth:`cgroup_working_set` of every prefix, in one scan.
+
+        Each process's private bytes and each shared key's extent are
+        credited to the truncations of that entry's own cgroup, so the
+        cost is one pass over processes and keys, not one per prefix.
+        """
+        charges = [(p.cgroup, self._proc_private(p)) for p in self._m._procs.values()]
+        for file_key in self._m._file_mappers:
+            owner = self.charged_cgroup(file_key)
+            if owner is not None:
+                charges.append((owner, self.shared_key_size(file_key)))
+        return _prefix_totals(cgroup_prefixes, charges)
 
 
 class SystemMemoryModel:
@@ -479,9 +513,11 @@ class SystemMemoryModel:
         cgroups = {p.cgroup for p in self._procs.values()}
         cgroups.update(self._cgroup_private)
         cgroups.update(o for o in self._file_owner.values() if o is not None)
+        incremental = self._ledger_working_sets(cgroups)
+        reference = ref.cgroup_working_sets(cgroups)
         for cgroup in sorted(cgroups):
-            inc = self._cgroup_working_set_incremental(cgroup)
-            expected = ref.cgroup_working_set(cgroup)
+            inc = incremental[cgroup]
+            expected = reference[cgroup]
             if inc != expected:
                 raise SimulationError(
                     f"accounting drift in cgroup_working_set({cgroup!r}): "
@@ -577,21 +613,15 @@ class SystemMemoryModel:
         if self.accounting != "incremental":
             return {p: self.cgroup_working_set(p) for p in sorted(prefixes)}
         self._q_cgroup.inc(len(prefixes))
-        totals = {p: 0 for p in prefixes}
+        return self._ledger_working_sets(prefixes)
 
-        def credit(cgroup: str, amount: int) -> None:
-            # Every prefix matching `cgroup` is one of its truncations.
-            for k in range(len(cgroup) + 1):
-                p = cgroup[:k]
-                if p in prefixes:
-                    totals[p] += amount
-
-        for cgroup, private in self._cgroup_private.items():
-            credit(cgroup, private)
+    def _ledger_working_sets(self, prefixes: Iterable[str]) -> Dict[str, int]:
+        """Per-prefix working sets from one pass over the ledger."""
+        charges = list(self._cgroup_private.items())
         for file_key, owner in self._file_owner.items():
             if owner is not None:
-                credit(owner, self._file_sizes[file_key])
-        return totals
+                charges.append((owner, self._file_sizes[file_key]))
+        return _prefix_totals(prefixes, charges)
 
     def node_working_set(self) -> int:
         """Sum of all process private memory + each shared file once."""

@@ -249,7 +249,7 @@ def run_wasi(
         stdin=stdin,
         clock_ns=clock_ns,
     )
-    host = wasi.register(store)
+    host = wasi.register(store, module)
     interp = interpreter_cls(store, fuel=fuel)
     prof = profile.active_profiler()
     if prof is not None:

@@ -3,9 +3,9 @@
 :class:`WasiEnv` owns the guest-visible world: argv, environment, an fd
 table over an :class:`~repro.wasm.wasi.fs.InMemoryFilesystem` with
 preopened directories, capture buffers for stdout/stderr, a deterministic
-clock, and a seeded RNG for ``random_get``. It registers its functions on
-a :class:`~repro.wasm.runtime.host.HostModule` so modules importing
-``wasi_snapshot_preview1`` link against it.
+clock, and a seeded RNG for ``random_get``. It registers the functions a
+module imports on a :class:`~repro.wasm.runtime.host.HostModule` so the
+module links against it.
 
 All functions follow the preview1 ABI: scalar i32/i64 arguments, results
 written through guest-memory pointers, errno returned as i32.
@@ -19,12 +19,47 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.errors import WasiExit, WasmTrap
 from repro.sim import faults
+from repro.wasm.ast import Module
 from repro.wasm.runtime.host import HostModule, sig
 from repro.wasm.runtime.store import MemoryInstance, Store
+from repro.wasm.types import FuncType
 from repro.wasm.wasi import errno as E
 from repro.wasm.wasi.fs import FsNode, InMemoryFilesystem
 
 MODULE_NAME = "wasi_snapshot_preview1"
+
+#: every preview1 function the shim implements: import name -> signature
+#: (each is the :class:`WasiEnv` method of the same name)
+SIGNATURES: Dict[str, FuncType] = {
+    "args_sizes_get": sig("ii", "i"),
+    "args_get": sig("ii", "i"),
+    "environ_sizes_get": sig("ii", "i"),
+    "environ_get": sig("ii", "i"),
+    "clock_time_get": sig("iIi", "i"),
+    "clock_res_get": sig("ii", "i"),
+    "fd_write": sig("iiii", "i"),
+    "fd_read": sig("iiii", "i"),
+    "fd_close": sig("i", "i"),
+    "fd_seek": sig("iIii", "i"),
+    "fd_fdstat_get": sig("ii", "i"),
+    "fd_fdstat_set_flags": sig("ii", "i"),
+    "fd_prestat_get": sig("ii", "i"),
+    "fd_prestat_dir_name": sig("iii", "i"),
+    "fd_filestat_get": sig("ii", "i"),
+    "path_open": sig("iiiiiIIii", "i"),
+    "path_filestat_get": sig("iiiii", "i"),
+    "path_create_directory": sig("iii", "i"),
+    "path_unlink_file": sig("iii", "i"),
+    "path_remove_directory": sig("iii", "i"),
+    "fd_tell": sig("ii", "i"),
+    "fd_readdir": sig("iiiIi", "i"),
+    "fd_sync": sig("i", "i"),
+    "fd_datasync": sig("i", "i"),
+    "random_get": sig("ii", "i"),
+    "proc_exit": sig("i"),
+    "sched_yield": sig("", "i"),
+    "poll_oneoff": sig("iiii", "i"),
+}
 
 
 @dataclass
@@ -97,10 +132,16 @@ class WasiEnv:
     def attach_memory(self, memory: MemoryInstance) -> None:
         self.memory = memory
 
-    def register(self, store: Store) -> HostModule:
-        """Create the ``wasi_snapshot_preview1`` host module in ``store``.
+    def register(self, store: Store, module: Module) -> HostModule:
+        """Bind the ``wasi_snapshot_preview1`` functions ``module`` imports.
 
-        Under an ambient fault scope arming ``wasi.syscall``, every host
+        Only imported names the shim implements (:data:`SIGNATURES`) are
+        allocated in ``store``, once each. An imported name it does not
+        implement stays unbound, so linking fails with an unresolved-import
+        :class:`~repro.errors.LinkError`. With telemetry on, every bound
+        function counts its calls in ``repro_wasi_calls_total{func}``.
+
+        Under an ambient fault scope arming ``wasi.syscall``, every bound
         function is wrapped with a per-call injection check: a fire
         raises :class:`~repro.errors.FaultInjected` out of the guest —
         a pod-visible crash routed through the kubelet's restart-policy
@@ -121,59 +162,30 @@ class WasiEnv:
 
                 return checked
 
+        calls = None
         if obs.enabled():
             calls = obs.counter(
                 "repro_wasi_calls_total",
                 "WASI preview1 host calls, by import name",
                 ("func",),
             )
+        names = dict.fromkeys(
+            imp.name
+            for imp in module.imports
+            if imp.module == MODULE_NAME and imp.name in SIGNATURES
+        )
+        for name in names:
+            fn = getattr(self, name)
+            if wrap_fault is not None:
+                fn = wrap_fault(fn)
+            if calls is not None:
 
-            def add(name: str, signature, fn) -> None:
-                child = calls.labels(name)
-                if wrap_fault is not None:
-                    fn = wrap_fault(fn)
-
-                def wrapped(*args, _fn=fn, _child=child):
+                def counted(*args, _fn=fn, _child=calls.labels(name)):
                     _child.inc()
                     return _fn(*args)
 
-                hm.func(name, signature, wrapped)
-
-        elif wrap_fault is not None:
-
-            def add(name: str, signature, fn) -> None:
-                hm.func(name, signature, wrap_fault(fn))
-
-        else:
-            add = hm.func
-        add("args_sizes_get", sig("ii", "i"), self.args_sizes_get)
-        add("args_get", sig("ii", "i"), self.args_get)
-        add("environ_sizes_get", sig("ii", "i"), self.environ_sizes_get)
-        add("environ_get", sig("ii", "i"), self.environ_get)
-        add("clock_time_get", sig("iIi", "i"), self.clock_time_get)
-        add("clock_res_get", sig("ii", "i"), self.clock_res_get)
-        add("fd_write", sig("iiii", "i"), self.fd_write)
-        add("fd_read", sig("iiii", "i"), self.fd_read)
-        add("fd_close", sig("i", "i"), self.fd_close)
-        add("fd_seek", sig("iIii", "i"), self.fd_seek)
-        add("fd_fdstat_get", sig("ii", "i"), self.fd_fdstat_get)
-        add("fd_fdstat_set_flags", sig("ii", "i"), lambda fd, flags: [E.SUCCESS])
-        add("fd_prestat_get", sig("ii", "i"), self.fd_prestat_get)
-        add("fd_prestat_dir_name", sig("iii", "i"), self.fd_prestat_dir_name)
-        add("fd_filestat_get", sig("ii", "i"), self.fd_filestat_get)
-        add("path_open", sig("iiiiiIIii", "i"), self.path_open)
-        add("path_filestat_get", sig("iiiii", "i"), self.path_filestat_get)
-        add("path_create_directory", sig("iii", "i"), self.path_create_directory)
-        add("path_unlink_file", sig("iii", "i"), self.path_unlink_file)
-        add("path_remove_directory", sig("iii", "i"), self.path_remove_directory)
-        add("fd_tell", sig("ii", "i"), self.fd_tell)
-        add("fd_readdir", sig("iiiIi", "i"), self.fd_readdir)
-        add("fd_sync", sig("i", "i"), lambda fd: [E.SUCCESS])
-        add("fd_datasync", sig("i", "i"), lambda fd: [E.SUCCESS])
-        add("random_get", sig("ii", "i"), self.random_get)
-        add("proc_exit", sig("i"), self.proc_exit)
-        add("sched_yield", sig("", "i"), lambda: [E.SUCCESS])
-        add("poll_oneoff", sig("iiii", "i"), self.poll_oneoff)
+                fn = counted
+            hm.func(name, SIGNATURES[name], fn)
         return hm
 
     # -- memory helpers --------------------------------------------------------
@@ -239,6 +251,9 @@ class WasiEnv:
 
     def random_get(self, buf_ptr: int, buf_len: int) -> List[int]:
         self._mem().write(buf_ptr, self._random(buf_len))
+        return [E.SUCCESS]
+
+    def sched_yield(self) -> List[int]:
         return [E.SUCCESS]
 
     # -- descriptors --------------------------------------------------------------------
@@ -351,6 +366,15 @@ class WasiEnv:
         mem.write(stat_ptr + 2, b"\x00" * 6)  # flags + padding
         mem.write_u64(stat_ptr + 8, 0xFFFFFFFFFFFFFFFF)  # rights base
         mem.write_u64(stat_ptr + 16, 0xFFFFFFFFFFFFFFFF)  # rights inheriting
+        return [E.SUCCESS]
+
+    def fd_fdstat_set_flags(self, fd: int, flags: int) -> List[int]:
+        return [E.SUCCESS]
+
+    def fd_sync(self, fd: int) -> List[int]:
+        return [E.SUCCESS]
+
+    def fd_datasync(self, fd: int) -> List[int]:
         return [E.SUCCESS]
 
     def fd_prestat_get(self, fd: int, prestat_ptr: int) -> List[int]:

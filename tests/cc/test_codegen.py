@@ -14,7 +14,7 @@ def call(source: str, func: str, *args):
     module = compile_c(source)
     store = Store()
     wasi = WasiEnv()
-    inst = instantiate(store, module, imports=wasi.register(store).import_map())
+    inst = instantiate(store, module, imports=wasi.register(store, module).import_map())
     if inst.mem_addrs:
         wasi.attach_memory(store.mems[inst.mem_addrs[0]])
     return Interpreter(store).invoke_export(inst, func, list(args))

@@ -112,6 +112,68 @@ class TestRegistry:
         assert reg.events == 0
 
 
+class TestLabellessFamily:
+    """A labelless family's inc/set/observe write its one materialized
+    child, exactly as going through ``labels()`` does."""
+
+    @staticmethod
+    def _drive(reg, via_labels):
+        c = reg.counter("c_total")
+        g = reg.gauge("g")
+        h = reg.histogram("h_seconds", buckets=(0.1, 1.0))
+        c, g, h = (f.labels() if via_labels else f for f in (c, g, h))
+        c.inc()
+        c.inc(2.5)
+        g.set(4)
+        g.inc(-1)
+        h.observe(0.05)
+        h.observe(3.0)
+
+    def test_values_and_state_match_the_labels_path(self):
+        fast, slow = MetricsRegistry(), MetricsRegistry()
+        self._drive(fast, via_labels=False)
+        self._drive(slow, via_labels=True)
+        assert fast.state() == slow.state()
+        assert fast.get("c_total").value == 3.5
+        assert fast.get("g").value == 3
+        child = fast.get("h_seconds").labels()
+        assert (child.bucket_counts, child.count) == ([1, 0], 2)
+
+    def test_reset_keeps_the_single_series_bound(self):
+        reg = MetricsRegistry()
+        c = reg.counter("c_total")
+        c.inc(5)
+        reg.reset()
+        assert c.value == 0 and reg.events == 0
+        c.inc()
+        assert c.labels().value == 1
+        assert reg.state()["families"]["c_total"]["children"] == {(): 1.0}
+
+    def test_merge_delta_lands_on_the_same_series(self):
+        worker, parent = MetricsRegistry(), MetricsRegistry()
+        base = worker.state()
+        self._drive(worker, via_labels=False)
+        c = parent.counter("c_total")
+        c.inc()
+        parent.merge_delta(worker.delta_since(base))
+        c.inc()
+        assert c.value == c.labels().value == 5.5
+        assert parent.get("h_seconds").labels().count == 2
+
+    def test_labelled_family_rejects_labelless_calls(self):
+        reg = MetricsRegistry()
+        for family in (
+            reg.counter("c_total", labelnames=("k",)),
+            reg.gauge("g", labelnames=("k",)),
+            reg.histogram("h_seconds", labelnames=("k",)),
+        ):
+            for call in (family.inc, family.set, family.observe):
+                with pytest.raises(SimulationError):
+                    call(1)
+            with pytest.raises(SimulationError):
+                family.value
+
+
 class TestNullMetric:
     def test_null_metric_absorbs_everything(self):
         n = NULL_METRIC

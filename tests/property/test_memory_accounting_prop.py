@@ -10,14 +10,26 @@ free-report components, node working set, every cgroup working set, and
 every shared file's charge owner.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.memory import MIB, SystemMemoryModel
 from repro.sim.process import SegmentKind
 
-CGROUPS = ["/", "/kubepods/pod-a", "/kubepods/pod-b", "/system.slice/containerd"]
+CGROUPS = [
+    "/",
+    "/kubepods/pod-a",
+    "/kubepods/pod-b",
+    "/kubepods/pod1",
+    "/kubepods/pod10",
+    "/system.slice/containerd",
+]
+#: query prefixes: every cgroup, overlapping truncations ("/kubepods/pod1"
+#: is also a prefix of "/kubepods/pod10") and prefixes matching nothing
+PREFIXES = CGROUPS + ["", "/kubepods", "/kubepods/pod", "/system", "/nomatch"]
 #: fixed size per shared file — mappings of one key must agree on size
 FILES = {"libA.so": 3 * MIB, "libB.so": 5 * MIB, "app.aot": 1 * MIB}
 #: fixed size per zygote snapshot — COW clones must agree on the extent
@@ -114,6 +126,13 @@ class AccountingMachine(RuleBasedStateMachine):
     def drop_page_cache(self, file_key):
         self.model.drop_page_cache(file_key)
 
+    @rule(prefixes=st.lists(st.sampled_from(PREFIXES), max_size=8))
+    def reference_batch_matches_per_prefix_scans(self, prefixes):
+        ref = self.model.reference
+        assert ref.cgroup_working_sets(prefixes) == {
+            p: ref.cgroup_working_set(p) for p in prefixes
+        }
+
     @invariant()
     def counters_match_reference(self):
         if not hasattr(self, "model"):
@@ -128,9 +147,61 @@ class AccountingMachine(RuleBasedStateMachine):
         batch = self.model.cgroup_working_sets(CGROUPS)
         for cgroup in CGROUPS:
             assert batch[cgroup] == self.model.cgroup_working_set(cgroup)
+        ref = self.model.reference
+        assert ref.cgroup_working_sets(PREFIXES) == {
+            p: ref.cgroup_working_set(p) for p in PREFIXES
+        }
 
 
 TestAccountingDifferential = AccountingMachine.TestCase
 TestAccountingDifferential.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None
 )
+
+
+def _overlapping_model() -> SystemMemoryModel:
+    """pod1 (3 MiB + lib.so, its first mapper), pod10 (5 MiB), containerd (1 MiB)."""
+    model = SystemMemoryModel(total_bytes=1 << 40, kernel_base=0)
+    for cgroup, size in (
+        ("/kubepods/pod1", 3 * MIB),
+        ("/kubepods/pod10", 5 * MIB),
+        ("/system.slice/containerd", 1 * MIB),
+    ):
+        proc = model.spawn("proc", cgroup=cgroup)
+        model.map_private(proc, size)
+        if cgroup.startswith("/kubepods/"):
+            model.map_file(proc, "lib.so", 2 * MIB)
+    model.verify_accounting()
+    return model
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # "/kubepods/pod1" is also a prefix of pod10, and sorts first.
+        (
+            "/kubepods/pod1",
+            "accounting drift in cgroup_working_set('/kubepods/pod1'): "
+            "incremental=10489856 reference=10485760",
+        ),
+        (
+            "/kubepods/pod10",
+            "accounting drift in cgroup_working_set('/kubepods/pod1'): "
+            "incremental=10489856 reference=10485760",
+        ),
+        (
+            "/system.slice/containerd",
+            "accounting drift in cgroup_working_set('/system.slice/containerd'): "
+            "incremental=1052672 reference=1048576",
+        ),
+    ],
+)
+def test_verify_accounting_names_the_first_drifted_cgroup(corrupt, message):
+    """A ledger entry off by one page is caught by the reference side,
+    reported for the first cgroup (in sorted order) whose working set it
+    moves."""
+    model = _overlapping_model()
+    model._cgroup_private[corrupt] += 4096
+    with pytest.raises(SimulationError) as err:
+        model.verify_accounting()
+    assert str(err.value) == message

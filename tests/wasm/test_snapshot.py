@@ -66,13 +66,13 @@ class TestSnapshotApi:
     def test_capture_restore_structural_equality(self):
         module = validate_module(parse_wat(STATEFUL_WAT))
         store = Store()
-        inst = instantiate(store, module, imports=_host(store))
+        inst = instantiate(store, module, imports=_host(store, module))
         snap = capture_snapshot(store, inst, digest="d1")
         assert snap is not None
         assert snap.memory_bytes == 65536
 
         store2 = Store()
-        clone = restore_instance(store2, snap, imports=_host(store2))
+        clone = restore_instance(store2, snap, imports=_host(store2, module))
         assert set(clone.exports) == set(inst.exports)
         assert [k for k, _ in clone.exports.values()] == [
             k for k, _ in inst.exports.values()
@@ -99,7 +99,7 @@ class TestSnapshotApi:
         def boot(make_instance):
             store = Store()
             wasi = WasiEnv(args=("t",))
-            host = wasi.register(store)
+            host = wasi.register(store, module)
             inst = make_instance(store, host.import_map())
             wasi.attach_memory(store.mems[inst.mem_addrs[0]])
             interp = Interpreter(store)
@@ -122,12 +122,12 @@ class TestSnapshotApi:
         assert clone_obs == fresh_obs
 
 
-def _host(store):
-    """Minimal fd_write host import for the direct-API tests."""
+def _host(store, module):
+    """WASI host imports of ``module`` for the direct-API tests."""
     from repro.wasm.wasi import WasiEnv
 
     wasi = WasiEnv(args=("t",))
-    return wasi.register(store).import_map()
+    return wasi.register(store, module).import_map()
 
 
 # -- run_wasi three-way: cold vs capture vs restore ---------------------------

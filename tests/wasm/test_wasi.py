@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro import obs
+from repro.engines.cache import reset_caches
+from repro.errors import LinkError
 from repro.wasm import assemble_wat
+from repro.wasm.decoder import decode_module
 from repro.wasm.embed import run_wasi
+from repro.wasm.runtime import Store
+from repro.wasm.wasi import WasiEnv
 from repro.wasm.wasi.fs import InMemoryFilesystem
+from repro.workloads.microservice import build_microservice_wasm
 
 
 # A tiny WASI program template: imports, 1-page memory, _start body.
@@ -301,3 +308,95 @@ class TestProcExit:
         result = run_wasi(blob)
         assert result.exit_code == 1
         assert result.stdout == b""
+
+
+class TestBinding:
+    """``register`` binds only the preview1 functions a module imports."""
+
+    def test_store_holds_exactly_the_declared_imports(self):
+        module = decode_module(build_microservice_wasm())
+        declared = [imp.name for imp in module.imports]
+        store = Store()
+        host = WasiEnv().register(store, module)
+        assert len(declared) == 7
+        assert list(host.externs()) == declared
+        assert [f.name for f in store.funcs] == [
+            f"wasi_snapshot_preview1.{name}" for name in declared
+        ]
+        assert all(f.is_host for f in store.funcs)
+
+    def test_repeated_import_binds_once(self):
+        module = decode_module(
+            assemble_wat(
+                """
+                (module
+                  (import "wasi_snapshot_preview1" "sched_yield"
+                    (func $a (result i32)))
+                  (import "wasi_snapshot_preview1" "sched_yield"
+                    (func $b (result i32)))
+                  (func (export "_start") (drop (call $a)) (drop (call $b))))
+                """
+            )
+        )
+        store = Store()
+        WasiEnv().register(store, module)
+        assert len(store.funcs) == 1
+        assert run_wasi(module).exit_code == 0
+
+    def test_unimplemented_import_is_unresolved(self):
+        blob = wasi_prog(
+            "nop",
+            extra_imports="""
+            (import "wasi_snapshot_preview1" "sock_accept"
+              (func (param i32 i32 i32) (result i32)))
+            """,
+        )
+        with pytest.raises(LinkError) as err:
+            run_wasi(blob)
+        assert str(err.value) == "unresolved import wasi_snapshot_preview1.sock_accept"
+
+    def test_wrong_signature_is_a_mismatch(self):
+        blob = assemble_wat(
+            """
+            (module
+              (import "wasi_snapshot_preview1" "fd_write"
+                (func (param i32 i32) (result i32)))
+              (func (export "_start")))
+            """
+        )
+        with pytest.raises(LinkError) as err:
+            run_wasi(blob)
+        assert str(err.value).startswith(
+            "import wasi_snapshot_preview1.fd_write: signature mismatch"
+        )
+
+    def test_call_counts_of_a_microservice_run(self):
+        """Three runs (cold, zygote capture, zygote restore): every bound
+        function counts each call; the series are the 7 imports only."""
+        was_enabled = obs.enabled()
+        obs.set_enabled(True)
+        obs.reset()
+        reset_caches()
+        try:
+            for zygote in (False, True, True):
+                run_wasi(
+                    build_microservice_wasm(),
+                    args=["svc"],
+                    env={"REQUESTS": "3"},
+                    zygote=zygote,
+                )
+            family = obs.default_registry().get("repro_wasi_calls_total")
+            counts = {key[0]: child.value for key, child in family.samples()}
+        finally:
+            obs.reset()
+            obs.set_enabled(was_enabled)
+            reset_caches()
+        assert counts == {
+            "args_get": 3,
+            "args_sizes_get": 3,
+            "clock_time_get": 3,
+            "environ_get": 3,
+            "environ_sizes_get": 3,
+            "fd_write": 12,
+            "proc_exit": 3,
+        }
