@@ -7,7 +7,7 @@ hundreds of times therefore re-run identical computations; these caches
 collapse them to one real execution per distinct input while every
 container still gets its own memory accounting.
 
-Six layers, all keyed by content digest so the blob is hashed once per
+Seven layers, all keyed by content digest so the blob is hashed once per
 entry point:
 
 * **decode** — decoded + validated :class:`~repro.wasm.ast.Module` per
@@ -31,7 +31,18 @@ entry point:
   clones instead of re-running two-phase instantiation. A ``None`` entry
   marks a digest probed and found unsnapshottable, so it is not re-tried;
 * **run** — full :class:`EngineRunResult` per
-  ``(engine, digest, argv, env, stdin)``.
+  ``(engine, digest, argv, env, stdin)``;
+* **replay** — one :class:`~repro.wasm.embed.ReplayLog` per run input
+  under a fault scope arming a guest-runtime point, where the run layer
+  steps aside. ``embed.run_wasi`` looks it up after the zygote decision,
+  which stays real on every run. A miss executes the guest and, if the
+  run returns, stores the checks it reached and the counter increments
+  between them. A hit walks that log against the pod's own plan, so
+  every pod makes every draw and a fire raises where the real run
+  would have. The key is (digest, argv, env, stdin, fuel, entrypoint,
+  restore or cold, telemetry on/off, armed guest-runtime points, code
+  tier). Captures, profiled runs and runs with a caller-chosen fs,
+  preopens, clock or interpreter always execute.
 
 Each layer keeps hit/miss counters (:class:`CacheStats`, backed by the
 ``repro_engine_cache_requests_total`` registry family so they appear in
@@ -52,7 +63,8 @@ snapshot failed checksum verification is dropped and marked poisoned —
 reporting it probed, so the embed layer neither restores from it nor
 re-captures it until :func:`reset_caches`. The run cache is *bypassed*
 whenever the ambient plan arms any guest-runtime point: memoizing runs
-would let one pod's injected trap answer for every pod.
+would let one pod's injected trap answer for every pod. The replay
+layer serves those runs instead.
 """
 
 from __future__ import annotations
@@ -65,6 +77,7 @@ from repro.oci.digest import sha256_digest
 from repro.sim import faults
 from repro.wasm.ast import Module
 from repro.wasm.decoder import decode_module
+from repro.wasm.embed import ReplayLog
 from repro.wasm.runtime.compile import PreparedModule, prepare_module
 from repro.wasm.runtime.snapshot import InstanceSnapshot
 from repro.wasm.runtime.specialize import (
@@ -80,6 +93,7 @@ _PREPARED_CACHE: Dict[str, PreparedModule] = {}
 _SPECIALIZED_CACHE: Dict[str, SpecializedModule] = {}
 _ZYGOTE_CACHE: Dict[str, Optional[InstanceSnapshot]] = {}
 _RUN_CACHE: Dict[Tuple, EngineRunResult] = {}
+_REPLAY_CACHE: Dict[Tuple, ReplayLog] = {}
 
 #: digests whose snapshot was found corrupt; never served or re-captured
 #: until :func:`reset_caches`.
@@ -151,6 +165,7 @@ prepare_stats = CacheStats("prepare")
 specialize_stats = CacheStats("specialize")
 zygote_stats = CacheStats("zygote")
 run_stats = CacheStats("run")
+replay_stats = CacheStats("replay")
 
 
 def _corrupt_hit(layer: str, digest: str) -> bool:
@@ -346,6 +361,21 @@ def specialize_cached(module, digest: str) -> Optional[SpecializedModule]:
     return sm
 
 
+def replay_get(key: Tuple) -> Optional[ReplayLog]:
+    """The recorded run for ``key`` (see ``embed.run_wasi``), or ``None``."""
+    log = _REPLAY_CACHE.get(key)
+    if log is None:
+        replay_stats.miss()
+    else:
+        replay_stats.hit()
+    return log
+
+
+def replay_put(key: Tuple, log: ReplayLog) -> None:
+    """Store the log of a run that returned."""
+    _REPLAY_CACHE[key] = log
+
+
 def run_cached(
     engine: WasmEngine,
     blob: bytes,
@@ -358,8 +388,9 @@ def run_cached(
     ctx = faults.ambient()
     if ctx is not None and ctx[0].arms_any(faults.GUEST_RUNTIME_POINTS):
         # A memoized result would let one pod's run (and its injected
-        # trap, or its survival) answer for every pod. Bypass entirely:
-        # each pod executes the guest and draws its own faults.
+        # trap, or its survival) answer for every pod. Bypass: each pod
+        # draws its own faults, and the replay layer in run_wasi
+        # executes the guest once per distinct input.
         _CACHE_REQUESTS.labels("run", "bypass").inc()
         return compiled, engine.run(compiled, args=args, env=env, stdin=stdin)
     key = (
@@ -390,6 +421,7 @@ def cache_stats() -> Dict[str, Dict[str, int]]:
             ("specialize", specialize_stats, _SPECIALIZED_CACHE),
             ("zygote", zygote_stats, _ZYGOTE_CACHE),
             ("run", run_stats, _RUN_CACHE),
+            ("replay", replay_stats, _REPLAY_CACHE),
         )
     }
     stats["zygote"]["quarantined"] = len(_ZYGOTE_QUARANTINE)
@@ -412,6 +444,7 @@ def clear_cache_state() -> None:
     _SPECIALIZED_CACHE.clear()
     _ZYGOTE_CACHE.clear()
     _RUN_CACHE.clear()
+    _REPLAY_CACHE.clear()
     _ZYGOTE_QUARANTINE.clear()
     _ZYGOTE_VERIFIED.clear()
     _REBUILDS.clear()
@@ -432,6 +465,7 @@ def reset_caches() -> None:
     specialize_stats.reset()
     zygote_stats.reset()
     run_stats.reset()
+    replay_stats.reset()
     _ZYGOTE_FALLBACKS.reset()
 
 

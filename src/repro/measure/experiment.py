@@ -83,7 +83,8 @@ class DeploymentMeasurement:
 
 
 def open_run(label: str, count: int, **cluster_args) -> Cluster:
-    """Every runner's set-up: check ``count``, open telemetry, build.
+    """Every runner's set-up: check ``count`` and the seed, open
+    telemetry, build.
 
     With telemetry on, the run gets its own trace context named ``label``
     and cold engine caches: runs of one config share a run-cache key, so
@@ -95,6 +96,9 @@ def open_run(label: str, count: int, **cluster_args) -> Cluster:
     """
     if count < 1:
         raise ReproError(f"{label}: pod count must be at least 1, got {count}")
+    seed = cluster_args.get("seed", 0)
+    if seed < 0:
+        raise ReproError(f"{label}: seed must be non-negative, got {seed}")
     if obs.enabled():
         engine_cache.clear_cache_state()
         obs.new_context(label)

@@ -74,8 +74,10 @@ class FaultPoint(enum.Enum):
 
 
 #: points checked from inside guest execution (``run_wasi`` and below).
-#: When any of these is armed, the run cache must be bypassed so every
-#: pod's guest actually executes and gets its own per-(point, key) draws.
+#: When any of these is armed, the run cache is bypassed so every pod
+#: makes its own per-(point, key) draws. The engine caches' replay layer
+#: then executes each distinct guest once and, for later pods, walks the
+#: recorded checks against their own draws.
 GUEST_RUNTIME_POINTS = frozenset(
     {
         FaultPoint.GUEST_TRAP,
@@ -217,12 +219,17 @@ class FaultPlan:
         ).inc()
         return fault
 
+    def armed(self, points: Iterable[FaultPoint]) -> frozenset:
+        """The subset of ``points`` armed with a nonzero probability."""
+        return frozenset(
+            p
+            for p in points
+            if (spec := self._specs.get(p)) is not None and spec.probability > 0.0
+        )
+
     def arms_any(self, points: Iterable[FaultPoint]) -> bool:
         """Is any of ``points`` armed with a nonzero probability?"""
-        return any(
-            (spec := self._specs.get(p)) is not None and spec.probability > 0.0
-            for p in points
-        )
+        return bool(self.armed(points))
 
     def raise_if_fires(self, point: FaultPoint, key: str) -> None:
         """Check and raise :class:`FaultInjected` when the point fires."""

@@ -14,12 +14,17 @@ from typing import Dict
 
 import numpy as np
 
+from repro.errors import SimulationError
+
 
 class RngStreams:
     """Factory of independent, seeded :class:`numpy.random.Generator`\\ s."""
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
+        if self._seed < 0:
+            # SeedSequence would raise a bare ValueError on first use.
+            raise SimulationError(f"seed must be non-negative, got {seed}")
         self._streams: Dict[str, np.random.Generator] = {}
 
     @property

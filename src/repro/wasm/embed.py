@@ -15,6 +15,12 @@ the **zygote warm-start** path instantiates once per digest, captures an
 subsequent instance from it (``zygote`` layer) — observably identical to
 a cold instantiation, including instruction and fuel metering. Disable
 with ``REPRO_ZYGOTE=off``.
+
+Under a fault scope arming a guest-runtime point, the **replay** layer
+serves every run of one input after the first that returned: the run
+records the checks it reached and the counter increments between them
+(:class:`ReplayLog`), and later pods walk that log against their own
+fault draws instead of executing the guest again.
 """
 
 from __future__ import annotations
@@ -38,8 +44,10 @@ from repro.wasm.runtime.snapshot import (
     verify_snapshot,
     zygote_enabled,
 )
+from repro.wasm.runtime.specialize import DEOPT_COUNTERS
 from repro.wasm.validation import validate_module
 from repro.wasm.wasi import InMemoryFilesystem, WasiEnv
+from repro.wasm.wasi.preview1 import calls_counter
 
 #: buckets for the restore-latency histogram: real restores are tens of
 #: microseconds; the default (request-scale) buckets would collapse them
@@ -55,8 +63,10 @@ class WasiRunResult:
     stderr: bytes
     instructions: int
     memory_bytes: int  # linear memory resident at exit
-    instance: ModuleInstance
-    store: Store
+    #: the run's instance and store; ``None`` when the replay layer
+    #: served the run, since nothing was instantiated
+    instance: Optional[ModuleInstance]
+    store: Optional[Store]
     #: True when the instance was cloned from a zygote snapshot
     restored: bool = False
     #: digest keying the zygote layer (None = zygote not considered)
@@ -64,6 +74,123 @@ class WasiRunResult:
     #: bytes of linear memory diverging from the snapshot at exit (page
     #: granularity); equals ``memory_bytes`` when no snapshot exists
     dirty_memory_bytes: int = 0
+
+
+#: ``(counter, amount)`` registry increments, in the order they happened
+Increments = Tuple[Tuple[object, float], ...]
+
+
+@dataclass(frozen=True)
+class ReplayLog:
+    """A run that returned, as the replay layer serves it to later pods.
+
+    ``steps`` lists each guest-runtime check the run reached, in order,
+    as ``(point, call, increments)``. ``increments`` are the registry
+    increments the guest made since the previous check. ``call`` is the
+    ``repro_wasi_calls_total`` series a WASI call counts before its
+    check (``None`` for the pre-entrypoint checks, and with telemetry
+    off). ``tail`` holds the increments after the last check; the other
+    fields are the run's results.
+    """
+
+    steps: Tuple[Tuple[faults.FaultPoint, object, Increments], ...]
+    tail: Increments
+    exit_code: int
+    stdout: bytes
+    stderr: bytes
+    instructions: int
+    memory_bytes: int
+    dirty_memory_bytes: int
+    fuel_used: Optional[int]
+
+
+class _Recorder:
+    """Logs a real run's checks and the increments between them."""
+
+    def __init__(self, counters: Sequence) -> None:
+        self._counters = tuple(counters)
+        self._seen = [c.value for c in self._counters]
+        self.steps: List[Tuple[faults.FaultPoint, object, Increments]] = []
+
+    def increments(self) -> Increments:
+        """The counters that moved since the last call, with the amount."""
+        moved = []
+        for i, counter in enumerate(self._counters):
+            value = counter.value
+            if value != self._seen[i]:
+                moved.append((counter, value - self._seen[i]))
+                self._seen[i] = value
+        return tuple(moved)
+
+    def mark(self, point: faults.FaultPoint, call: object = None) -> None:
+        """Log that the run is about to make the check at ``point``."""
+        self.steps.append((point, call, self.increments()))
+
+    def watch_wasi(self, store: Store, host) -> None:
+        """Mark each WASI call before its counting and fault wrappers run."""
+        calls = calls_counter()
+        for name, (_, addr) in host.externs().items():
+            func = store.funcs[addr]
+            call = calls.labels(name) if calls is not None else None
+            func.host_fn = self._marked(func.host_fn, call)
+
+    def _marked(self, fn: Callable, call: object) -> Callable:
+        def marked(*args):
+            self.mark(faults.FaultPoint.WASI_SYSCALL, call)
+            return fn(*args)
+
+        return marked
+
+
+def _replay(log: ReplayLog, plan: faults.FaultPlan, pod_key: str) -> None:
+    """Repeat ``log``'s increments and checks in the order the run made them.
+
+    Every check draws from this pod's streams, so a fire raises the
+    :class:`~repro.errors.FaultInjected` the real run would have raised,
+    at the same point and with the counters the real run would have left.
+    """
+    for point, call, increments in log.steps:
+        for counter, amount in increments:
+            counter.inc(amount)
+        if call is not None:
+            call.inc()
+        plan.raise_if_fires(point, pod_key)
+    for counter, amount in log.tail:
+        counter.inc(amount)
+
+
+def _code_tier(module: Module, fuel: Optional[int]) -> str:
+    """The specialization-tier code a run of ``module`` dispatches to."""
+    pf = module.funcs[0].prepared if module.funcs else None
+    if getattr(pf, "fallback", None) is None:
+        return "off"
+    closure = pf.compiled if fuel is None else pf.metered
+    return "compiled" if closure is not None else "bytecode"
+
+
+def _count_run(
+    instructions: int, fuel_used: Optional[int], mode: str, tier: str
+) -> None:
+    """The end-of-run counters, for a real run and a replay alike."""
+    obs.counter(
+        "repro_wasm_instructions_total",
+        "guest instructions retired across all interpreter runs",
+    ).inc(instructions)
+    if fuel_used is not None:
+        obs.counter(
+            "repro_wasm_fuel_consumed_total",
+            "fuel consumed by fuel-limited guest runs",
+        ).inc(fuel_used)
+    obs.counter(
+        "repro_zygote_runs_total",
+        "guest runs by zygote warm-start path",
+        ("mode",),
+    ).labels(mode).inc()
+    obs.counter(
+        "repro_specialize_runs_total",
+        "guest runs by the specialization-tier code they dispatch to",
+        ("mode",),
+    ).labels(tier).inc()
 
 
 class _HostCallCounter:
@@ -208,13 +335,13 @@ def run_wasi(
         # every module the engines run.
         validate_module(module)
 
+    ctx = faults.ambient()
     use_zygote = zygote_enabled() if zygote is None else bool(zygote)
     snapshot: Optional[InstanceSnapshot] = None
     capture = False
     if use_zygote and digest is not None:
         snapshot = engine_cache.zygote_get(digest)
         if snapshot is not None:
-            ctx = faults.ambient()
             # Injected corruption (chaos plan) or organic checksum
             # mismatch both quarantine the digest: the snapshot is
             # dropped, never re-captured, and this run — like every
@@ -237,8 +364,64 @@ def run_wasi(
             if corrupt:
                 engine_cache.zygote_quarantine(digest)
                 snapshot = None
+            else:
+                engine_cache.zygote_stats.hit()
         # Quarantined digests stay zygote_known, so capture stays False.
         capture = snapshot is None and not engine_cache.zygote_known(digest)
+    restored = snapshot is not None
+
+    # Replay: under a fault scope arming a guest-runtime point, a run's
+    # only per-pod input is its fault draws. Runs whose host world the
+    # caller chose (fs, preopens, clock, interpreter, profiler) and
+    # zygote captures always execute.
+    prof = profile.active_profiler()
+    replay_key = None
+    if (
+        ctx is not None
+        and digest is not None
+        and not capture
+        and prof is None
+        and fs is None
+        and preopens is None
+        and clock_ns is None
+        and interpreter_cls is Interpreter
+    ):
+        armed = ctx[0].armed(faults.GUEST_RUNTIME_POINTS)
+        if armed:
+            # The armed set is part of the key: the wasi.syscall wrapper
+            # exists only while that point is armed. The code tier is
+            # too: the deopt increments depend on it.
+            tier = _code_tier(module, fuel)
+            replay_key = (
+                digest,
+                tuple(args),
+                tuple(sorted((env or {}).items())),
+                stdin,
+                fuel,
+                entrypoint,
+                restored,
+                obs.enabled(),
+                armed,
+                tier,
+            )
+            log = engine_cache.replay_get(replay_key)
+            if log is not None:
+                _replay(log, *ctx)
+                if obs.enabled():
+                    mode = "restore" if restored else "cold"
+                    _count_run(log.instructions, log.fuel_used, mode, tier)
+                return WasiRunResult(
+                    exit_code=log.exit_code,
+                    stdout=log.stdout,
+                    stderr=log.stderr,
+                    instructions=log.instructions,
+                    memory_bytes=log.memory_bytes,
+                    instance=None,
+                    store=None,
+                    restored=restored,
+                    zygote_digest=digest if use_zygote else None,
+                    dirty_memory_bytes=log.dirty_memory_bytes,
+                )
 
     store = Store()
     wasi = WasiEnv(
@@ -250,18 +433,19 @@ def run_wasi(
         clock_ns=clock_ns,
     )
     host = wasi.register(store, module)
+    recorder = None
+    if replay_key is not None:
+        recorder = _Recorder(wasi.byte_counters + DEOPT_COUNTERS)
+        recorder.watch_wasi(store, host)
     interp = interpreter_cls(store, fuel=fuel)
-    prof = profile.active_profiler()
     if prof is not None:
         interp.profiler = prof
 
-    restored = snapshot is not None
     restore_elapsed = 0.0
     if restored:
         t_restore = time.perf_counter()
         instance = restore_instance(store, snapshot, imports=host.import_map())
         restore_elapsed = time.perf_counter() - t_restore
-        engine_cache.zygote_stats.hit()
     else:
         instance = instantiate(
             store, module, imports=host.import_map(), run_start=False
@@ -284,7 +468,6 @@ def run_wasi(
         elif module.start is not None:
             interp.invoke(instance.func_addrs[module.start])
 
-        ctx = faults.ambient()
         if ctx is not None:
             # Mid-run guest failures: a trap (unreachable, OOB) or
             # fuel/OOM exhaustion between start and entrypoint. Raised
@@ -292,8 +475,13 @@ def run_wasi(
             # the engine's WasmTrap→EngineError conversion untouched
             # and reach the kubelet as pod-visible transient crashes.
             plan, pod_key = ctx
-            plan.raise_if_fires(faults.FaultPoint.GUEST_TRAP, pod_key)
-            plan.raise_if_fires(faults.FaultPoint.GUEST_EXHAUST, pod_key)
+            for point in (
+                faults.FaultPoint.GUEST_TRAP,
+                faults.FaultPoint.GUEST_EXHAUST,
+            ):
+                if recorder is not None:
+                    recorder.mark(point)
+                plan.raise_if_fires(point, pod_key)
 
         entry = instance.exports.get(entrypoint)
         if entry is not None:
@@ -308,6 +496,10 @@ def run_wasi(
         exit_code = stop.code
 
     instructions = interp.instructions_executed + credited
+    remaining = getattr(interp, "fuel", None)
+    fuel_used = (
+        fuel - max(remaining, 0) if fuel is not None and remaining is not None else None
+    )
     memory_bytes = store.total_memory_bytes()
     if snapshot is not None:
         dirty = dirty_memory_bytes(snapshot, store, instance)
@@ -315,33 +507,8 @@ def run_wasi(
         dirty = memory_bytes
 
     if obs.enabled():
-        obs.counter(
-            "repro_wasm_instructions_total",
-            "guest instructions retired across all interpreter runs",
-        ).inc(instructions)
-        remaining = getattr(interp, "fuel", None)
-        if fuel is not None and remaining is not None:
-            obs.counter(
-                "repro_wasm_fuel_consumed_total",
-                "fuel consumed by fuel-limited guest runs",
-            ).inc(fuel - max(remaining, 0))
         mode = "restore" if restored else ("capture" if capture else "cold")
-        obs.counter(
-            "repro_zygote_runs_total",
-            "guest runs by zygote warm-start path",
-            ("mode",),
-        ).labels(mode).inc()
-        pf = module.funcs[0].prepared if module.funcs else None
-        if getattr(pf, "fallback", None) is not None:
-            closure = pf.compiled if fuel is None else pf.metered
-            spec_mode = "compiled" if closure is not None else "bytecode"
-        else:
-            spec_mode = "off"
-        obs.counter(
-            "repro_specialize_runs_total",
-            "guest runs by the specialization-tier code they dispatch to",
-            ("mode",),
-        ).labels(spec_mode).inc()
+        _count_run(instructions, fuel_used, mode, _code_tier(module, fuel))
         if restored:
             obs.histogram(
                 "repro_zygote_restore_seconds",
@@ -349,10 +516,27 @@ def run_wasi(
                 buckets=_RESTORE_BUCKETS,
             ).observe(restore_elapsed)
 
+    stdout = bytes(wasi.stdout)
+    stderr = bytes(wasi.stderr)
+    if recorder is not None:
+        engine_cache.replay_put(
+            replay_key,
+            ReplayLog(
+                steps=tuple(recorder.steps),
+                tail=recorder.increments(),
+                exit_code=exit_code,
+                stdout=stdout,
+                stderr=stderr,
+                instructions=instructions,
+                memory_bytes=memory_bytes,
+                dirty_memory_bytes=dirty,
+                fuel_used=fuel_used,
+            ),
+        )
     return WasiRunResult(
         exit_code=exit_code,
-        stdout=bytes(wasi.stdout),
-        stderr=bytes(wasi.stderr),
+        stdout=stdout,
+        stderr=stderr,
         instructions=instructions,
         memory_bytes=memory_bytes,
         instance=instance,

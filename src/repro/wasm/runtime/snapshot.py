@@ -265,12 +265,12 @@ def dirty_memory_bytes(
         snapshot.memories, instance.mem_addrs[n_mem:]
     ):
         data = store.mems[addr].data
-        snap_view = memoryview(snap_data)
-        live_view = memoryview(data)
         common = min(len(snap_data), len(data))
+        # Slices of bytes-like objects compare with memcmp; memoryview
+        # slices compare element by element, about 20x slower.
         for off in range(0, common, page):
             end = min(off + page, common)
-            if live_view[off:end] != snap_view[off:end]:
+            if data[off:end] != snap_data[off:end]:
                 dirty += end - off
         if len(data) > len(snap_data):
             dirty += len(data) - len(snap_data)

@@ -102,6 +102,8 @@ _PASS_SECONDS = obs.histogram(
 #: labels() lookup.
 METERED_DEOPT = _DEOPTS_TOTAL.labels("metered")
 _IC_MISS = _DEOPTS_TOTAL.labels("ic_miss")
+#: every deopt series a guest run can increment
+DEOPT_COUNTERS = (METERED_DEOPT, _IC_MISS)
 
 
 def specialize_mode() -> str:

@@ -62,6 +62,17 @@ SIGNATURES: Dict[str, FuncType] = {
 }
 
 
+def calls_counter():
+    """``repro_wasi_calls_total{func}``, or ``None`` with telemetry off."""
+    if not obs.enabled():
+        return None
+    return obs.counter(
+        "repro_wasi_calls_total",
+        "WASI preview1 host calls, by import name",
+        ("func",),
+    )
+
+
 @dataclass
 class _FdEntry:
     """One open descriptor."""
@@ -129,6 +140,11 @@ class WasiEnv:
 
     # -- wiring ------------------------------------------------------------
 
+    @property
+    def byte_counters(self) -> Tuple:
+        """The ``repro_wasi_bytes_total`` series this env's calls increment."""
+        return (self._m_write_bytes, self._m_read_bytes)
+
     def attach_memory(self, memory: MemoryInstance) -> None:
         self.memory = memory
 
@@ -162,13 +178,7 @@ class WasiEnv:
 
                 return checked
 
-        calls = None
-        if obs.enabled():
-            calls = obs.counter(
-                "repro_wasi_calls_total",
-                "WASI preview1 host calls, by import name",
-                ("func",),
-            )
+        calls = calls_counter()
         names = dict.fromkeys(
             imp.name
             for imp in module.imports

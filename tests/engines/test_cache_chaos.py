@@ -4,8 +4,9 @@ Armed with ``cache.corrupt``, a warm decode/compile/prepare hit can come
 back poisoned; the layer must drop the entry and rebuild it — at most
 once per entry (``MAX_REBUILDS_PER_ENTRY``), so a hostile plan cannot
 turn the cache into a permanent miss machine. And with any guest-runtime
-point armed, the run cache must get out of the way entirely: memoizing
-one pod's execution would let its fault draw answer for every pod.
+point armed, the run cache must get out of the way: memoizing one pod's
+execution would let its fault draw answer for every pod. The replay
+layer serves those runs instead (``test_replay.py``).
 """
 
 import pytest

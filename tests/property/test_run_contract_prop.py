@@ -2,8 +2,8 @@
 
 Whatever the pod count, fleet shape or fault rate, a runner returns a
 measurement whose invariants hold, or raises a :class:`ReproError`. It
-never ends in a bare traceback. Counts below one are rejected before
-anything runs; counts beyond the fleet's capacity raise a
+never ends in a bare traceback. Counts below one and negative seeds are
+rejected before anything runs; counts beyond the fleet's capacity raise a
 :class:`SchedulingError` whose ``.reasons`` account for every unplaced pod.
 """
 
@@ -63,7 +63,7 @@ def _unplaced(runner, count, nodes, max_pods):
     nodes=st.integers(min_value=0, max_value=3),
     max_pods=st.integers(min_value=0, max_value=6),
     rate=st.floats(min_value=0.0, max_value=0.5),
-    seed=st.integers(min_value=0, max_value=2**16),
+    seed=st.integers(min_value=-(2**16), max_value=2**16),
 )
 def test_runner_ends_in_measurement_or_typed_error(
     runner, count, nodes, max_pods, rate, seed
@@ -72,13 +72,14 @@ def test_runner_ends_in_measurement_or_typed_error(
         m = _run(runner, count, nodes, max_pods, rate, seed)
     except SchedulingError as err:
         unplaced = _unplaced(runner, count, nodes, max_pods)
-        assert count >= 1 and unplaced > 0, err
+        assert count >= 1 and seed >= 0 and unplaced > 0, err
         assert sum(err.reasons.values()) == unplaced
         return
     except ReproError as err:
-        assert count < 1, err
+        assert count < 1 or seed < 0, err
         return
-    assert count >= 1 and _unplaced(runner, count, nodes, max_pods) == 0
+    assert count >= 1 and seed >= 0
+    assert _unplaced(runner, count, nodes, max_pods) == 0
 
     if runner == "deploy":
         assert m.ready_fraction == 1.0

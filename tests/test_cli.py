@@ -139,6 +139,7 @@ class TestFailureContract:
             (["deploy", "-n", "0"], "pod count must be at least 1"),
             (["recover", "-n", "501"], "were not scheduled (capacity: 1)"),
             (["fleet", "--fleets", "2", "4", "-n", "8"], "must include 1"),
+            (["chaos", "-n", "2", "--seed", "-3"], "seed must be non-negative, got -3"),
         ],
     )
     def test_bad_input_reports_error(self, argv, err, capsys):
