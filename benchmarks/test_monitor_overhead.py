@@ -1,119 +1,96 @@
-"""Monitoring overhead contract: near-zero when off, bounded when sampling.
+"""Monitoring overhead contract: bounded when sampling.
 
-Writes ``benchmarks/output/BENCH_monitor.json`` (CI artifact):
+Writes ``benchmarks/output/BENCH_monitor.json`` (CI artifact) from the
+400-pod crun-wamr startup experiment, run in pairs:
 
-* the 400-pod crun-wamr startup experiment with sampling **off** (the
-  default): with no monitor attached every kubelet/scheduler tick site
-  is a single ``sampler is None`` check, so the disabled-path cost
-  projects to (ticks an enabled run performs) × (measured null-tick
-  cost). Contract: that projection stays ≤ 3% of the off wall time.
-* the same experiment with telemetry on but sampling off (the
-  ``--metrics-out``/``--trace-out`` price, measured by the obs bench);
-* the same experiment with **sampling on** — monitor gauges scraped,
-  TSDB appends, rule evaluation per sample tick. Contract: sampling
-  adds ≤ 10% on top of the telemetry-on wall time.
+* with telemetry on but sampling off (the ``--metrics-out``/``--trace-out``
+  price, measured by the obs bench);
+* with **sampling on** — monitor gauges scraped, TSDB appends, rule
+  evaluation at every period boundary.
+
+Contract: the median over the pairs of sampled/telemetry wall time adds
+≤ 10%. One 0.1 s run is too short to time alone on a busy host, so the
+pairs are interleaved, their order alternates, and the median of the
+per-pair ratios absorbs the host's drift. With sampling off no sampler
+exists; the kernel's check for daemon entries is all that is left, and
+the ``bench/`` deployment workloads time it.
 """
 
 import gc
 import json
+import statistics
 import time
-import types
 
 from conftest import OUTPUT_DIR, SEED, emit
 
 from repro import obs
 from repro.engines.cache import reset_caches
-from repro.k8s.kubelet import Kubelet
 from repro.measure.experiment import ExperimentRunner
 from repro.obs import timeseries
 
-#: contract: with sampling off, tick sites may cost the default path at
-#: most this much of the 400-pod experiment
-OFF_OVERHEAD_CEILING_PCT = 3.0
 #: contract: turning sampling on may add at most this much on top of
 #: plain telemetry (metrics + spans, no sampler)
 SAMPLING_OVERHEAD_CEILING_PCT = 10.0
+#: telemetry/sampled pairs timed; the ceiling applies to their median
+PAIRS = 15
 
 
-def _timed_400pod() -> float:
-    reset_caches()
-    gc.collect()
-    t0 = time.perf_counter()
-    m = ExperimentRunner(seed=SEED).run("crun-wamr", 400)
-    seconds = time.perf_counter() - t0
+def _timed_400pod(sampling: bool) -> float:
+    obs.reset()
+    timeseries.set_sampling(sampling, timeseries.DEFAULT_PERIOD)
+    try:
+        reset_caches()
+        gc.collect()
+        t0 = time.perf_counter()
+        m = ExperimentRunner(seed=SEED).run("crun-wamr", 400)
+        seconds = time.perf_counter() - t0
+    finally:
+        timeseries.set_sampling(False)
     assert m.count == 400 and m.ready_fraction == 1.0
     return seconds
 
 
-def _null_tick_cost(calls: int = 200_000) -> float:
-    """Mean seconds per disabled tick site (the real kubelet guard run
-    against a monitor-less stand-in: one method call + None check)."""
-    guard = Kubelet._tick_sampler
-    stub = types.SimpleNamespace(sampler=None)
-    t0 = time.perf_counter()
-    for _ in range(calls):
-        guard(stub)
-    return (time.perf_counter() - t0) / calls
-
-
 def test_bench_monitor_overhead():
     was_enabled = obs.enabled()
-    obs.set_enabled(False)
-    cycles = 3
-    off_times, telemetry_times, sampled_times = [], [], []
+    obs.set_enabled(True)
+    telemetry_times, sampled_times = [], []
     try:
-        _timed_400pod()  # warm engine/measurement-independent state
-        ticks_before = timeseries.tick_invocations()
-        # Interleave the three phases: process drift (allocator growth,
-        # host jitter) hits each phase equally instead of stacking on
-        # whichever phase runs last.
-        for _ in range(cycles):
-            obs.set_enabled(False)
-            off_times.append(_timed_400pod())
-
-            obs.set_enabled(True)
-            obs.reset()
-            telemetry_times.append(_timed_400pod())
-
-            obs.reset()
-            timeseries.set_sampling(True, timeseries.DEFAULT_PERIOD)
-            try:
-                sampled_times.append(_timed_400pod())
-            finally:
-                timeseries.set_sampling(False)
-        off_s = min(off_times)
-        telemetry_s = min(telemetry_times)
-        sampled_s = min(sampled_times)
-        ticks = (timeseries.tick_invocations() - ticks_before) // cycles
-        # obs.reset() at the top of each cycle clears the TSDB, so the
-        # entries left are exactly the last cycle's single sampled run.
-        entries = timeseries.default_db().tagged_entries()
-        samples = sum(1 for _, e in entries if e[0] == "sample")
-        alerts = sum(1 for _, e in entries if e[0] == "alert")
+        _timed_400pod(True)  # warm engine/measurement-independent state
+        for pair in range(PAIRS):
+            for sampling in (pair % 2 == 1, pair % 2 == 0):
+                if sampling:
+                    sampled_times.append(_timed_400pod(True))
+                    entries = timeseries.default_db().tagged_entries()
+                else:
+                    telemetry_times.append(_timed_400pod(False))
     finally:
         obs.reset()
         obs.set_enabled(was_enabled)
         reset_caches()
 
-    per_tick = _null_tick_cost()
-    projected_off_s = ticks * per_tick
-    projected_off_pct = 100.0 * projected_off_s / off_s
-    sampling_pct = 100.0 * (sampled_s - telemetry_s) / telemetry_s
+    ratios = [s / t for s, t in zip(sampled_times, telemetry_times)]
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    sampling_pct = 100.0 * (statistics.median(ratios) - 1.0)
+    telemetry_s = statistics.median(telemetry_times)
+    sampled_s = statistics.median(sampled_times)
+    # ``entries`` is the last sampled run's TSDB (each run resets it).
+    scrapes = len({e[3] for _, e in entries if e[0] == "sample"})
+    samples = sum(1 for _, e in entries if e[0] == "sample")
+    alerts = sum(1 for _, e in entries if e[0] == "alert")
 
     report = {
         "experiment": "crun-wamr x400",
-        "sampling_off_seconds": round(off_s, 4),
+        "pairs": PAIRS,
         "telemetry_only_seconds": round(telemetry_s, 4),
         "sampling_on_seconds": round(sampled_s, 4),
         "sampling_overhead_pct": round(sampling_pct, 2),
+        "sampling_overhead_iqr_pct": [
+            round(100.0 * (q1 - 1.0), 2), round(100.0 * (q3 - 1.0), 2)
+        ],
         "sampling_overhead_ceiling_pct": SAMPLING_OVERHEAD_CEILING_PCT,
-        "tick_sites_per_run": ticks,
+        "scrapes_per_run": scrapes,
         "samples_recorded": samples,
         "alert_transitions_recorded": alerts,
-        "null_tick_seconds": per_tick,
-        "projected_off_overhead_seconds": round(projected_off_s, 6),
-        "projected_off_overhead_pct": round(projected_off_pct, 3),
-        "off_overhead_ceiling_pct": OFF_OVERHEAD_CEILING_PCT,
     }
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / "BENCH_monitor.json").write_text(json.dumps(report, indent=2) + "\n")
@@ -122,25 +99,19 @@ def test_bench_monitor_overhead():
         "monitor_overhead",
         "\n".join(
             [
-                f"[monitor] 400-pod startup: {off_s:.3f} s off, "
+                f"[monitor] 400-pod startup, median of {PAIRS} pairs: "
                 f"{telemetry_s:.3f} s telemetry, {sampled_s:.3f} s sampled "
-                f"({sampling_pct:+.1f}% for the sampler)",
-                f"[monitor] sampled run: {ticks} tick sites, {samples} samples, "
+                f"({sampling_pct:+.1f}% for the sampler, paired IQR "
+                f"{100.0 * (q1 - 1.0):+.1f}% to {100.0 * (q3 - 1.0):+.1f}%)",
+                f"[monitor] sampled run: {scrapes} scrapes, {samples} samples, "
                 f"{alerts} alert transitions",
-                f"[monitor] disabled-path projection: {ticks} null ticks x "
-                f"{per_tick * 1e9:.0f} ns = {projected_off_s * 1000:.3f} ms "
-                f"({projected_off_pct:.3f}% of off wall time)",
             ]
         ),
     )
 
     assert samples > 400, "sampled run recorded almost nothing"
     assert alerts >= 2, "no alert lifecycle during the deploy (canary gone?)"
-    assert projected_off_pct <= OFF_OVERHEAD_CEILING_PCT, (
-        f"disabled tick sites project to {projected_off_pct:.3f}% of the "
-        f"400-pod experiment (ceiling {OFF_OVERHEAD_CEILING_PCT}%)"
-    )
     assert sampling_pct <= SAMPLING_OVERHEAD_CEILING_PCT, (
-        f"sampling adds {sampling_pct:.1f}% over plain telemetry "
-        f"(ceiling {SAMPLING_OVERHEAD_CEILING_PCT}%)"
+        f"sampling adds {sampling_pct:.1f}% over plain telemetry, median of "
+        f"{PAIRS} paired ratios (ceiling {SAMPLING_OVERHEAD_CEILING_PCT}%)"
     )

@@ -396,9 +396,6 @@ def build_cluster(
     monitor = None
     if timeseries.sampling_enabled():
         monitor = _build_monitor(kernel, api, nodes)
-        scheduler.sampler = monitor
-        for worker in nodes.values():
-            worker.kubelet.sampler = monitor
 
     return Cluster(
         kernel=kernel,
@@ -416,10 +413,11 @@ def _build_monitor(
     """Assemble the sampling pipeline: collectors → sampler → rule engine.
 
     Collector gauges carry the ``repro_monitor_`` prefix — the only
-    gauges the sampler records (they are refreshed on every tick, so a
-    sample never reads stale cross-cell state). Kubelet/scheduler events
-    drive the tick; the rule engine evaluates the shipped SLO set after
-    each scrape.
+    gauges the sampler records (they are refreshed on every scrape, so a
+    sample never reads stale cross-cell state). The sampler schedules its
+    own scrapes on ``kernel`` at every period boundary from cluster
+    birth; the rule engine evaluates the shipped SLO set after each
+    scrape.
     """
     from repro import obs
     from repro.obs import rules, timeseries
@@ -427,7 +425,7 @@ def _build_monitor(
     sampler = timeseries.Sampler(
         obs.default_registry(),
         timeseries.default_db(),
-        clock=lambda: kernel.now,
+        kernel,
         period=timeseries.sampling_period(),
     )
     g_ready = obs.gauge(
@@ -453,7 +451,7 @@ def _build_monitor(
     )
 
     def collect() -> None:
-        # Hand-rolled phase tally: this runs every sample tick over
+        # Hand-rolled phase tally: this runs every scrape over
         # every pod, and enum-keyed dict counting pays a hash per pod
         # that identity tests don't.
         running = pending = other = ready = 0
@@ -489,7 +487,7 @@ def _build_monitor(
             # Subtree sum, not the per-pod metrics-server scrape: the
             # gauge only needs the node total, and the single-prefix
             # ledger pass is ~an order of magnitude cheaper than the
-            # batched per-pod breakdown at 400 pods per sample tick.
+            # batched per-pod breakdown at 400 pods per scrape.
             g_pod_ws.labels(worker.name).set(
                 worker.env.memory.cgroup_working_set("/kubepods/")
             )

@@ -98,10 +98,6 @@ class Kubelet:
     #: refuse to admit new pods while the node is past the eviction
     #: threshold (load shedding) instead of evicting running ones
     admission_shedding: bool = False
-    #: time-series sampler ticked from sync/backoff/probe events (the
-    #: kubelet is the cluster's busiest event source, so its activity
-    #: drives the scrape clock); None = sampling off, zero cost
-    sampler: Optional[object] = None
     _backoffs: Dict[str, BackoffTracker] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -144,10 +140,6 @@ class Kubelet:
             "admission-to-ready pod sync latency (simulated seconds)",
             buckets=_SYNC_BUCKETS,
         )
-
-    def _tick_sampler(self) -> None:
-        if self.sampler is not None:
-            self.sampler.tick()
 
     # -- pod sync (self-healing activity) -----------------------------------
 
@@ -204,7 +196,6 @@ class Kubelet:
                     **extra,
                 )
                 self._m_sync_seconds.observe(self.env.kernel.now - t_admit)
-                self._tick_sampler()
                 return pod
             except (ContainerError, EngineError, OutOfMemory) as exc:
                 self._cleanup_attempt(pod)
@@ -217,7 +208,6 @@ class Kubelet:
                         message=str(exc),
                         reason=self._terminal_reason(exc),
                     )
-                    self._tick_sampler()
                     return pod
                 yield from self._backoff(pod, handler, reason, exc)
 
@@ -232,7 +222,6 @@ class Kubelet:
         self.env.tracer.record(
             "startup.pipeline", pod.uid, t0, self.env.kernel.now, config=handler
         )
-        self._tick_sampler()
 
         if self.admission_shedding and self.under_memory_pressure():
             # Load shedding: refuse this admission rather than evicting
@@ -285,7 +274,6 @@ class Kubelet:
         readiness_fails = 0
         for _ in range(cfg.rounds):
             yield Timeout(cfg.interval_s)
-            self._tick_sampler()
             if pod.uid not in self.api.pods or pod.phase is not PodPhase.RUNNING:
                 return
             fault = (
@@ -418,7 +406,6 @@ class Kubelet:
             reason=reason,
             attempt=str(pod.restart_count),
         )
-        self._tick_sampler()
 
     # -- memory-pressure eviction -------------------------------------------
 
@@ -462,7 +449,6 @@ class Kubelet:
         self.env.tracer.record(
             "recovery.eviction", pod.uid, now, now, reason=reason
         )
-        self._tick_sampler()
 
     def _relieve_memory_pressure(self, exclude_uid: Optional[str] = None) -> int:
         """Evict newest pods while the node is under pressure; returns count."""

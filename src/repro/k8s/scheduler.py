@@ -93,8 +93,6 @@ class Scheduler:
         api.watch_pods(self._on_pod_event)
         api.watch_capacity(self._on_capacity_event)
         self.scheduled_count = 0
-        #: time-series sampler ticked on each placement (None = off)
-        self.sampler = None
         self._signals: Dict[str, NodeSignals] = {}
         #: name-sorted node order, cached against api.nodes_version
         self._order: List[NodeInfo] = []
@@ -236,8 +234,6 @@ class Scheduler:
         self._m_placements.labels(best.name).inc()
         if self._obs_on:
             self._m_latency.observe(perf_counter() - t0)
-        if self.sampler is not None:
-            self.sampler.tick()
         return best
 
     def sweep(self) -> int:

@@ -1,8 +1,12 @@
 """SLO recording rules and a pending→firing→resolved alert engine.
 
-Evaluated by the :class:`~repro.obs.timeseries.Sampler` on every sample
-tick, entirely on simulated time: the same seed produces the same alert
-transition sequence at any ``--jobs N``.
+Evaluated by the :class:`~repro.obs.timeseries.Sampler` after every
+scrape: at each k·period boundary of simulated time, quiet ones
+included, and at the forced sample when a run converges. Evaluation
+times therefore do not depend on how dense the simulation's events are,
+so a ``window`` or a ``for_s`` duration covers the same scrapes whatever
+the workload. Everything runs on simulated time: the same seed produces
+the same alert transition sequence at any ``--jobs N``.
 
 Expressions are a small PromQL-flavored algebra over the TSDB:
 

@@ -7,14 +7,16 @@ metrics-server scrape) into a :class:`TimeSeriesDB`: an append-only log
 of ``(kind, name, labels, ts, value)`` tuples with a columnar per-series
 index for queries.
 
-Scrapes are event-driven, not periodic.  The kubelet and scheduler call
-:meth:`Sampler.tick` from their own event handlers; the first tick that
-lands past a period boundary takes one sample, stamped at that event's
-simulated time, and experiment/chaos ends force one with
-:meth:`Sampler.sample_now`.  A quiet interval with no kubelet or
-scheduler event gets no sample, so window queries (``rate``,
-``*_over_time``) and alert ``for`` durations depend on event density,
-not only on the period.
+Scrapes are periodic on the simulated clock.  The sampler schedules
+:meth:`Sampler.tick` as a kernel daemon entry (``Kernel.daemon_at``) at
+every k·period from cluster birth, so each scrape is stamped exactly
+k·period and a quiet interval is sampled at every boundary it spans.
+Daemon entries run only while regular events are pending: the last
+scheduled scrape is the last boundary at or before the final event, and
+experiment/chaos ends force one more with :meth:`Sampler.sample_now` so
+alerts see the converged state.  Window queries (``rate``,
+``*_over_time``) and alert ``for`` durations thus depend on the period,
+not on how dense the events are.
 
 Everything here runs on *simulated* time, so a campaign's series are
 deterministic: the same seed produces the same samples at the same
@@ -30,7 +32,7 @@ Determinism contract
   which worker process ran the cell.  Zero deltas are suppressed: which
   untouched children exist in a registry is process-warmth, not signal.
 * Gauges are sampled only under the ``repro_monitor_`` prefix — those
-  are refreshed by collector callbacks each tick, so they never leak
+  are refreshed by collector callbacks each scrape, so they never leak
   stale cross-cell state.
 * Wall-clock histogram families (:data:`WALLCLOCK_FAMILIES`) measure
   *host* time and are excluded from the scrape entirely.
@@ -42,9 +44,15 @@ Determinism contract
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
+from repro.errors import SimulationError
 from repro.obs.registry import SUM_UNITS_PER, MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.sim.kernel import Kernel
 
 #: Default scrape period, in simulated seconds. One sample per simulated
 #: second resolves second-scale phenomena (cold starts, recovery arcs)
@@ -67,7 +75,7 @@ WALLCLOCK_FAMILIES = frozenset(
     }
 )
 
-#: Gauge prefix the sampler trusts: collector-refreshed each tick.
+#: Gauge prefix the sampler trusts: collector-refreshed each scrape.
 MONITOR_GAUGE_PREFIX = "repro_monitor_"
 
 Labels = Tuple[Tuple[str, str], ...]
@@ -255,28 +263,31 @@ class TimeSeriesDB:
 
 
 class Sampler:
-    """Event-driven scraper: cheap to tick, samples on period boundaries.
+    """Periodic scraper on the kernel's clock.
 
-    Not a kernel activity — a self-rescheduling callback would keep
-    ``kernel.run_all`` from draining.  Instead the kubelet/scheduler call
-    :meth:`tick` from their own event handlers; the first tick past each
-    period boundary takes one sample stamped at the *event* time.
+    Building one schedules :meth:`tick` as a daemon entry at the first
+    k·period at or after ``kernel.now``; each tick scrapes, stamped at
+    that boundary, and schedules the next one.  Daemon entries never keep
+    the kernel running, so the scrapes stop with the simulation's last
+    event; :meth:`sample_now` takes one more at the current time.
     """
 
     def __init__(self, registry: MetricsRegistry, db: TimeSeriesDB,
-                 clock: Callable[[], float], period: float = DEFAULT_PERIOD) -> None:
+                 kernel: "Kernel", period: float = DEFAULT_PERIOD) -> None:
         self.registry = registry
         self.db = db
-        self.clock = clock
-        self.period = period
+        self.kernel = kernel
+        self.period = _checked_period(period)
         self.collectors: List[Callable[[], None]] = []
         self.rule_engine = None  # set by obs.rules.RuleEngine.attach
-        self._next_due = 0.0
         self._baseline = self._snapshot()
         # Per-histogram-child replay cache: (count, rows emitted last
         # tick). A child whose count is unchanged re-emits the exact
         # same rows, so quiet ticks skip the bucket/format recompute.
         self._hist_rows: Dict[Tuple[str, Labels], Tuple[int, List[Tuple[str, Labels, float]]]] = {}
+        # Boundary index: the next scrape is due at exactly _k * period.
+        self._k = math.ceil(kernel.now / self.period)
+        kernel.daemon_at(self._k * self.period, self.tick)
 
     # -- scrape ---------------------------------------------------------------
 
@@ -299,20 +310,15 @@ class Sampler:
         return base
 
     def tick(self) -> None:
-        global _TICKS
-        _TICKS += 1
-        now = self.clock()
-        if now < self._next_due:
-            return
-        self._sample(now)
-        self._next_due = (math.floor(now / self.period) + 1) * self.period
+        """Scrape at this boundary and schedule the next one."""
+        self._sample(self.kernel.now)
+        self._k += 1
+        self.kernel.daemon_at(self._k * self.period, self.tick)
 
     def sample_now(self) -> None:
         """Force a sample at the current sim time (experiment/chaos end:
         lets alerts observe the converged state and resolve)."""
-        now = self.clock()
-        self._sample(now)
-        self._next_due = (math.floor(now / self.period) + 1) * self.period
+        self._sample(self.kernel.now)
 
     def _sample(self, now: float) -> None:
         for collect in self.collectors:
@@ -381,6 +387,16 @@ class Sampler:
             self.rule_engine.evaluate(now)
 
 
+def _checked_period(period: float) -> float:
+    """``period``, if it is a positive finite number of seconds."""
+    if not 0.0 < period < math.inf:  # also false for NaN
+        raise SimulationError(
+            f"sampling period must be a positive finite number of seconds, "
+            f"got {period!r}"
+        )
+    return period
+
+
 def _labels(family, labelvalues: Tuple[str, ...]) -> Labels:
     return tuple(zip(family.labelnames, labelvalues))
 
@@ -394,13 +410,12 @@ def _fmt(upper: float) -> str:
 _sampling = False
 _period = DEFAULT_PERIOD
 _db = TimeSeriesDB()
-_TICKS = 0
 
 
 def set_sampling(enabled: bool, period: float = DEFAULT_PERIOD) -> None:
     global _sampling, _period
+    _period = _checked_period(float(period))
     _sampling = bool(enabled)
-    _period = float(period)
 
 
 def sampling_enabled() -> bool:
@@ -427,11 +442,6 @@ def clear() -> None:
     _db.clear()
 
 
-def tick_invocations() -> int:
-    """Total Sampler.tick calls this process (for overhead projection)."""
-    return _TICKS
-
-
 def counter_track_samples(prefixes: Sequence[str] = ("repro_monitor_",
                                                      "repro_rule_",
                                                      "repro_alert_state")):
@@ -456,6 +466,5 @@ __all__ = [
     "watermark",
     "sample_groups_since",
     "clear",
-    "tick_invocations",
     "counter_track_samples",
 ]

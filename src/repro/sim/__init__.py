@@ -5,7 +5,9 @@ discrete-event engine in the style of SimPy: simulated activities are
 generator functions that ``yield`` :class:`~repro.sim.kernel.Timeout` or
 resource requests, and the kernel advances a virtual clock between events.
 It owns its event heap: ``(time, seq, callback)`` tuples, so events at
-one instant run in the order they were scheduled.
+one instant run in the order they were scheduled. Daemon entries, such
+as the time-series sampler's periodic scrape, run among those events but
+never keep the simulation going.
 
 On top of it sit the machine models used throughout the reproduction:
 

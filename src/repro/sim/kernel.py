@@ -164,11 +164,25 @@ class Kernel:
     Events are ``(time, seq, callback)`` tuples on a heap. ``seq`` is
     unique, so ``heapq`` orders them in C without ever comparing
     callbacks, and events at the same instant run in scheduling order.
+
+    Daemon entries (:meth:`daemon_at`) sit on a second heap and serve
+    observers such as a periodic scrape, which reschedule themselves
+    forever. They run in time order among the regular events, but only
+    while regular work is pending, so they never keep :meth:`run` going
+    and never move the clock past the last regular event. Two rules fix
+    where they land:
+
+    * at one instant, daemon entries run before the regular events due
+      then, so every daemon entry up to the last regular event's time
+      runs;
+    * ``run(until=u)`` runs daemon entries up to ``u`` only while a
+      regular event is still pending, and leaves later ones queued.
     """
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock or SimClock()
         self._heap: list[tuple[float, int, Callable[[], Any]]] = []
+        self._daemons: list[tuple[float, int, Callable[[], Any]]] = []
         self._seq = itertools.count()
 
     # -- public API --------------------------------------------------------
@@ -189,6 +203,18 @@ class Kernel:
             raise SimulationError(f"call_at in the past: {time} < {self.clock.now}")
         self._push(time, fn)
 
+    def daemon_at(self, time: float, fn: Callable[[], Any]) -> None:
+        """Schedule a daemon callback at absolute simulated time.
+
+        It runs only if regular work is still pending when its time
+        comes (see the class docstring).
+        """
+        if time < self.clock.now:
+            raise SimulationError(f"daemon_at in the past: {time} < {self.clock.now}")
+        if time != time:  # NaN guard
+            raise SimulationError("event time is NaN")
+        heappush(self._daemons, (time, next(self._seq), fn))
+
     def call_after(self, delay: float, fn: Callable[[], Any]) -> None:
         """Schedule a plain callback after a relative delay."""
         if delay < 0:
@@ -196,18 +222,21 @@ class Kernel:
         self._push(self.clock.now + delay, fn)
 
     def run(self, until: Optional[float] = None) -> float:
-        """Process events until the queue drains (or ``until`` is reached).
+        """Process events until no regular event is pending (or ``until``
+        is reached).
 
-        Returns the final simulated time.
+        Returns the final simulated time: that of the last regular event
+        run, or ``until``.
         """
-        heap, clock = self._heap, self.clock
+        heap, daemons, clock = self._heap, self._daemons, self.clock
         while heap:
-            t = heap[0][0]
+            queue = daemons if daemons and daemons[0][0] <= heap[0][0] else heap
+            t = queue[0][0]
             if until is not None and t > until:
                 clock.advance_to(until)
                 return clock.now
             clock.advance_to(t)
-            heappop(heap)[2]()
+            heappop(queue)[2]()
         return clock.now
 
     def run_all(self, gens: Iterable[SimGen]) -> list[Any]:

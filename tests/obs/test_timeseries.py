@@ -1,16 +1,21 @@
-"""Sim-clock TSDB + sampler: queries, scrape rules, merge protocol.
+"""Sim-clock TSDB + sampler: queries, scrape rules, scrape schedule,
+merge protocol.
 
 The determinism contract (``repro.obs.timeseries`` docstring) is pinned
 here without running any cluster simulation: counters/histograms sample
 as deltas since sampler birth with zero suppression, gauges only under
 the collector prefix, wall-clock families never, and the worker merge
-protocol reproduces the sequential log byte for byte.
+protocol reproduces the sequential log byte for byte. The scrape
+schedule (one scrape at every k·period while the kernel has events) is
+pinned on a bare kernel, and once end to end on a 50-pod deploy.
 """
 
 import math
 
 import pytest
 
+from repro.errors import SimulationError
+from repro.obs import timeseries
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import (
     DEFAULT_PERIOD,
@@ -19,6 +24,7 @@ from repro.obs.timeseries import (
     Sampler,
     TimeSeriesDB,
 )
+from repro.sim.kernel import Kernel
 
 
 def _db_with(points, name="m", labels=(), cid=1):
@@ -82,12 +88,20 @@ class TestQueries:
 
 
 class TestSampler:
-    def _clock(self):
-        return self._now
-
     def _make(self, reg, db, period=DEFAULT_PERIOD):
-        self._now = 0.0
-        return Sampler(reg, db, clock=self._clock, period=period)
+        self.kernel = Kernel()
+        return Sampler(reg, db, self.kernel, period=period)
+
+    def _gauge_sampler(self, period):
+        """A sampler over one monitor gauge: one entry per scrape."""
+        reg = MetricsRegistry()
+        reg.gauge(MONITOR_GAUGE_PREFIX + "v", "v").set(1.0)
+        db = TimeSeriesDB()
+        return self._make(reg, db, period=period), db
+
+    @staticmethod
+    def _stamps(db):
+        return [e[3] for _, e in db.tagged_entries()]
 
     def test_counters_sample_as_deltas_since_birth(self):
         reg = MetricsRegistry()
@@ -145,19 +159,37 @@ class TestSampler:
         assert rows[("repro_h_seconds_count", None)] == 2.0
         assert rows[("repro_h_seconds_sum", None)] == pytest.approx(5.5)
 
-    def test_tick_samples_once_per_period(self):
-        reg = MetricsRegistry()
-        g = reg.gauge(MONITOR_GAUGE_PREFIX + "v", "v")
-        g.set(1.0)
-        db = TimeSeriesDB()
-        sampler = self._make(reg, db, period=1.0)
-        for now in (0.0, 0.1, 0.2, 1.05, 1.5, 2.0):
-            self._now = now
-            sampler.tick()
-        stamps = [e[3] for _, e in db.tagged_entries()]
-        # First tick of each period boundary samples; same-period ticks
-        # are dropped by the cheap early-exit.
-        assert stamps == [0.0, 1.05, 2.0]
+    @pytest.mark.parametrize("period", [1.0, 0.25, 0.1])
+    def test_scrapes_every_boundary_through_quiet_gaps(self, period):
+        _, db = self._gauge_sampler(period)
+        for t in (0.0, 0.1, 0.2, 1.05, 1.5, 2.0, 5.5):
+            self.kernel.call_at(t, lambda: None)
+        assert self.kernel.run() == 5.5
+        # One scrape per boundary up to the last event, quiet 2-5.5 s
+        # gap included, each stamped exactly k * period (ten 0.1 s steps
+        # added up would miss 1.0).
+        assert self._stamps(db) == [k * period for k in range(int(5.5 / period) + 1)]
+
+    def test_only_sample_now_scrapes_after_the_last_event(self):
+        sampler, db = self._gauge_sampler(1.0)
+        self.kernel.call_at(2.5, lambda: None)
+        assert self.kernel.run() == 2.5
+        assert self._stamps(db) == [0.0, 1.0, 2.0]
+        # The scrape due at 3.0 stays queued: it neither runs nor
+        # moves the clock.
+        assert self.kernel.run() == 2.5
+        assert self._stamps(db) == [0.0, 1.0, 2.0]
+        sampler.sample_now()
+        assert self._stamps(db) == [0.0, 1.0, 2.0, 2.5]
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_period_that_is_not_positive_and_finite(self, period):
+        with pytest.raises(SimulationError, match=repr(period)):
+            self._make(MetricsRegistry(), TimeSeriesDB(), period=period)
+        was = (timeseries.sampling_enabled(), timeseries.sampling_period())
+        with pytest.raises(SimulationError, match=repr(period)):
+            timeseries.set_sampling(True, period)
+        assert (timeseries.sampling_enabled(), timeseries.sampling_period()) == was
 
     def test_collectors_run_before_each_sample(self):
         reg = MetricsRegistry()
@@ -167,10 +199,29 @@ class TestSampler:
         calls = []
         sampler.collectors.append(lambda: (calls.append(1), g.set(len(calls)))[0])
         sampler.sample_now()
-        self._now = 1.0
+        self.kernel.clock.advance_to(1.0)
         sampler.sample_now()
         values = [e[4] for _, e in db.tagged_entries()]
         assert values == [1.0, 2.0]
+
+    def test_deploy_is_sampled_at_every_whole_second(self, telemetry):
+        from repro.engines.cache import clear_cache_state
+        from repro.measure.experiment import ExperimentRunner
+
+        clear_cache_state()
+        timeseries.set_sampling(True, 1.0)
+        try:
+            ExperimentRunner(seed=1).run("crun-wamr", 50)
+        finally:
+            timeseries.set_sampling(False)
+        stamps = sorted({
+            e[3] for _, e in timeseries.default_db().tagged_entries()
+            if e[0] == "sample"
+        })
+        # Boundaries 0-3 s, then the convergence sample at the last
+        # event (the makespan is 3.39 s).
+        assert stamps[:-1] == [0.0, 1.0, 2.0, 3.0]
+        assert 3.0 < stamps[-1] < 4.0
 
 
 class TestMergeProtocol:

@@ -32,13 +32,31 @@ def test_activities_complete_at_their_delays(delays):
         ),
         min_size=1,
         max_size=40,
-    )
+    ),
+    st.lists(
+        st.tuples(
+            st.sampled_from((0.0, 0.5, 1.0, 2.0)),  # first firing
+            st.sampled_from((0.5, 1.0)),  # then every period
+        ),
+        max_size=3,
+    ),
 )
-def test_events_fire_in_time_then_scheduling_order(ops):
+def test_events_fire_in_time_then_scheduling_order(ops, daemons):
     """Whatever schedules an event (``call_at``, ``call_after`` or a
     ``Timeout`` yield, before the run or from a firing event), events fire
-    in (time, scheduling order)."""
+    in (time, scheduling order). Self-rescheduling daemon entries change
+    neither that order, nor the times, nor the final clock; each fires at
+    every one of its times up to the last event's."""
     k = Kernel()
+    daemon_fired = [[] for _ in daemons]
+
+    def daemon(d, j):
+        start, period = daemons[d]
+        daemon_fired[d].append(k.now)
+        k.daemon_at(start + (j + 1) * period, lambda: daemon(d, j + 1))
+
+    for d, (start, _) in enumerate(daemons):
+        k.daemon_at(start, lambda d=d: daemon(d, 0))
     roots, children = [], {}
     for i, (_, _, parent) in enumerate(ops):
         (children.setdefault(parent, []) if 0 <= parent < i else roots).append(i)
@@ -68,9 +86,13 @@ def test_events_fire_in_time_then_scheduling_order(ops):
 
     for i in roots:
         schedule(i)
-    k.run()
+    last = k.run()
     assert fired == [(t, i) for t, _, i in sorted(scheduled)]
     assert len(fired) == len(ops)
+    assert last == k.now == max(t for t, _, _ in scheduled)
+    for (start, period), times in zip(daemons, daemon_fired):
+        due = [start + j * period for j in range(int((last - start) / period) + 1)]
+        assert times == [t for t in due if t <= last]
 
 
 @settings(max_examples=40, deadline=None)

@@ -317,6 +317,76 @@ class TestRunControls:
             k.run()
 
 
+class TestDaemonEntries:
+    """Daemon entries run among regular events but never keep the kernel
+    running (the two rules in the ``Kernel`` docstring)."""
+
+    @staticmethod
+    def _scraper(k, period=1.0):
+        """A self-rescheduling daemon at every k * period; returns its log."""
+        fired = []
+
+        def scrape():
+            fired.append(k.now)
+            k.daemon_at(len(fired) * period, scrape)
+
+        k.daemon_at(0.0, scrape)
+        return fired
+
+    def test_run_returns_at_the_last_regular_event(self):
+        k = Kernel()
+        fired = self._scraper(k)
+        k.call_at(2.5, lambda: None)
+        assert k.run() == 2.5
+        assert fired == [0.0, 1.0, 2.0]
+        # Only the daemon is left: nothing runs, the clock stays.
+        assert k.run() == 2.5
+        assert fired == [0.0, 1.0, 2.0]
+
+    def test_run_all_returns_results_with_a_daemon_pending(self):
+        k = Kernel()
+        fired = self._scraper(k)
+
+        def act():
+            yield Timeout(1.5)
+            return "done"
+
+        assert k.run_all([act()]) == ["done"]
+        assert k.now == 1.5
+        assert fired == [0.0, 1.0]
+
+    def test_nan_and_past_times_rejected(self):
+        with pytest.raises(SimulationError, match="NaN"):
+            Kernel().daemon_at(float("nan"), lambda: None)
+        k = Kernel()
+        k.call_after(1.0, lambda: None)
+        k.run()
+        with pytest.raises(SimulationError, match="in the past"):
+            k.daemon_at(0.5, lambda: None)
+
+    def test_daemon_runs_before_regular_events_at_one_instant(self):
+        k = Kernel()
+        fired = []
+        k.call_at(1.0, lambda: fired.append("regular-a"))
+        k.daemon_at(1.0, lambda: fired.append("daemon"))
+        k.call_at(1.0, lambda: fired.append("regular-b"))
+        k.run()
+        # The daemon due at the last event's instant still runs.
+        assert fired == ["daemon", "regular-a", "regular-b"]
+
+    def test_run_until_runs_daemons_only_while_regular_work_is_pending(self):
+        k = Kernel()
+        fired = self._scraper(k)
+        k.call_at(10.0, lambda: None)
+        assert k.run(until=3.5) == 3.5
+        assert fired == [0.0, 1.0, 2.0, 3.0]
+        assert k.run() == 10.0
+        assert fired == [float(t) for t in range(11)]
+        # No regular work left: ``until`` runs no daemon and keeps the clock.
+        assert k.run(until=20.0) == 10.0
+        assert fired == [float(t) for t in range(11)]
+
+
 class TestEventOrdering:
     """The kernel's event heap: time order, FIFO at one instant, NaN guard."""
 
