@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Set, Tuple
+from typing import Callable, Optional, Set, Tuple
 
 from repro import obs
 from repro.oci.store import ImageStore
@@ -44,6 +44,8 @@ class NodeEnv:
     #: regardless of what ran earlier in the process.
     zygote_ready: Set[Tuple[str, str]] = field(default_factory=set)
     _containerd_heap_key: Optional[str] = None
+    #: called when ``zygote_ready`` gains a pair (see :meth:`watch_zygotes`)
+    _zygote_watcher: Optional[Callable[[], None]] = None
 
     @classmethod
     def create(
@@ -115,7 +117,19 @@ class NodeEnv:
 
     def note_zygote(self, config_id: str, image_ref: str) -> None:
         """Record that a cold container left a restorable snapshot behind."""
-        self.zygote_ready.add((config_id, image_ref))
+        key = (config_id, image_ref)
+        if key not in self.zygote_ready:
+            self.zygote_ready.add(key)
+            if self._zygote_watcher is not None:
+                self._zygote_watcher()
+
+    def watch_zygotes(self, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` whenever this node gains a zygote snapshot.
+
+        The scheduler's locality term reads :meth:`zygote_warm`; this is
+        how it learns that the answer changed.
+        """
+        self._zygote_watcher = fn
 
     def inject(self, point: FaultPoint, key: str) -> None:
         """Fault-injection hook: raises ``FaultInjected`` when armed & firing."""

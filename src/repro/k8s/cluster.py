@@ -377,6 +377,8 @@ def build_cluster(
             NodeSignals(
                 working_set=memory.node_working_set,
                 zygote_warm=env.zygote_warm,
+                watch_working_set=memory.notify_next_change,
+                watch_zygotes=env.watch_zygotes,
             ),
         )
         nodes[name] = WorkerNode(

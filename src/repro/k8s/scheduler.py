@@ -17,23 +17,38 @@ blends three normalized terms:
 
 The memory/locality terms read per-node :class:`NodeSignals` attached by
 ``build_cluster``; a scheduler without signals (bare API-server tests)
-degrades to pure balance scoring. Tie-break is deterministic: nodes are
-scanned in name order and only a strictly greater score displaces the
-incumbent.
+degrades to pure balance scoring. Tie-break is deterministic: of the
+nodes with the highest score, the first in name order wins.
 
-Two structural costs are kept off the per-decision path: the name-sorted
-node order is cached and revalidated against ``APIServer.nodes_version``
-in O(1), and free-slot counts are maintained incrementally from the API
-server's capacity watch (bind = -1, delete = +1) instead of recounting
-every node's pods per decision.
+Decisions are incremental. Pods of one (handler, image, node selector)
+class share a ranking: the class's statically feasible nodes (handler
+supported, selector matched, ``max_pods > 0``), cached against
+``APIServer.nodes_version``, and a heap of ``(-score, name)`` entries.
+Before a decision only the nodes marked dirty since the last one are
+re-scored, by three sources:
+
+* the API server's capacity watch (bind = -1, delete = +1 free slot),
+* a one-shot notice from the node's memory ledger, armed when the
+  ranking last read the node's working set, fired by the next write to
+  the ledger's running totals,
+* the node's zygote watch, when a container leaves a new snapshot.
+
+``unschedulable`` (written directly by node failure and tests) and free
+slots are checked only when an entry reaches the top of the heap, and
+skipped entries go back. Scores come from the same expression a full
+scan would compute, so the first current entry that passes both checks
+is the node a strict-``>`` scan in name order picks. A class with one
+statically feasible node is never scored, so single-node runs probe no
+signals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.errors import SchedulingError
@@ -44,6 +59,9 @@ from repro.k8s.objects import NodeInfo, Pod
 _DECISION_BUCKETS = (
     1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 1e-2,
 )
+
+#: a notice: called with no arguments when a node's state changed
+Notice = Callable[[], None]
 
 
 @lru_cache(maxsize=None)
@@ -71,10 +89,41 @@ class NodeSignals:
     ``zygote_warm`` answers whether the node already holds a zygote
     snapshot for ``(config_id, image_ref)`` — i.e. whether a container
     placed there would clone warm instead of cold-starting.
+
+    The two watches tell the scheduler when those answers may have
+    changed: ``watch_working_set(fn)`` calls ``fn()`` once, at the next
+    change of the working set
+    (:meth:`SystemMemoryModel.notify_next_change`), and
+    ``watch_zygotes(fn)`` calls ``fn()`` whenever the node gains a
+    snapshot (:meth:`NodeEnv.watch_zygotes`).
     """
 
     working_set: Callable[[], int]
     zygote_warm: Callable[[str, str], bool]
+    watch_working_set: Callable[[Notice], None]
+    watch_zygotes: Callable[[Notice], None]
+
+
+class _Ranking:
+    """One pod class's statically feasible nodes, best score first."""
+
+    __slots__ = (
+        "nodes", "handler", "image", "warm_capable", "heap", "entries", "dirty"
+    )
+
+    def __init__(
+        self, nodes: List[NodeInfo], handler: Optional[str], image: str
+    ) -> None:
+        self.nodes: Dict[str, NodeInfo] = {n.name: n for n in nodes}
+        self.handler = handler
+        self.image = image
+        self.warm_capable = handler is not None and _has_warm_profile(handler)
+        #: (-score, name) entries; one is current per node, the rest are
+        #: stale and dropped when they reach the top
+        self.heap: List[Tuple[float, str]] = []
+        self.entries: Dict[str, Tuple[float, str]] = {}
+        #: nodes to re-score before the next decision
+        self.dirty: Set[str] = set(self.nodes)
 
 
 class Scheduler:
@@ -94,11 +143,15 @@ class Scheduler:
         api.watch_capacity(self._on_capacity_event)
         self.scheduled_count = 0
         self._signals: Dict[str, NodeSignals] = {}
+        #: per-node notice that marks the node dirty in every ranking
+        self._notices: Dict[str, Notice] = {}
         #: name-sorted node order, cached against api.nodes_version
         self._order: List[NodeInfo] = []
         self._order_version = -1
         #: free pod slots per node, maintained incrementally on bind/delete
         self._free_slots: Dict[str, int] = {}
+        #: (handler, image, selector items) -> ranking; dropped with _order
+        self._rankings: Dict[tuple, _Ranking] = {}
         self._obs_on = obs.enabled()
         self._m_placements = obs.counter(
             "repro_scheduler_placements_total", "pods bound to nodes", ("node",)
@@ -118,7 +171,11 @@ class Scheduler:
 
     def attach_node_signals(self, node_name: str, signals: NodeSignals) -> None:
         """Attach memory/zygote probes for one node (build_cluster does this)."""
+        notice = partial(self._node_changed, node_name)
+        self._notices[node_name] = notice
         self._signals[node_name] = signals
+        self._rankings.clear()
+        signals.watch_zygotes(notice)
 
     def _on_pod_event(self, pod: Pod) -> None:
         # Event-driven scheduling: try to place newly pending pods.
@@ -136,6 +193,13 @@ class Scheduler:
         free = self._free_slots.get(node_name)
         if free is not None:
             self._free_slots[node_name] = free + delta
+            self._node_changed(node_name)
+
+    def _node_changed(self, node_name: str) -> None:
+        """Mark a node for re-scoring in every ranking that holds it."""
+        for ranking in self._rankings.values():
+            if node_name in ranking.nodes:
+                ranking.dirty.add(node_name)
 
     def _node_order(self) -> List[NodeInfo]:
         if self._order_version != self.api.nodes_version:
@@ -143,24 +207,35 @@ class Scheduler:
             self._free_slots = {
                 n.name: n.max_pods - n.pod_count for n in self._order
             }
+            self._rankings.clear()
             self._order_version = self.api.nodes_version
         return self._order
 
     # -- filter --------------------------------------------------------------
 
-    def feasible_nodes(self, pod: Pod) -> List[NodeInfo]:
-        handler = self.api.resolve_handler(pod)
-        selector = pod.spec.node_selector
-        order = self._node_order()  # may rebuild the free-slot map
-        free = self._free_slots
-        return [
-            node
-            for node in order
-            if not node.unschedulable
-            and free[node.name] > 0
-            and node.supports_handler(handler)
-            and node.matches_selector(selector)
-        ]
+    def _ranking(self, pod: Pod, handler: Optional[str]) -> _Ranking:
+        """The ranking of ``pod``'s class, built on first use."""
+        order = self._node_order()  # may drop every ranking
+        spec = pod.spec
+        image = spec.containers[0].image if spec.containers else ""
+        selector = spec.node_selector
+        items = tuple(sorted(selector.items())) if selector else ()
+        key = (handler, image, items)
+        ranking = self._rankings.get(key)
+        if ranking is None:
+            ranking = _Ranking(
+                [
+                    node
+                    for node in order
+                    if node.max_pods > 0
+                    and node.supports_handler(handler)
+                    and node.matches_selector(selector)
+                ],
+                handler,
+                image,
+            )
+            self._rankings[key] = ranking
+        return ranking
 
     def failure_reason(self, pod: Pod) -> str:
         """Classify why no node is feasible for ``pod`` (most-specific
@@ -202,11 +277,59 @@ class Scheduler:
                 score += self.locality_weight
         return score
 
+    def _rescore(self, ranking: _Ranking, name: str) -> None:
+        node = ranking.nodes[name]
+        score = self._score(
+            node, ranking.handler, ranking.image, ranking.warm_capable
+        )
+        signals = self._signals.get(name)
+        if signals is not None and self.memory_weight:
+            signals.watch_working_set(self._notices[name])
+        entry = ranking.entries.get(name)
+        if entry is None or entry[0] != -score:
+            entry = (-score, name)
+            ranking.entries[name] = entry
+            heappush(ranking.heap, entry)
+
+    def _pick(self, ranking: _Ranking) -> Optional[NodeInfo]:
+        """The best node of ``ranking`` that is schedulable and has room."""
+        free = self._free_slots
+        if len(ranking.nodes) == 1:
+            # Nothing to rank (the paper's single-node topology): skip
+            # the signal probes entirely, so the N=1 figures see the
+            # exact pre-fleet scheduling behavior.
+            (node,) = ranking.nodes.values()
+            return node if not node.unschedulable and free[node.name] > 0 else None
+        for name in ranking.dirty:
+            self._rescore(ranking, name)
+        ranking.dirty.clear()
+        heap, entries = ranking.heap, ranking.entries
+        if len(heap) > 4 * len(entries):
+            heap[:] = entries.values()
+            heapify(heap)
+        best = None
+        skipped = []
+        while heap:
+            entry = heap[0]
+            name = entry[1]
+            if entries[name] is not entry:
+                heappop(heap)  # stale: the node was re-scored since
+                continue
+            node = ranking.nodes[name]
+            if node.unschedulable or free[name] <= 0:
+                skipped.append(heappop(heap))
+                continue
+            best = node
+            break
+        for entry in skipped:
+            heappush(heap, entry)
+        return best
+
     def schedule(self, pod: Pod) -> NodeInfo:
         t0 = perf_counter() if self._obs_on else 0.0
         handler = self.api.resolve_handler(pod)
-        candidates = self.feasible_nodes(pod)
-        if not candidates:
+        best = self._pick(self._ranking(pod, handler))
+        if best is None:
             reason = self.failure_reason(pod)
             self._m_failures.labels(reason).inc()
             err = SchedulingError(
@@ -215,20 +338,6 @@ class Scheduler:
             )
             err.reason = reason
             raise err
-        if len(candidates) == 1:
-            # Fast path (and the paper's single-node topology): nothing
-            # to rank, so skip the signal probes entirely — the N=1
-            # figures see the exact pre-fleet scheduling behavior.
-            best = candidates[0]
-        else:
-            image = pod.spec.containers[0].image if pod.spec.containers else ""
-            warm_capable = handler is not None and _has_warm_profile(handler)
-            best = candidates[0]
-            best_score = self._score(best, handler, image, warm_capable)
-            for node in candidates[1:]:
-                score = self._score(node, handler, image, warm_capable)
-                if score > best_score:  # strict: name order breaks ties
-                    best, best_score = node, score
         self.api.bind_pod(pod, best.name)
         self.scheduled_count += 1
         self._m_placements.labels(best.name).inc()

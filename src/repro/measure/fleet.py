@@ -83,12 +83,16 @@ def run_fleet(
     Each point is a fresh cluster; ``max_pods`` is raised to ``count``
     when a single node could not otherwise hold the deployment (the
     1-node baseline of a 10k-pod sweep), matching the paper's 500-pod
-    extension in spirit. ``fleets`` must include the 1-node baseline.
+    extension in spirit. ``fleets`` must include the 1-node baseline and
+    name each size once.
     """
     if 1 not in fleets or min(fleets) < 1:
         raise ReproError(
             f"fleet sizes {list(fleets)} must include 1 and be positive"
         )
+    repeated = sorted({n for n in fleets if fleets.count(n) > 1})
+    if repeated:
+        raise ReproError(f"fleet sizes {list(fleets)} repeat {repeated}")
     runner = ExperimentRunner(seed=seed)
     points = []
     for nodes in fleets:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import OutOfMemory, SimulationError
@@ -219,6 +219,9 @@ class SystemMemoryModel:
         self._file_owner: Dict[str, Optional[str]] = {}  # charged cgroup
         self._file_total = 0
         self._cache_total = 0
+        #: one-shot notice for the next write to _private_total or
+        #: _file_total (see notify_next_change)
+        self._change_notice: Optional[Callable[[], None]] = None
         self.reference = ReferenceAccountant(self)
         # Query/audit telemetry, children pre-bound (hot path).
         _m_queries = obs.counter(
@@ -271,6 +274,8 @@ class SystemMemoryModel:
 
     def _add_cgroup_private(self, cgroup: str, delta: int) -> None:
         self._private_total += delta
+        if self._change_notice is not None:
+            self._fire_change_notice()
         updated = self._cgroup_private.get(cgroup, 0) + delta
         if updated:
             self._cgroup_private[cgroup] = updated
@@ -331,6 +336,8 @@ class SystemMemoryModel:
                     break
         self._file_total += size - self._file_sizes.get(file_key, 0)
         self._file_sizes[file_key] = size
+        if self._change_notice is not None:
+            self._fire_change_notice()
 
     def _refresh_file_owner(self, file_key: str) -> None:
         owner = None
@@ -414,6 +421,8 @@ class SystemMemoryModel:
             self._file_sizes[file_key] = size
             self._file_total += size
             self._file_owner[file_key] = proc.cgroup if proc.alive else None
+            if self._change_notice is not None:
+                self._fire_change_notice()
         else:
             mappers[proc.pid] = mappers.get(proc.pid, 0) + 1
 
@@ -431,6 +440,8 @@ class SystemMemoryModel:
                 del self._file_mappers[file_key]
                 self._file_total -= self._file_sizes.pop(file_key)
                 self._file_owner.pop(file_key)
+                if self._change_notice is not None:
+                    self._fire_change_notice()
                 return
         if was_first:
             self._refresh_file_size(file_key)
@@ -631,3 +642,18 @@ class SystemMemoryModel:
             self._private_total + self._file_total,
             self.reference.node_working_set,
         )
+
+    def notify_next_change(self, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` once, at the next change of the node working set.
+
+        The notice fires at the next write to the running totals that
+        :meth:`node_working_set` sums, then disarms; arming again replaces
+        a pending notice. The scheduler arms it when it reads this node's
+        working set, so it re-scores the node only after the answer may
+        have moved. An unarmed model pays one attribute test per write.
+        """
+        self._change_notice = fn
+
+    def _fire_change_notice(self) -> None:
+        fn, self._change_notice = self._change_notice, None
+        fn()

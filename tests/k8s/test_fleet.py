@@ -1,5 +1,7 @@
 """Fleet scheduling: heterogeneous nodes, locality, node-failure recovery."""
 
+import re
+
 import pytest
 
 from repro import obs
@@ -213,6 +215,15 @@ class TestFleetSweep:
         # Speedups divide by the 1-node point; a sweep that cannot have
         # one is refused before any point is simulated.
         with pytest.raises(ReproError, match="must include 1"):
+            run_fleet(count=8, fleets=fleets)
+
+    @pytest.mark.parametrize(
+        "fleets, repeated", [((1, 1), "[1]"), ((1, 2, 4, 2, 4), "[2, 4]")]
+    )
+    def test_sweep_rejects_repeated_sizes(self, fleets, repeated):
+        # A repeated size would run the same point twice and print two
+        # identical rows, and FleetScaling.point reads only the first.
+        with pytest.raises(ReproError, match=re.escape(f"repeat {repeated}")):
             run_fleet(count=8, fleets=fleets)
 
 

@@ -5,16 +5,22 @@ measurement whose invariants hold, or raises a :class:`ReproError`. It
 never ends in a bare traceback. Counts below one and negative seeds are
 rejected before anything runs; counts beyond the fleet's capacity raise a
 :class:`SchedulingError` whose ``.reasons`` account for every unplaced pod.
+The same holds for :class:`Cluster` driven directly on heterogeneous
+fleets with node selectors, and whatever the ending, every bound pod sits
+on a node that matches its selector and had room, and every node's
+accounting verifies.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ReproError, SchedulingError
+from repro.k8s.cluster import NodeSpec, build_cluster
 from repro.measure.chaos import run_chaos
 from repro.measure.experiment import ExperimentRunner
 from repro.measure.fleet import run_locality_ablation
 from repro.measure.recovery import run_recovery
 from repro.sim.faults import transient_plan
+from repro.sim.memory import GIB, MIB
 
 #: the chaos invariants that hold whether or not the run converged
 CHAOS_ALWAYS = {
@@ -96,3 +102,72 @@ def test_runner_ends_in_measurement_or_typed_error(
     else:
         assert sum(m.placement_with.values()) == count
         assert sum(m.placement_without.values()) == count
+
+
+LABELS = ({}, {"zone": "a"}, {"zone": "b"})
+
+
+@settings(max_examples=40, deadline=None)
+# Converging crun-wasmtime pods on an 800 MiB node runs the node out of
+# memory inside the kubelet's own pressure check (SimulationError).
+@example(
+    nodes=[(20, 800 * MIB, 6, {})],
+    config="crun-wasmtime",
+    count=1,
+    replicas=5,
+    selector={},
+    seed=1,
+)
+@given(
+    nodes=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=20),  # cores
+            st.sampled_from((800 * MIB, 1 * GIB, 4 * GIB)),  # memory
+            st.integers(min_value=0, max_value=6),  # max_pods
+            st.sampled_from(LABELS),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    config=st.sampled_from(
+        ("crun-wamr", "crun-wamr-zygote", "crun-wasmtime", "runc-python")
+    ),
+    count=st.integers(min_value=1, max_value=8),
+    replicas=st.integers(min_value=1, max_value=8),
+    selector=st.sampled_from(LABELS),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_heterogeneous_fleet_ends_in_fitting_placements_or_typed_error(
+    nodes, config, count, replicas, selector, seed
+):
+    cluster = build_cluster(
+        seed=seed,
+        node_specs=[
+            NodeSpec(
+                f"node-{i}",
+                cores=cores,
+                memory_bytes=memory,
+                max_pods=max_pods,
+                labels=dict(labels),
+            )
+            for i, (cores, memory, max_pods, labels) in enumerate(nodes)
+        ],
+    )
+    template = cluster.pod_template(config)
+    template.node_selector = dict(selector)
+    try:
+        cluster.deploy_and_wait(config, count)
+        cluster.converge("svc", template, replicas, max_rounds=3)
+    except SchedulingError as err:
+        unplaced = cluster.api.pending_pods()
+        assert sum(err.reasons.values()) == len(unplaced) > 0, err
+    except ReproError:
+        pass  # e.g. a node out of memory: typed, so within the contract
+    for pod in cluster.api.pods.values():
+        if pod.node_name is not None:
+            assert cluster.nodes[pod.node_name].info.matches_selector(
+                pod.spec.node_selector
+            )
+    for worker in cluster.nodes.values():
+        assert worker.info.pod_count <= worker.info.max_pods
+        worker.env.memory.verify_accounting()

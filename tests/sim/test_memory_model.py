@@ -62,6 +62,44 @@ class TestProcessAccounting:
             MemorySegment(SegmentKind.FILE_TEXT, 10)  # no file_key
 
 
+class TestChangeNotice:
+    """``notify_next_change``: one call per arming, at a working-set write."""
+
+    def test_fires_once_at_the_next_private_write(self, memory):
+        p = memory.spawn("app", cgroup="/pods/a")
+        fired = []
+        memory.notify_next_change(lambda: fired.append(memory.node_working_set()))
+        memory.map_private(p, 10 * MIB)
+        memory.map_private(p, 5 * MIB)
+        assert fired == [10 * MIB]  # after the write, then disarmed
+        memory.notify_next_change(lambda: fired.append(memory.node_working_set()))
+        memory.exit(p)
+        assert fired == [10 * MIB, 0]
+
+    @pytest.mark.parametrize("change", ["resize", "unmap", "exit"])
+    def test_fires_when_shared_bytes_change(self, memory, change):
+        p = memory.spawn("app")
+        fired = []
+        memory.notify_next_change(lambda: fired.append("map"))
+        memory.map_file(p, "lib.so", 4 * MIB)
+        memory.notify_next_change(lambda: fired.append(change))
+        key = next(iter(p.segments))
+        if change == "resize":
+            p.resize_segment(key, 8 * MIB)
+        elif change == "unmap":
+            p.drop_segment(key)
+        else:
+            memory.exit(p)
+        assert fired == ["map", change]
+
+    def test_page_cache_and_kernel_bytes_do_not_fire(self, memory):
+        fired = []
+        memory.notify_next_change(lambda: fired.append(1))
+        memory.touch_page_cache("layer", 8 * MIB)
+        memory.add_kernel_overhead(MIB)
+        assert fired == []
+
+
 class TestCgroupCharging:
     def test_first_toucher_pays_for_shared_file(self, memory):
         p1 = memory.spawn("a", cgroup="/pods/a")

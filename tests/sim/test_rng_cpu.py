@@ -31,6 +31,16 @@ class TestRngStreams:
         r = RngStreams(3)
         assert all(r.jitter("j", 0.5) >= 0 for _ in range(100))
 
+    def test_jitter_keeps_no_generator_for_a_name_drawn_once(self):
+        r = RngStreams(3)
+        first = r.jitter("startup/c1", 0.5)
+        assert "startup/c1" not in r._streams
+        # A second draw keeps the rebuilt generator, past the first draw.
+        second = r.jitter("startup/c1", 0.5)
+        assert "startup/c1" in r._streams
+        replay = RngStreams(3).stream("startup/c1")
+        assert [first, second] == [abs(replay.normal(0.0, 0.5)) for _ in range(2)]
+
     def test_fork_changes_draws(self):
         base = RngStreams(5)
         fork = base.fork(1)

@@ -140,6 +140,7 @@ class TestFailureContract:
             (["recover", "-n", "501"], "were not scheduled (capacity: 1)"),
             (["fleet", "--fleets", "2", "4", "-n", "8"], "must include 1"),
             (["chaos", "-n", "2", "--seed", "-3"], "seed must be non-negative, got -3"),
+            (["fleet", "--fleets", "1", "1", "-n", "8"], "repeat [1]"),
         ],
     )
     def test_bad_input_reports_error(self, argv, err, capsys):
