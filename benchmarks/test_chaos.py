@@ -17,7 +17,8 @@ Three contracts are asserted:
 * **disabled-path overhead** — the ambient-context guards the runtime
   fault points added to the hot path cost, projected as (guard calls ×
   measured per-call cost), stay ≤ 3% of the 400-pod wall time (the
-  BENCH_obs ceiling).
+  BENCH_obs ceiling). Guard calls are counted by wrapping
+  ``repro.sim.faults.ambient``, the attribute every caller reads.
 """
 
 import json
@@ -90,13 +91,21 @@ def test_faults_off_fig9_byte_identical():
     assert regenerated == committed
 
 
-def _timed_400pod_counting_guards():
+def _timed_400pod_counting_guards(monkeypatch):
+    calls = 0
+    ambient = faults.ambient
+
+    def counting_ambient():
+        nonlocal calls
+        calls += 1
+        return ambient()
+
     reset_caches()
-    with faults.count_disabled_guards():
+    with monkeypatch.context() as patch:
+        patch.setattr(faults, "ambient", counting_ambient)
         t0 = time.perf_counter()
         m = ExperimentRunner(seed=SEED).run("crun-wamr", 400)
         seconds = time.perf_counter() - t0
-        calls = faults.guard_calls()
     assert m.count == 400 and m.ready_fraction == 1.0
     return seconds, calls
 
@@ -110,9 +119,9 @@ def _guard_call_cost(calls: int = 200_000) -> float:
     return (time.perf_counter() - t0) / calls
 
 
-def test_disabled_guard_overhead_within_ceiling():
+def test_disabled_guard_overhead_within_ceiling(monkeypatch):
     try:
-        wall_s, guard_calls = _timed_400pod_counting_guards()
+        wall_s, guard_calls = _timed_400pod_counting_guards(monkeypatch)
     finally:
         reset_caches()
     per_call = _guard_call_cost()

@@ -37,7 +37,6 @@ from repro.oci.bundle import Bundle, build_bundle
 from repro.sim.faults import FaultPoint
 from repro.sim.kernel import Acquire, Release, Timeout
 from repro.sim.process import SimProcess
-from repro.wasm.runtime import zygote_enabled
 
 
 @dataclass
@@ -150,7 +149,6 @@ class Containerd:
         if handle is None:
             raise ContainerError(f"no sandbox for pod {pod_uid}")
         profile = startup_profile(config_id)
-        zygote_on = getattr(config, "zygote", False) and zygote_enabled()
 
         # Image pull (warm after the first pod of a deployment). The
         # injection point models registry/transport flakes, which occur
@@ -187,10 +185,10 @@ class Containerd:
         # left a snapshot — the serialized loader work and two-phase
         # instantiation then collapse into a restore. The first containers
         # through the lock race the pioneer's dispatch and start cold.
-        warm = zygote_on and env.zygote_warm(config_id, image_ref)
+        warm = config.zygote and env.zygote_warm(config_id, image_ref)
         if warm and profile.warm is not None:
             profile = profile.warm
-        if zygote_on:
+        if config.zygote:
             container.facts["zygote_warm"] = warm
         yield Timeout(profile.serial_hold(env.containers_created))
         env.containers_created += 1
@@ -250,7 +248,7 @@ class Containerd:
         container.exec_started_at = env.kernel.now  # first guest instruction
         handle.containers.append(container)
         self._m_tasks.labels("container_started").inc()
-        if zygote_on:
+        if config.zygote:
             env.note_zygote(config_id, image_ref)
             self._m_zygote.labels("warm" if warm else "cold").inc()
         if exec_seconds:

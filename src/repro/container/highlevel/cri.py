@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.container.highlevel.containerd import Containerd, PodHandle
-from repro.container.lifecycle import Container
 from repro.sim.faults import FaultPoint
 
 
@@ -39,10 +38,6 @@ class CRIService:
     def __init__(self, containerd: Containerd) -> None:
         self._containerd = containerd
 
-    @property
-    def runtime_name(self) -> str:
-        return "containerd"
-
     def run_pod_sandbox(self, config: PodSandboxConfig) -> PodHandle:
         self._containerd.env.inject(
             FaultPoint.CRI_RPC, f"RunPodSandbox/{config.pod_uid}"
@@ -66,9 +61,3 @@ class CRIService:
 
     def remove_pod_sandbox(self, pod_uid: str) -> None:
         self._containerd.remove_pod_sandbox(pod_uid)
-
-    def list_containers(self) -> List[Container]:
-        out: List[Container] = []
-        for handle in self._containerd.pods.values():
-            out.extend(handle.containers)
-        return out

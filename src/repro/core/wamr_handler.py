@@ -30,7 +30,6 @@ from repro.engines.registry import get_engine
 from repro.oci.annotations import is_wasm_image
 from repro.oci.bundle import Bundle
 from repro.sim.process import SimProcess
-from repro.wasm.runtime import zygote_enabled
 
 
 class WamrCrunHandler:
@@ -46,8 +45,7 @@ class WamrCrunHandler:
         zygote: zygote warm-start resource model — every container of an
             image maps the instance snapshot (engine structures, in-place
             artifact, initialized linear memory) as one node-shared COW
-            extent and only its dirtied pages are private. Falls back to
-            the plain model when ``REPRO_ZYGOTE=off``.
+            extent and only its dirtied pages are private.
     """
 
     def __init__(
@@ -113,7 +111,7 @@ class WamrCrunHandler:
             dlopen_s = 0.0
         env.memory.map_file(proc, C.CRUN_TEXT_FILE, C.CRUN_TEXT, label="crun-text")
 
-        if self.zygote and zygote_enabled():
+        if self.zygote:
             # Zygote model: engine structures, in-place artifact, and the
             # initialized linear memory are the instance snapshot — mapped
             # COW and shared across every clone of this image on the node.

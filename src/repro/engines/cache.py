@@ -467,7 +467,3 @@ def reset_caches() -> None:
     run_stats.reset()
     replay_stats.reset()
     _ZYGOTE_FALLBACKS.reset()
-
-
-# Pre-existing callers use the old name; keep it as an alias.
-clear_caches = reset_caches

@@ -111,9 +111,6 @@ class NodeInfo:
     def pod_count(self) -> int:
         return len(self.pod_uids)
 
-    def has_capacity(self) -> bool:
-        return self.pod_count < self.max_pods
-
     def supports_handler(self, handler: Optional[str]) -> bool:
         return handler is None or handler in self.runtime_handlers
 

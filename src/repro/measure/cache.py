@@ -13,12 +13,12 @@ float serialization round-trips exactly (repr-based), so a cache hit is
 byte-identical to the simulation it replaced — rendered figures and
 campaign summaries cannot drift between cold and warm runs.
 
-``<toggles8>`` fingerprints the runtime toggles that change what a
-simulation computes — ``REPRO_SPECIALIZE``, ``REPRO_ZYGOTE``, and
-``REPRO_MEMORY_ACCOUNTING`` — so a run cached under one toggle
-combination is never served under another. Entries also record the
-wall-clock seconds the simulation took, which the campaign engine reads
-as per-cell cost estimates for longest-expected-cost-first scheduling.
+``<toggles8>`` fingerprints the runtime toggle that changes what a
+simulation computes — ``REPRO_SPECIALIZE`` — so a run cached with the
+specialization tier off is never served with it on, or the reverse.
+Entries also record the wall-clock seconds the simulation took, which the
+campaign engine reads as per-cell cost estimates for
+longest-expected-cost-first scheduling.
 
 The root directory resolves, in order: an explicit constructor argument,
 ``$REPRO_MEASURE_CACHE`` (the value ``off`` disables caching entirely),
@@ -63,19 +63,13 @@ def source_tree_digest() -> str:
 def runtime_toggles() -> Dict[str, str]:
     """The env toggles (normalized) that alter what a simulation computes.
 
-    Values resolve through each subsystem's own parser so equivalent
+    Values resolve through the subsystem's own parser so equivalent
     spellings (unset vs explicit default, ``1`` vs ``on``) fingerprint
     identically.
     """
-    from repro.sim.memory import ACCOUNTING_ENV
-    from repro.wasm.runtime.snapshot import zygote_enabled
     from repro.wasm.runtime.specialize import specialize_mode
 
-    return {
-        "accounting": os.environ.get(ACCOUNTING_ENV, "incremental"),
-        "specialize": specialize_mode(),
-        "zygote": "on" if zygote_enabled() else "off",
-    }
+    return {"specialize": specialize_mode()}
 
 
 def toggle_fingerprint() -> str:

@@ -11,10 +11,11 @@ Telemetry is off by default and **zero-cost when disabled**: call sites
 bind metric handles at component construction time, and with telemetry
 off they get :data:`~repro.obs.registry.NULL_METRIC` (no-op methods, no
 allocation). Flip it with :func:`set_enabled` *before* building a
-cluster/plan, or set ``REPRO_TELEMETRY=on`` in the environment. The one
-exception is metrics registered with ``always=True`` (the engine cache
-hit/miss counters), which collect regardless so existing cache-stats
-semantics survive.
+cluster/plan; the CLI's export flags (``--trace-out``, ``--metrics-out``,
+``--timeseries-out``, ``--profile-out``) do this. The one exception is
+metrics registered with ``always=True`` (the engine cache hit/miss
+counters), which collect regardless so existing cache-stats semantics
+survive.
 
 Span collection: each :class:`~repro.sim.trace.Tracer` built while
 telemetry is enabled gets a sink tagging its spans with the **current
@@ -25,7 +26,6 @@ tracks instead of one interleaved soup.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import (
@@ -60,10 +60,7 @@ __all__ = [
     "reset",
 ]
 
-#: environment knob: ``REPRO_TELEMETRY=on`` enables telemetry at import
-TELEMETRY_ENV = "REPRO_TELEMETRY"
-
-_enabled = os.environ.get(TELEMETRY_ENV, "").lower() in ("1", "on", "true", "yes")
+_enabled = False
 _registry = MetricsRegistry()
 
 # -- global trace: (context id, Span) pairs ------------------------------------

@@ -169,15 +169,6 @@ class TimeSeriesDB:
             total = (total or 0.0) + (pts[-1][1] - pts[0][1]) / elapsed
         return total
 
-    def sum_increase(self, name: str, match: Labels, at: float, window: float,
-                     cid: Optional[int] = None) -> Optional[float]:
-        total = None
-        for lbls in self.series_labels(name, match, cid):
-            inc = self.increase(name, lbls, at, window, cid)
-            if inc is not None:
-                total = (total or 0.0) + inc
-        return total
-
     def over_time(self, fn: str, name: str, labels: Labels, at: float,
                   window: float, cid: Optional[int] = None) -> Optional[float]:
         """avg|max|sum over the raw points in the window."""

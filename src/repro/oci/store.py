@@ -58,8 +58,5 @@ class ImageStore:
                     self._memory.touch_page_cache(f"layer/{layer.digest}", layer.size)
         return PullResult(image=image, was_cached=cached, seconds=seconds)
 
-    def is_pulled(self, reference: str) -> bool:
-        return self._pulled.get(reference, False)
-
     def references(self):
         return sorted(self._images)

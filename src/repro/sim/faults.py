@@ -254,17 +254,9 @@ class FaultPlan:
 #: step, so there is never more than one live scope.
 _AMBIENT: Optional[Tuple["FaultPlan", str]] = None
 
-#: disabled-path guard accounting for the overhead benchmark; the flag
-#: check costs one branch on every ambient() call.
-_COUNT_GUARDS = False
-_GUARD_CALLS = 0
-
 
 def ambient() -> Optional[Tuple["FaultPlan", str]]:
     """The active fault context, or ``None`` (the common, disabled path)."""
-    global _GUARD_CALLS
-    if _COUNT_GUARDS:
-        _GUARD_CALLS += 1
     return _AMBIENT
 
 
@@ -287,24 +279,6 @@ def fault_scope(plan: Optional["FaultPlan"], key: str) -> Iterator[None]:
         yield
     finally:
         _AMBIENT = None
-
-
-@contextmanager
-def count_disabled_guards() -> Iterator[None]:
-    """Benchmark hook: count ambient() calls made while the scope is open
-    (see ``benchmarks/test_chaos.py``'s disabled-path overhead projection)."""
-    global _COUNT_GUARDS, _GUARD_CALLS
-    _COUNT_GUARDS = True
-    _GUARD_CALLS = 0
-    try:
-        yield
-    finally:
-        _COUNT_GUARDS = False
-
-
-def guard_calls() -> int:
-    """Guard evaluations recorded by the last/current counting scope."""
-    return _GUARD_CALLS
 
 
 def transient_plan(

@@ -18,22 +18,16 @@ bytes, distinct shared-file bytes, page cache) and a per-cgroup ledger,
 updated on every segment mutation via the :class:`~repro.sim.process.SimProcess`
 observer hooks. ``map_private`` admission, ``free_report()``,
 ``node_working_set()`` are O(1); ``cgroup_working_set()`` is O(cgroups +
-files) instead of O(processes × segments). The pre-incremental full-scan
-implementations survive as :class:`ReferenceAccountant`, and the model can
-run in three modes (``REPRO_MEMORY_ACCOUNTING`` or the ``accounting``
-constructor argument):
-
-* ``incremental`` — running counters only (default, fast path),
-* ``reference``   — answer every query with a full scan (the old behavior;
-  used to benchmark the speedup),
-* ``audit``       — compute both and raise :class:`SimulationError` on any
-  byte-level disagreement (mirrors the PR 2 ``ReferenceInterpreter``
-  differential-testing pattern; exercised by the hypothesis suite).
+files) instead of O(processes × segments), and every query reads the
+ledger directly. The pre-incremental full-scan implementations survive as
+:class:`ReferenceAccountant`, the differential oracle (mirroring the
+``ReferenceInterpreter`` pattern): :meth:`SystemMemoryModel.verify_accounting`
+cross-checks the whole ledger against it byte for byte, and the tests
+compare query answers with it directly.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -44,11 +38,6 @@ from repro.sim.process import MemorySegment, SegmentKind, SimProcess
 KIB = 1024
 MIB = 1024 * 1024
 GIB = 1024 * 1024 * 1024
-
-ACCOUNTING_MODES = ("incremental", "reference", "audit")
-
-#: environment knob consulted when the constructor gets no explicit mode
-ACCOUNTING_ENV = "REPRO_MEMORY_ACCOUNTING"
 
 
 @dataclass(frozen=True)
@@ -61,15 +50,6 @@ class FreeReport:
     shared: int
     buff_cache: int
     available: int
-
-    def used_plus_cache(self) -> int:
-        """System footprint including reclaimable cache.
-
-        This is the quantity the paper's OS-level channel tracks between
-        deployments: daemons, shims, kernel structures, and the page cache
-        populated by image pulls all land in it.
-        """
-        return self.used + self.buff_cache
 
 
 def _prefix_totals(
@@ -98,8 +78,8 @@ class ReferenceAccountant:
     This is the pre-incremental implementation, retained verbatim as the
     oracle: it derives every answer by walking ``_procs`` /
     ``_file_mappers`` / ``_page_cache``, never consulting the running
-    counters. Audit mode and the property suite compare it byte-for-byte
-    against the incremental ledger.
+    counters. :meth:`SystemMemoryModel.verify_accounting` and the tests
+    compare it byte-for-byte against the incremental ledger.
     """
 
     def __init__(self, model: "SystemMemoryModel") -> None:
@@ -189,17 +169,9 @@ class SystemMemoryModel:
         self,
         total_bytes: int = 256 * GIB,
         kernel_base: int = 600 * MIB,
-        accounting: Optional[str] = None,
     ) -> None:
         if total_bytes <= 0:
             raise SimulationError("total_bytes must be positive")
-        if accounting is None:
-            accounting = os.environ.get(ACCOUNTING_ENV, "incremental")
-        if accounting not in ACCOUNTING_MODES:
-            raise SimulationError(
-                f"unknown accounting mode {accounting!r}; pick one of {ACCOUNTING_MODES}"
-            )
-        self.accounting = accounting
         self.total_bytes = total_bytes
         # Kernel text/slab base plus per-pod kernel overhead added later.
         self.kernel_bytes = kernel_base
@@ -223,7 +195,7 @@ class SystemMemoryModel:
         #: _file_total (see notify_next_change)
         self._change_notice: Optional[Callable[[], None]] = None
         self.reference = ReferenceAccountant(self)
-        # Query/audit telemetry, children pre-bound (hot path).
+        # Query telemetry, children pre-bound (hot path).
         _m_queries = obs.counter(
             "repro_memory_queries_total",
             "memory-accounting queries answered, by query kind",
@@ -232,13 +204,6 @@ class SystemMemoryModel:
         self._q_free = _m_queries.labels("free_report")
         self._q_node = _m_queries.labels("node_working_set")
         self._q_cgroup = _m_queries.labels("cgroup_working_set")
-        _m_audit = obs.counter(
-            "repro_memory_audit_total",
-            "audit-mode incremental-vs-reference cross-checks, by result",
-            ("result",),
-        )
-        self._a_ok = _m_audit.labels("ok")
-        self._a_drift = _m_audit.labels("drift")
 
     # -- process lifecycle ---------------------------------------------------
 
@@ -476,33 +441,14 @@ class SystemMemoryModel:
         if self.kernel_bytes < 0:
             raise SimulationError("kernel overhead went negative")
 
-    # -- audit plumbing ----------------------------------------------------------
-
-    def _checked(self, what, incremental, reference_fn):
-        """Route one query through the active accounting mode.
-
-        ``incremental`` is the ledger answer; ``reference_fn`` produces the
-        full-scan answer and is only evaluated outside incremental mode.
-        """
-        if self.accounting == "incremental":
-            return incremental
-        reference = reference_fn()
-        if self.accounting == "audit":
-            if incremental != reference:
-                self._a_drift.inc()
-                raise SimulationError(
-                    f"accounting drift in {what}: incremental={incremental} "
-                    f"reference={reference}"
-                )
-            self._a_ok.inc()
-        return reference
+    # -- differential check -----------------------------------------------------
 
     def verify_accounting(self) -> None:
         """Cross-check every ledger entry against the reference accountant.
 
-        Raises :class:`SimulationError` on the first drifted counter. Audit
-        mode does this per query; this walks the whole ledger at once (the
-        property suite calls it after every step).
+        Raises :class:`SimulationError` on the first drifted counter. It
+        walks the whole ledger at once (the property suite calls it after
+        every step); the queries themselves read the ledger only.
         """
         ref = self.reference
         checks = [
@@ -548,26 +494,25 @@ class SystemMemoryModel:
 
     # -- accounting: free(1) ----------------------------------------------------
 
-    def _distinct_file_bytes(self) -> int:
-        return self._checked(
-            "distinct_file_bytes", self._file_total, self.reference.distinct_file_bytes
-        )
-
     def free_report(self) -> FreeReport:
+        """The node as ``free -b`` shows it.
+
+        The page cache is reclaimable, so ``buff_cache`` reports at most
+        what ``used`` leaves of the node, and ``free`` stays ≥ 0 when an
+        admitted allocation overlaps the cache.
+
+        Raises:
+            SimulationError: when ``used`` alone exceeds the node.
+        """
         self._q_free.inc()
-        private = self._checked(
-            "private_total", self._private_total, self.reference.private_total
-        )
-        shared_files = self._distinct_file_bytes()
-        used = private + shared_files + self.kernel_bytes
-        buff_cache = self._checked(
-            "cache_total", self._cache_total, self.reference.page_cache_bytes
-        )
-        free = self.total_bytes - used - buff_cache
-        if free < 0:
+        shared_files = self._file_total
+        used = self._private_total + shared_files + self.kernel_bytes
+        if used > self.total_bytes:
             raise SimulationError(
-                f"node out of memory: used={used} cache={buff_cache} total={self.total_bytes}"
+                f"node out of memory: used={used} total={self.total_bytes}"
             )
+        buff_cache = min(self._cache_total, self.total_bytes - used)
+        free = self.total_bytes - used - buff_cache
         available = free + buff_cache + shared_files // 2
         return FreeReport(
             total=self.total_bytes,
@@ -580,16 +525,13 @@ class SystemMemoryModel:
 
     # -- accounting: cgroups ------------------------------------------------------
 
-    def _charged_cgroup(self, file_key: str) -> Optional[str]:
-        """Cgroup paying for a shared file: the first *live* mapper's."""
-        if self.accounting == "incremental":
-            return self._file_owner.get(file_key)
-        reference = self.reference.charged_cgroup(file_key)
-        if self.accounting == "audit" and self._file_owner.get(file_key) != reference:
-            raise SimulationError(f"accounting drift in charged cgroup of {file_key!r}")
-        return reference
+    def cgroup_working_set(self, cgroup_prefix: str) -> int:
+        """Working set of a cgroup subtree, kernel first-touch style.
 
-    def _cgroup_working_set_incremental(self, cgroup_prefix: str) -> int:
+        Private memory of member processes plus shared files charged to a
+        member cgroup. This is what the metrics server aggregates per pod.
+        """
+        self._q_cgroup.inc()
         total = 0
         for cgroup, private in self._cgroup_private.items():
             if cgroup.startswith(cgroup_prefix):
@@ -598,19 +540,6 @@ class SystemMemoryModel:
             if owner is not None and owner.startswith(cgroup_prefix):
                 total += self._file_sizes[file_key]
         return total
-
-    def cgroup_working_set(self, cgroup_prefix: str) -> int:
-        """Working set of a cgroup subtree, kernel first-touch style.
-
-        Private memory of member processes plus shared files charged to a
-        member cgroup. This is what the metrics server aggregates per pod.
-        """
-        self._q_cgroup.inc()
-        return self._checked(
-            f"cgroup_working_set({cgroup_prefix!r})",
-            self._cgroup_working_set_incremental(cgroup_prefix),
-            lambda: self.reference.cgroup_working_set(cgroup_prefix),
-        )
 
     def cgroup_working_sets(self, cgroup_prefixes: Iterable[str]) -> Dict[str, int]:
         """Batched :meth:`cgroup_working_set` — one ledger pass for all prefixes.
@@ -621,8 +550,6 @@ class SystemMemoryModel:
         entry's own string truncations against the prefix set.
         """
         prefixes = set(cgroup_prefixes)
-        if self.accounting != "incremental":
-            return {p: self.cgroup_working_set(p) for p in sorted(prefixes)}
         self._q_cgroup.inc(len(prefixes))
         return self._ledger_working_sets(prefixes)
 
@@ -637,11 +564,7 @@ class SystemMemoryModel:
     def node_working_set(self) -> int:
         """Sum of all process private memory + each shared file once."""
         self._q_node.inc()
-        return self._checked(
-            "node_working_set",
-            self._private_total + self._file_total,
-            self.reference.node_working_set,
-        )
+        return self._private_total + self._file_total
 
     def notify_next_change(self, fn: Callable[[], None]) -> None:
         """Call ``fn()`` once, at the next change of the node working set.

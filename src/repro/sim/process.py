@@ -23,7 +23,7 @@ through :meth:`SimProcess.add_segment` / :meth:`SimProcess.drop_segment` /
 :meth:`SimProcess.resize_segment`, which update a cached total and notify
 the owning memory model (the *observer*) so node- and cgroup-level
 counters stay O(1) per mutation. Never assign ``segment.size`` directly —
-the accountants would drift (audit mode catches this).
+the accountants would drift (``verify_accounting`` catches this).
 """
 
 from __future__ import annotations
@@ -183,9 +183,6 @@ class SimProcess:
 
     def private_bytes(self) -> int:
         return self._private_cached
-
-    def file_segments(self) -> Iterator[MemorySegment]:
-        return (s for s in self.segments.values() if s.kind is SegmentKind.FILE_TEXT)
 
     def shared_segments(self) -> Iterator[MemorySegment]:
         """Segments whose pages are shared node-wide (FILE_TEXT + COW)."""

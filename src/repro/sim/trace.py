@@ -106,19 +106,11 @@ class Tracer:
 
     def phase_totals(self, **attrs: str) -> Dict[str, float]:
         """Total simulated seconds per category, optionally filtered."""
-        totals: Dict[str, float] = defaultdict(float)
-        for span in self.filtered(**attrs) if attrs else self.spans:
-            totals[span.category] += span.duration
-        return dict(totals)
+        return {c: total for c, (total, _) in self.phase_stats(**attrs).items()}
 
     def phase_means(self, **attrs: str) -> Dict[str, float]:
         """Mean span duration per category, optionally filtered."""
-        sums: Dict[str, float] = defaultdict(float)
-        counts: Dict[str, int] = defaultdict(int)
-        for span in self.filtered(**attrs) if attrs else self.spans:
-            sums[span.category] += span.duration
-            counts[span.category] += 1
-        return {c: sums[c] / counts[c] for c in sums}
+        return {c: total / n for c, (total, n) in self.phase_stats(**attrs).items()}
 
     def phase_stats(self, **attrs: str) -> Dict[str, Tuple[float, int]]:
         """Per-category ``(total_seconds, span_count)``, optionally filtered.

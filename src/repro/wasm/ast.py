@@ -157,15 +157,6 @@ class Module:
     def total_funcs(self) -> int:
         return self.num_imported_funcs() + len(self.funcs)
 
-    def total_mems(self) -> int:
-        return sum(1 for i in self.imports if i.kind == "mem") + len(self.mems)
-
-    def total_tables(self) -> int:
-        return sum(1 for i in self.imports if i.kind == "table") + len(self.tables)
-
-    def total_globals(self) -> int:
-        return sum(1 for i in self.imports if i.kind == "global") + len(self.globals)
-
     def add_type(self, ft: FuncType) -> int:
         """Intern a function type, returning its index."""
         for i, existing in enumerate(self.types):
@@ -173,12 +164,6 @@ class Module:
                 return i
         self.types.append(ft)
         return len(self.types) - 1
-
-    def export_index(self, name: str, kind: str) -> int:
-        for ex in self.exports:
-            if ex.name == name and ex.kind == kind:
-                return ex.index
-        raise KeyError(f"no {kind} export named {name!r}")
 
     def code_size(self) -> int:
         """Instruction count across all bodies — a proxy for code size used

@@ -13,8 +13,8 @@ disable with ``REPRO_SPECIALIZE=off``), and
 the **zygote warm-start** path instantiates once per digest, captures an
 :class:`~repro.wasm.runtime.snapshot.InstanceSnapshot`, and clones every
 subsequent instance from it (``zygote`` layer) — observably identical to
-a cold instantiation, including instruction and fuel metering. Disable
-with ``REPRO_ZYGOTE=off``.
+a cold instantiation, including instruction and fuel metering. Pass
+``zygote=False`` to run one guest cold.
 
 Under a fault scope arming a guest-runtime point, the **replay** layer
 serves every run of one input after the first that returned: the run
@@ -42,7 +42,6 @@ from repro.wasm.runtime.snapshot import (
     dirty_memory_bytes,
     restore_instance,
     verify_snapshot,
-    zygote_enabled,
 )
 from repro.wasm.runtime.specialize import DEOPT_COUNTERS
 from repro.wasm.validation import validate_module
@@ -297,7 +296,7 @@ def run_wasi(
     clock_ns: Optional[Callable[[], int]] = None,
     entrypoint: str = "_start",
     interpreter_cls: type = Interpreter,
-    zygote: Optional[bool] = None,
+    zygote: bool = True,
     digest: Optional[str] = None,
 ) -> WasiRunResult:
     """Execute a WASI command module to completion.
@@ -315,8 +314,9 @@ def run_wasi(
         entrypoint: exported function to call (``_start`` for commands).
         interpreter_cls: interpreter implementation (the differential
             tests pass ``ReferenceInterpreter`` here).
-        zygote: force zygote warm-start on/off for this run (default:
-            the ``REPRO_ZYGOTE`` environment toggle).
+        zygote: use the zygote warm-start layer (``False``: a cold
+            two-phase instantiation that neither reads nor captures a
+            snapshot).
         digest: content digest of ``module`` if the caller knows it
             (derived automatically for ``bytes`` input); keys the zygote
             snapshot layer. Without a digest the run is always cold.
@@ -336,10 +336,9 @@ def run_wasi(
         validate_module(module)
 
     ctx = faults.ambient()
-    use_zygote = zygote_enabled() if zygote is None else bool(zygote)
     snapshot: Optional[InstanceSnapshot] = None
     capture = False
-    if use_zygote and digest is not None:
+    if zygote and digest is not None:
         snapshot = engine_cache.zygote_get(digest)
         if snapshot is not None:
             # Injected corruption (chaos plan) or organic checksum
@@ -419,7 +418,7 @@ def run_wasi(
                     instance=None,
                     store=None,
                     restored=restored,
-                    zygote_digest=digest if use_zygote else None,
+                    zygote_digest=digest if zygote else None,
                     dirty_memory_bytes=log.dirty_memory_bytes,
                 )
 
@@ -542,6 +541,6 @@ def run_wasi(
         instance=instance,
         store=store,
         restored=restored,
-        zygote_digest=digest if use_zygote else None,
+        zygote_digest=digest if zygote else None,
         dirty_memory_bytes=dirty,
     )

@@ -260,9 +260,5 @@ OP_TO_NAME: Dict[int, str] = {code: name for name, (code, _imm) in OPCODES.items
 STRUCTURED = frozenset({"block", "loop", "if"})
 
 
-def imm_kind(name: str) -> Imm:
-    return OPCODES[name][1]
-
-
 def opcode(name: str) -> int:
     return OPCODES[name][0]

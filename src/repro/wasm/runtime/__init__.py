@@ -40,7 +40,6 @@ from repro.wasm.runtime.snapshot import (
     dirty_memory_bytes,
     restore_instance,
     verify_snapshot,
-    zygote_enabled,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "dirty_memory_bytes",
     "restore_instance",
     "verify_snapshot",
-    "zygote_enabled",
     "Store",
     "ModuleInstance",
     "FuncInstance",

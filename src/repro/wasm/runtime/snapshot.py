@@ -20,14 +20,14 @@ an entry pointing outside the instance makes the module unsnapshottable
 (:func:`capture_snapshot` returns ``None``).
 
 The process-wide snapshot-per-digest cache lives in
-:mod:`repro.engines.cache` (the fourth layer); ``REPRO_ZYGOTE=off``
-disables the whole mechanism (:func:`zygote_enabled`).
+:mod:`repro.engines.cache` (the fourth layer). Whether a run uses it is
+the caller's choice: zygote runtime configs always warm-start, and
+``run_wasi(zygote=False)`` runs one guest cold.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -44,22 +44,8 @@ from repro.wasm.runtime.store import (
 )
 from repro.wasm.types import GlobalType, MemoryType, TableType
 
-#: environment toggle for the whole zygote mechanism (default: on)
-ZYGOTE_ENV = "REPRO_ZYGOTE"
-
 #: page granularity for the dirty-memory diff (Linux small-page size)
 COW_PAGE = 4096
-
-
-def zygote_enabled() -> bool:
-    """Is zygote warm-start on? Consulted per run, so tests and the
-    benchmark can flip ``REPRO_ZYGOTE`` without re-importing anything."""
-    return os.environ.get(ZYGOTE_ENV, "on").strip().lower() not in (
-        "off",
-        "0",
-        "false",
-        "no",
-    )
 
 
 def _imported_counts(module: Module) -> Dict[str, int]:

@@ -109,8 +109,10 @@ DEOPT_COUNTERS = (METERED_DEOPT, _IC_MISS)
 def specialize_mode() -> str:
     """Resolve ``REPRO_SPECIALIZE`` to ``"on"`` or ``"off"``.
 
-    Read per call (like ``zygote_enabled``) so tests and experiment
-    sweeps can flip the toggle without re-importing anything.
+    Read per call so tests and experiment sweeps can flip the toggle
+    without re-importing anything. The whole-experiment differential
+    (``tests/integration/test_specialize_toggle.py``) selects the flat
+    tier through it.
     """
     raw = os.environ.get(SPECIALIZE_ENV, "on").strip().lower()
     return "off" if raw in ("off", "0", "false", "no") else "on"
@@ -1308,9 +1310,6 @@ class SpecializeReport:
         self.elided = 0
         self.compiled = 0
         self.bytecode = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def specialize_module(

@@ -118,12 +118,6 @@ class MemoryInstance:
     def write_u64(self, addr: int, value: int) -> None:
         self.write(addr, (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
 
-    def read_cstring(self, addr: int, max_len: int = 1 << 20) -> bytes:
-        end = self.data.find(b"\x00", addr, addr + max_len)
-        if end < 0:
-            raise WasmTrap("unterminated string in guest memory")
-        return bytes(self.data[addr:end])
-
 
 @dataclass
 class GlobalInstance:

@@ -35,14 +35,6 @@ def signed64(x: int) -> int:
     return x - 0x1_0000_0000_0000_0000 if x >= 0x8000_0000_0000_0000 else x
 
 
-def unsigned32(x: int) -> int:
-    return x & MASK32
-
-
-def unsigned64(x: int) -> int:
-    return x & MASK64
-
-
 def f32_round(x: float) -> float:
     """Round a Python float to the nearest representable f32."""
     return struct.unpack("<f", struct.pack("<f", x))[0]

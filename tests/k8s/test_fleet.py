@@ -5,13 +5,13 @@ import re
 import pytest
 
 from repro import obs
-from repro.errors import KubernetesError, ReproError
+from repro.errors import KubernetesError, ReproError, SchedulingError
 from repro.k8s import PodPhase
 from repro.k8s.cluster import NodeSpec, build_cluster
 from repro.measure.experiment import ExperimentRunner
 from repro.measure.fleet import run_fleet, run_locality_ablation
 from repro.sim.faults import fleet_plan
-from repro.sim.memory import GIB
+from repro.sim.memory import GIB, MIB
 
 
 @pytest.fixture()
@@ -45,6 +45,24 @@ class TestHeterogeneousFleet:
         assert big.max_pods == 100 and big.allocatable_memory == 512 * GIB
         assert edge.max_pods == 10 and edge.labels == {"tier": "edge"}
         assert cluster.nodes["edge"].env.memory.total_bytes == 64 * GIB
+
+    def test_page_cache_never_runs_a_small_node_out_of_memory(self):
+        """Admission ignores the page cache, so allocations plus cache can
+        exceed an 800 MiB node; the kubelet's pressure check must then see
+        the cache reclaimed, not a node out of memory."""
+        cluster = build_cluster(
+            seed=1, node_specs=[NodeSpec("n", memory_bytes=800 * MIB, max_pods=6)]
+        )
+        template = cluster.pod_template("crun-wasmtime")
+        cluster.deploy_and_wait("crun-wasmtime", 1)
+        try:
+            cluster.converge("svc", template, 5, max_rounds=3)
+        except SchedulingError:
+            pass  # evicted pods keep their slots; the node fills up
+        memory = cluster.node.env.memory
+        memory.verify_accounting()
+        report = memory.free_report()
+        assert report.used + report.free + report.buff_cache == report.total
 
     def test_zero_capacity_node_never_receives_pods(self):
         cluster = build_cluster(

@@ -89,22 +89,17 @@ class TestMeasurementCache:
         assert payload["source_digest"] == source_tree_digest()
 
     def test_toggle_flip_is_a_cache_miss(self, sequential, tmp_path, monkeypatch):
-        """A run cached under one REPRO_* toggle combination must never be
-        served under another: the toggles are part of the cache key."""
+        """A run cached with REPRO_SPECIALIZE in one position must never be
+        served with it in the other: the toggle is part of the cache key."""
         cache = MeasurementCache(tmp_path / "cache")
         m = sequential[("crun-wamr", 10)]
         cache.put(1, "crun-wamr", 10, m)
         assert cache.get(1, "crun-wamr", 10) == m
         baseline = toggle_fingerprint()
-        for env, value in (
-            ("REPRO_SPECIALIZE", "off"),
-            ("REPRO_ZYGOTE", "off"),
-            ("REPRO_MEMORY_ACCOUNTING", "reference"),
-        ):
-            monkeypatch.setenv(env, value)
-            assert toggle_fingerprint() != baseline, env
-            assert cache.get(1, "crun-wamr", 10) is None, env
-            monkeypatch.delenv(env)
+        monkeypatch.setenv("REPRO_SPECIALIZE", "off")
+        assert toggle_fingerprint() != baseline
+        assert cache.get(1, "crun-wamr", 10) is None
+        monkeypatch.delenv("REPRO_SPECIALIZE")
         assert cache.get(1, "crun-wamr", 10) == m
 
     def test_equivalent_toggle_spellings_share_entries(self, sequential, tmp_path, monkeypatch):
@@ -113,7 +108,6 @@ class TestMeasurementCache:
         cache.put(1, "crun-wamr", 10, m)
         # Explicit defaults fingerprint identically to unset toggles.
         monkeypatch.setenv("REPRO_SPECIALIZE", "on")
-        monkeypatch.setenv("REPRO_MEMORY_ACCOUNTING", "incremental")
         assert cache.get(1, "crun-wamr", 10) == m
 
     def test_wall_seconds_recorded_for_cost_estimates(self, sequential, tmp_path):
@@ -268,14 +262,3 @@ class TestTimeseriesJobsIdentity:
         assert par_results == seq_results
         assert par == seq
 
-
-class TestAuditModeExperiments:
-    def test_audit_measurement_identical_to_default(self, sequential, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMORY_ACCOUNTING", "audit")
-        audited = ExperimentRunner(seed=1).run("crun-wamr", 10)
-        assert audited == sequential[("crun-wamr", 10)]
-
-    def test_reference_measurement_identical_to_default(self, sequential, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMORY_ACCOUNTING", "reference")
-        referenced = ExperimentRunner(seed=1).run("crun-wamr", 10)
-        assert referenced == sequential[("crun-wamr", 10)]

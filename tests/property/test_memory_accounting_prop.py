@@ -2,12 +2,13 @@
 
 Drives random spawn / map_private / map_file / map_cow / cow_split /
 resize_segment / drop_segment / exit / touch_page_cache / drop_page_cache
-sequences
-against a model in **audit** mode (every query already cross-checks) and
-additionally calls ``verify_accounting()`` after every step, which
+sequences and, after every step, calls ``verify_accounting()``, which
 compares the running counters byte-for-byte against full recomputation:
 free-report components, node working set, every cgroup working set, and
-every shared file's charge owner.
+every shared file's charge owner. The invariant also compares every
+query's answer with the model's :class:`ReferenceAccountant`: the node
+working set, the ``free(1)`` columns, and the single and batched cgroup
+working sets over every prefix.
 """
 
 import pytest
@@ -39,9 +40,7 @@ COWS = {"zygote/svc": 2 * MIB, "zygote/batch": 4 * MIB}
 class AccountingMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self) -> None:
-        self.model = SystemMemoryModel(
-            total_bytes=1 << 50, kernel_base=0, accounting="audit"
-        )
+        self.model = SystemMemoryModel(total_bytes=1 << 50, kernel_base=0)
         self.procs = []
 
     def _pick_proc(self, data):
@@ -137,20 +136,20 @@ class AccountingMachine(RuleBasedStateMachine):
     def counters_match_reference(self):
         if not hasattr(self, "model"):
             return
-        self.model.verify_accounting()
-        # Exercise the audit-checked query paths too (each re-verifies).
-        self.model.node_working_set()
-        report = self.model.free_report()
+        model = self.model
+        model.verify_accounting()
+        ref = model.reference
+        assert model.node_working_set() == ref.node_working_set()
+        report = model.free_report()
+        assert report.used == ref.node_working_set() + model.kernel_bytes
+        assert report.shared == ref.distinct_file_bytes()
+        assert report.buff_cache == ref.page_cache_bytes()
         assert report.used + report.free + report.buff_cache == report.total
-        for cgroup in CGROUPS:
-            assert self.model.cgroup_working_set(cgroup) >= 0
-        batch = self.model.cgroup_working_sets(CGROUPS)
-        for cgroup in CGROUPS:
-            assert batch[cgroup] == self.model.cgroup_working_set(cgroup)
-        ref = self.model.reference
-        assert ref.cgroup_working_sets(PREFIXES) == {
-            p: ref.cgroup_working_set(p) for p in PREFIXES
-        }
+        expected = {p: ref.cgroup_working_set(p) for p in PREFIXES}
+        for prefix in PREFIXES:
+            assert model.cgroup_working_set(prefix) == expected[prefix]
+        assert model.cgroup_working_sets(PREFIXES) == expected
+        assert ref.cgroup_working_sets(PREFIXES) == expected
 
 
 TestAccountingDifferential = AccountingMachine.TestCase

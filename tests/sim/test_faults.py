@@ -9,10 +9,8 @@ from repro.sim.faults import (
     FaultPoint,
     FaultSpec,
     ambient,
-    count_disabled_guards,
     fault_scope,
     full_lifecycle_plan,
-    guard_calls,
     transient_plan,
 )
 
@@ -236,16 +234,6 @@ class TestFaultScope:
                 with fault_scope(plan, "inner"):
                     pass
         assert ambient() is None
-
-    def test_guard_counting(self):
-        with count_disabled_guards():
-            assert guard_calls() == 0
-            ambient()
-            ambient()
-            assert guard_calls() == 2
-        # Outside the scope, calls are no longer counted.
-        ambient()
-        assert guard_calls() == 2
 
 
 # -- full-lifecycle plan ------------------------------------------------------

@@ -185,6 +185,25 @@ class TestFreeReport:
         small.map_private(p, 64 * MIB)
         assert small.free_report().free == 0
 
+    def test_page_cache_yields_to_used_memory(self):
+        """Page cache is reclaimable: once used + cache exceeds the node,
+        buff/cache shows only what used leaves, and free stays at 0."""
+        small = SystemMemoryModel(total_bytes=64 * MIB, kernel_base=0)
+        small.touch_page_cache("layer", 16 * MIB)
+        p = small.spawn("big")
+        small.map_private(p, 56 * MIB)
+        report = small.free_report()
+        assert report.free == 0
+        assert report.buff_cache == 8 * MIB
+        assert report.used + report.free + report.buff_cache == report.total
+        small.verify_accounting()
+
+    def test_used_beyond_node_raises(self):
+        small = SystemMemoryModel(total_bytes=64 * MIB, kernel_base=0)
+        small.add_kernel_overhead(65 * MIB)
+        with pytest.raises(SimulationError, match="out of memory"):
+            small.free_report()
+
     def test_kernel_overhead_tracking(self, memory):
         before = memory.free_report().used
         memory.add_kernel_overhead(1 * MIB)
@@ -385,18 +404,20 @@ class TestCowSegments:
             MemorySegment(SegmentKind.PRIVATE, 10, cow_dirty=1)
 
     def test_audit_mode_cross_checks_cow(self):
-        for mode in ("incremental", "reference", "audit"):
-            m = SystemMemoryModel(total_bytes=8 * GIB, kernel_base=0, accounting=mode)
-            p1 = m.spawn("a", cgroup="/pods/a")
-            p2 = m.spawn("b", cgroup="/pods/b")
-            m.map_cow(p1, "zygote/svc", 4 * MIB)
-            k2 = m.map_cow(p2, "zygote/svc", 4 * MIB)
-            p2.cow_split(k2, 1 * MIB)
-            p2.cow_unsplit(k2, 512)
-            m.exit(p1)
-            m.verify_accounting()
-            assert m.node_working_set() == 5 * MIB - 512
-            assert m.cgroup_working_set("/pods/b") == 4 * MIB + 1 * MIB - 512
+        """The ledger and the reference accountant agree on COW splits."""
+        m = SystemMemoryModel(total_bytes=8 * GIB, kernel_base=0)
+        p1 = m.spawn("a", cgroup="/pods/a")
+        p2 = m.spawn("b", cgroup="/pods/b")
+        m.map_cow(p1, "zygote/svc", 4 * MIB)
+        k2 = m.map_cow(p2, "zygote/svc", 4 * MIB)
+        p2.cow_split(k2, 1 * MIB)
+        p2.cow_unsplit(k2, 512)
+        m.exit(p1)
+        m.verify_accounting()
+        assert m.node_working_set() == m.reference.node_working_set() == 5 * MIB - 512
+        for cgroup in ("/pods/a", "/pods/b"):
+            assert m.cgroup_working_set(cgroup) == m.reference.cgroup_working_set(cgroup)
+        assert m.cgroup_working_set("/pods/b") == 4 * MIB + 1 * MIB - 512
 
 
 class TestAccountingModes:
@@ -417,34 +438,31 @@ class TestAccountingModes:
         )
 
     def test_reference_and_audit_agree_with_incremental(self):
-        answers = {
-            mode: self._scenario(
-                SystemMemoryModel(total_bytes=8 * GIB, kernel_base=0, accounting=mode)
-            )
-            for mode in ("incremental", "reference", "audit")
-        }
-        assert answers["incremental"] == answers["reference"] == answers["audit"]
+        """Every query the ledger answers equals the reference full scan."""
+        m = SystemMemoryModel(total_bytes=8 * GIB, kernel_base=0)
+        node, report, ws_a, ws_b = self._scenario(m)
+        ref = m.reference
+        assert node == ref.node_working_set()
+        assert report.used == ref.node_working_set() + m.kernel_bytes
+        assert report.shared == ref.distinct_file_bytes()
+        assert report.buff_cache == ref.page_cache_bytes()
+        assert (ws_a, ws_b) == (
+            ref.cgroup_working_set("/pods/a"),
+            ref.cgroup_working_set("/pods/b"),
+        )
 
     def test_audit_mode_detects_untracked_mutation(self):
-        m = SystemMemoryModel(total_bytes=8 * GIB, kernel_base=0, accounting="audit")
+        m = SystemMemoryModel(total_bytes=8 * GIB, kernel_base=0)
         p = m.spawn("a")
         key = m.map_private(p, 4 * MIB)
-        # Bypassing resize_segment desyncs the ledger; audit must catch it.
+        # Bypassing resize_segment desyncs the ledger; the oracle catches it.
         p.segments[key].size = 5 * MIB
         with pytest.raises(SimulationError, match="drift"):
-            m.node_working_set()
+            m.verify_accounting()
 
     def test_verify_accounting_passes_on_clean_model(self, memory):
         self._scenario(memory)
         memory.verify_accounting()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(SimulationError, match="accounting"):
-            SystemMemoryModel(accounting="sloppy")
-
-    def test_env_var_selects_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMORY_ACCOUNTING", "audit")
-        assert SystemMemoryModel().accounting == "audit"
 
 
 class TestBatchedCgroupWorkingSets:

@@ -181,11 +181,10 @@ class TestRunWasiDifferential:
             assert again.restored
             assert _observe(again) == _observe(first)
 
-    def test_zygote_off_never_restores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ZYGOTE", "off")
+    def test_zygote_off_never_restores(self):
         blob = assemble_wat(OUTPUT_WAT)
-        r1 = run_wasi(blob)
-        r2 = run_wasi(blob)
+        r1 = run_wasi(blob, zygote=False)
+        r2 = run_wasi(blob, zygote=False)
         assert not r1.restored and not r2.restored
         assert r1.zygote_digest is None
         assert _observe(r1) == _observe(r2)
