@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro import obs
-from repro.container import constants as C
 from repro.container.highlevel.runwasi import RunwasiShim
 from repro.container.highlevel.shim import spawn_pause, spawn_runc_shim
 from repro.container.lifecycle import Container
@@ -33,7 +32,7 @@ from repro.core.integration import (
 )
 from repro.engines.registry import get_engine
 from repro.errors import ContainerError
-from repro.oci.bundle import Bundle, build_bundle
+from repro.oci.bundle import build_bundle
 from repro.sim.faults import FaultPoint
 from repro.sim.kernel import Acquire, Release, Timeout
 from repro.sim.process import SimProcess

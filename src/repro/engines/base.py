@@ -14,9 +14,7 @@ from typing import Dict, Optional, Sequence
 from repro.errors import EngineError, WasmError, WasmTrap
 from repro.engines.profiles import EngineProfile
 from repro.wasm.ast import Module
-from repro.wasm.decoder import decode_module
 from repro.wasm.embed import WasiRunResult, run_wasi
-from repro.wasm.validation import validate_module
 from repro.wasm.wasi.fs import InMemoryFilesystem
 
 
@@ -29,8 +27,8 @@ class CompiledModule:
     module_size: int  # binary bytes
     artifact_bytes: int  # resident executable artifact (JIT code / in-place)
     compile_seconds: float
-    #: content digest, set by the compile cache; keys the zygote snapshot
-    #: layer (None = uncached compile, zygote warm-start unavailable)
+    #: content digest; keys the zygote and run layers (None = a module
+    #: the caches never saw: every run is cold and executes)
     digest: Optional[str] = None
 
 
@@ -70,19 +68,12 @@ class WasmEngine:
     # -- functional path ---------------------------------------------------
 
     def compile(self, blob: bytes) -> CompiledModule:
-        """Decode + validate (+ model the compile phase)."""
-        try:
-            module = decode_module(blob)
-            validate_module(module)
-        except WasmError as exc:
-            raise EngineError(f"{self.name}: module rejected: {exc}") from exc
-        return CompiledModule(
-            engine=self.name,
-            module=module,
-            module_size=len(blob),
-            artifact_bytes=self.profile.artifact_bytes(len(blob)),
-            compile_seconds=self.profile.compile_seconds(len(blob)),
-        )
+        """Decode + validate (+ model the compile phase), through the
+        engine caches' shared decode entry."""
+        # Deferred: engines.cache imports this module.
+        from repro.engines.cache import compile_cached
+
+        return compile_cached(self, blob)
 
     def run(
         self,
@@ -115,14 +106,15 @@ class WasmEngine:
             raise EngineError(f"{self.name}: trap: {trap}") from trap
         except WasmError as exc:
             raise EngineError(f"{self.name}: {exc}") from exc
+        # Positional, in field order: this runs once per container.
         return EngineRunResult(
-            exit_code=result.exit_code,
-            stdout=result.stdout,
-            stderr=result.stderr,
-            instructions=result.instructions,
-            linear_memory_bytes=result.memory_bytes,
-            exec_seconds=self.profile.exec_seconds(result.instructions),
-            dirty_memory_bytes=result.dirty_memory_bytes,
+            result.exit_code,
+            result.stdout,
+            result.stderr,
+            result.instructions,
+            result.memory_bytes,  # linear_memory_bytes
+            self.profile.exec_seconds(result.instructions),
+            result.dirty_memory_bytes,
         )
 
     # -- resource path -------------------------------------------------------
@@ -137,11 +129,6 @@ class WasmEngine:
     def shim_child_private_bytes(self, compiled: CompiledModule, linear_memory: int) -> int:
         """Private RSS of a runwasi shim's worker child for this engine."""
         return self.profile.shim_child_rss + linear_memory
-
-    def startup_seconds(self, compiled: CompiledModule) -> float:
-        """Engine-side startup critical path: create + compile + instantiate."""
-        p = self.profile
-        return p.create_latency_s + compiled.compile_seconds + p.instantiate_latency_s
 
     def warm_startup_seconds(self) -> float:
         """Engine-side warm path: clone from the zygote snapshot — no

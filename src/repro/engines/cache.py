@@ -1,20 +1,21 @@
-"""Memoization of deterministic guest work: compiles, runs, prepared code.
+"""Memoization of deterministic guest work: decodes, prepared code, runs.
 
 The guest is a pure function of (module, argv, environ, stdin, preopens):
 the interpreter has no ambient inputs — WASI clocks and randomness are
 injected and default to constants. Experiments that deploy the same image
 hundreds of times therefore re-run identical computations; these caches
 collapse them to one real execution per distinct input while every
-container still gets its own memory accounting.
+container still gets its own memory accounting and its own counters.
 
-Seven layers, all keyed by content digest so the blob is hashed once per
+Five layers, all keyed by content digest so the blob is hashed once per
 entry point:
 
-* **decode** — decoded + validated :class:`~repro.wasm.ast.Module` per
-  digest, for direct embed callers (``run_wasi`` on ``bytes``);
-* **compile** — decoded/validated :class:`CompiledModule` per
-  ``(engine, digest)``;
-* **prepared code** — flat executable code (``runtime/compile.py``) per
+* **decode** — one decoded + validated :class:`~repro.wasm.ast.Module`
+  per digest, shared by every engine and by direct embed callers
+  (``run_wasi`` on ``bytes``). An engine's :class:`CompiledModule` is
+  this module plus the ``artifact_bytes`` and ``compile_seconds`` its
+  profile prices for the blob (:func:`compile_cached`);
+* **prepare** — flat executable code (``runtime/compile.py``) per
   digest. Prepared functions are instance-independent, so one prepared
   module serves every instantiation and is re-attached to fresh decodes
   of the same blob;
@@ -25,24 +26,27 @@ entry point:
   every instance through the executing frame and guard their call
   caches at run time — so they attach to every decode of the blob. A
   failed pass leaves the unspecialized prepared code attached
-  (performance lost, correctness kept);
+  (performance lost, correctness kept). Code is re-attached to the
+  decode entry after a decode or rebuild, after a tier change, and
+  under a fault scope; any other lookup finds it attached already;
 * **zygote** — one :class:`~repro.wasm.runtime.snapshot.InstanceSnapshot`
   per digest: the post-initialization instance state the warm-start path
   clones instead of re-running two-phase instantiation. A ``None`` entry
   marks a digest probed and found unsnapshottable, so it is not re-tried;
-* **run** — full :class:`EngineRunResult` per
-  ``(engine, digest, argv, env, stdin)``;
-* **replay** — one :class:`~repro.wasm.embed.ReplayLog` per run input
-  under a fault scope arming a guest-runtime point, where the run layer
-  steps aside. ``embed.run_wasi`` looks it up after the zygote decision,
-  which stays real on every run. A miss executes the guest and, if the
-  run returns, stores the checks it reached and the counter increments
-  between them. A hit walks that log against the pod's own plan, so
-  every pod makes every draw and a fire raises where the real run
-  would have. The key is (digest, argv, env, stdin, fuel, entrypoint,
-  restore or cold, telemetry on/off, armed guest-runtime points, code
-  tier). Captures, profiled runs and runs with a caller-chosen fs,
-  preopens, clock or interpreter always execute.
+* **run** — one :class:`~repro.wasm.embed.RunLog` per run input, for
+  every engine. ``embed.run_wasi`` looks it up after the zygote
+  decision, which stays real on every run. A miss executes the guest
+  and, if the run returns, stores the checks it reached and the counter
+  increments between them. A hit walks that log against the pod's own
+  fault plan (if any), so every pod makes every draw, a fire raises
+  where the real run would have, and every container's guest counters
+  count. The key is (digest, argv, env, stdin, fuel, entrypoint,
+  restore or cold, zygote on/off, telemetry on/off, armed guest-runtime
+  points, code tier); the engine is not part of it, since a run's only
+  engine-specific figure is ``exec_seconds``, which
+  :meth:`WasmEngine.run` prices from the profile. Captures, profiled
+  runs and runs with a caller-chosen fs, preopens, clock or interpreter
+  always execute.
 
 Each layer keeps hit/miss counters (:class:`CacheStats`, backed by the
 ``repro_engine_cache_requests_total`` registry family so they appear in
@@ -51,20 +55,18 @@ seeded experiments and tests cannot leak across runs. The counters are
 registered ``always=True``: they collect even with telemetry disabled,
 because experiment metadata and tests consume them functionally.
 
-Chaos hardening (PR 6): under an ambient fault scope
-(:func:`repro.sim.faults.fault_scope`) the decode/compile/prepare and
-specialize layers can be told a cached entry is corrupt
-(``cache.corrupt``); a corrupt hit
-is invalidated and rebuilt through the normal miss path, at most
-:data:`MAX_REBUILDS_PER_ENTRY` times per entry so a hostile plan cannot
-rebuild forever. The zygote layer adds a **quarantine**: a digest whose
+Chaos hardening: under an ambient fault scope
+(:func:`repro.sim.faults.fault_scope`) the decode, prepare and
+specialize entries can be told they are corrupt (``cache.corrupt``); a
+corrupt hit is invalidated and rebuilt through the normal miss path, at
+most :data:`MAX_REBUILDS_PER_ENTRY` times per entry so a hostile plan
+cannot rebuild forever. An engine lookup draws for the decode entry as
+``compile/{engine}/{digest}`` and records its rebuild under layer
+``compile``. The zygote layer adds a **quarantine**: a digest whose
 snapshot failed checksum verification is dropped and marked poisoned —
 :func:`zygote_get` stops serving it and :func:`zygote_known` keeps
 reporting it probed, so the embed layer neither restores from it nor
-re-captures it until :func:`reset_caches`. The run cache is *bypassed*
-whenever the ambient plan arms any guest-runtime point: memoizing runs
-would let one pod's injected trap answer for every pod. The replay
-layer serves those runs instead.
+re-captures it until :func:`reset_caches`.
 """
 
 from __future__ import annotations
@@ -73,11 +75,12 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.engines.base import CompiledModule, EngineRunResult, WasmEngine
+from repro.errors import EngineError, WasmError
 from repro.oci.digest import sha256_digest
 from repro.sim import faults
 from repro.wasm.ast import Module
 from repro.wasm.decoder import decode_module
-from repro.wasm.embed import ReplayLog
+from repro.wasm.embed import RunLog
 from repro.wasm.runtime.compile import PreparedModule, prepare_module
 from repro.wasm.runtime.snapshot import InstanceSnapshot
 from repro.wasm.runtime.specialize import (
@@ -88,12 +91,14 @@ from repro.wasm.runtime.specialize import (
 from repro.wasm.validation import validate_module
 
 _DECODE_CACHE: Dict[str, Module] = {}
-_COMPILE_CACHE: Dict[Tuple[str, str], CompiledModule] = {}
 _PREPARED_CACHE: Dict[str, PreparedModule] = {}
 _SPECIALIZED_CACHE: Dict[str, SpecializedModule] = {}
 _ZYGOTE_CACHE: Dict[str, Optional[InstanceSnapshot]] = {}
-_RUN_CACHE: Dict[Tuple, EngineRunResult] = {}
-_REPLAY_CACHE: Dict[Tuple, ReplayLog] = {}
+_RUN_CACHE: Dict[Tuple, RunLog] = {}
+
+#: digest -> the specialization tier whose code is attached to the decode
+#: entry; dropped when the entry is re-decoded.
+_ATTACHED: Dict[str, str] = {}
 
 #: digests whose snapshot was found corrupt; never served or re-captured
 #: until :func:`reset_caches`.
@@ -160,12 +165,10 @@ class CacheStats:
 
 
 decode_stats = CacheStats("decode")
-compile_stats = CacheStats("compile")
 prepare_stats = CacheStats("prepare")
 specialize_stats = CacheStats("specialize")
 zygote_stats = CacheStats("zygote")
 run_stats = CacheStats("run")
-replay_stats = CacheStats("replay")
 
 
 def _corrupt_hit(layer: str, digest: str) -> bool:
@@ -197,56 +200,75 @@ def cache_rebuilds() -> Dict[Tuple[str, str], int]:
     return dict(_REBUILDS)
 
 
-def decode_cached(
-    blob: bytes, digest: Optional[str] = None
-) -> Tuple[Module, str]:
-    """Decode + validate ``blob`` once per digest (flat code attached).
+def _decoded(blob: bytes, digest: str, layer: str, prefix: str = "") -> Module:
+    """The decode entry for ``digest``, decoding ``blob`` on a miss.
 
-    The direct-embed entry point: ``run_wasi`` on ``bytes`` routes here
-    so repeated runs of one blob stop re-decoding and re-validating it.
-    Returns the module together with its digest so callers can key the
-    zygote layer without re-hashing.
+    The one place a blob is decoded and validated, for every engine and
+    every embed run. Under a fault scope a hit may be found corrupt
+    (drawn as ``{layer}/{prefix}{digest}``) and is then decoded afresh.
+    Either way the digest's prepared and specialized code is attached on
+    return.
     """
-    if digest is None:
-        digest = sha256_digest(blob)
+    scoped = faults.ambient() is not None
     module = _DECODE_CACHE.get(digest)
-    if module is not None and _corrupt_hit("decode", digest):
-        _DECODE_CACHE.pop(digest, None)
+    if module is not None and scoped and _corrupt_hit(layer, prefix + digest):
         module = None
     if module is None:
         decode_stats.miss()
         module = decode_module(bytes(blob))
         validate_module(module)
         _DECODE_CACHE[digest] = module
+        _ATTACHED.pop(digest, None)
     else:
         decode_stats.hit()
-    prepare_cached(module, digest)
-    specialize_cached(module, digest)
-    return module, digest
+    tier = specialize_mode()
+    if scoped or _ATTACHED.get(digest) != tier:
+        # Under a fault scope every lookup makes the prepare and
+        # specialize draws, so a corrupt entry is rebuilt here.
+        prepare_cached(module, digest)
+        specialize_cached(module, digest)
+        _ATTACHED[digest] = tier
+    return module
+
+
+def decode_cached(
+    blob: bytes, digest: Optional[str] = None
+) -> Tuple[Module, str]:
+    """Decode + validate ``blob`` once per digest (flat code attached).
+
+    The direct-embed entry point: ``run_wasi`` on ``bytes`` routes here.
+    Returns the module together with its digest so callers can key the
+    zygote and run layers without re-hashing.
+    """
+    if digest is None:
+        digest = sha256_digest(blob)
+    return _decoded(blob, digest, "decode"), digest
 
 
 def compile_cached(
     engine: WasmEngine, blob: bytes, digest: Optional[str] = None
 ) -> CompiledModule:
-    """Compile ``blob`` once per engine, and prepare its flat code once
-    per digest (shared across engines — prepared code is engine-neutral)."""
+    """``blob`` as ``engine`` runs it: the shared decode entry, priced by
+    the engine's profile. A module the decoder or validator rejects
+    raises :class:`EngineError` naming the engine."""
     if digest is None:
         digest = sha256_digest(blob)
-    key = (engine.name, digest)
-    compiled = _COMPILE_CACHE.get(key)
-    if compiled is not None and _corrupt_hit("compile", f"{engine.name}/{digest}"):
-        _COMPILE_CACHE.pop(key, None)
-        compiled = None
-    if compiled is None:
-        compile_stats.miss()
-        compiled = engine.compile(blob)
-        compiled.digest = digest
-        _COMPILE_CACHE[key] = compiled
-    else:
-        compile_stats.hit()
-    prepare_cached(compiled.module, digest)
-    specialize_cached(compiled.module, digest)
-    return compiled
+    profile = engine.profile
+    name = profile.name
+    try:
+        module = _decoded(blob, digest, "compile", name + "/")
+    except WasmError as exc:
+        raise EngineError(f"{name}: module rejected: {exc}") from exc
+    size = len(blob)
+    # Positional, in field order: this runs once per container.
+    return CompiledModule(
+        name,
+        module,
+        size,
+        profile.artifact_bytes(size),
+        profile.compile_seconds(size),
+        digest,
+    )
 
 
 # -- zygote layer (no get-or-create: capture happens mid-run in embed.py) --
@@ -361,19 +383,19 @@ def specialize_cached(module, digest: str) -> Optional[SpecializedModule]:
     return sm
 
 
-def replay_get(key: Tuple) -> Optional[ReplayLog]:
+def run_get(key: Tuple) -> Optional[RunLog]:
     """The recorded run for ``key`` (see ``embed.run_wasi``), or ``None``."""
-    log = _REPLAY_CACHE.get(key)
+    log = _RUN_CACHE.get(key)
     if log is None:
-        replay_stats.miss()
+        run_stats.miss()
     else:
-        replay_stats.hit()
+        run_stats.hit()
     return log
 
 
-def replay_put(key: Tuple, log: ReplayLog) -> None:
+def run_put(key: Tuple, log: RunLog) -> None:
     """Store the log of a run that returned."""
-    _REPLAY_CACHE[key] = log
+    _RUN_CACHE[key] = log
 
 
 def run_cached(
@@ -383,31 +405,11 @@ def run_cached(
     env: Optional[Dict[str, str]] = None,
     stdin: bytes = b"",
 ) -> Tuple[CompiledModule, EngineRunResult]:
-    digest = sha256_digest(blob)  # hashed once: shared by compile + run keys
-    compiled = compile_cached(engine, blob, digest=digest)
-    ctx = faults.ambient()
-    if ctx is not None and ctx[0].arms_any(faults.GUEST_RUNTIME_POINTS):
-        # A memoized result would let one pod's run (and its injected
-        # trap, or its survival) answer for every pod. Bypass: each pod
-        # draws its own faults, and the replay layer in run_wasi
-        # executes the guest once per distinct input.
-        _CACHE_REQUESTS.labels("run", "bypass").inc()
-        return compiled, engine.run(compiled, args=args, env=env, stdin=stdin)
-    key = (
-        engine.name,
-        digest,
-        tuple(args),
-        tuple(sorted((env or {}).items())),
-        stdin,
-    )
-    result = _RUN_CACHE.get(key)
-    if result is None:
-        run_stats.miss()
-        result = engine.run(compiled, args=args, env=env, stdin=stdin)
-        _RUN_CACHE[key] = result
-    else:
-        run_stats.hit()
-    return compiled, result
+    """Compile and run ``blob`` on ``engine``: the container runtimes'
+    entry point. The run layer serves every run of one input after the
+    first that returned, whichever engine asks."""
+    compiled = compile_cached(engine, blob, digest=sha256_digest(blob))
+    return compiled, engine.run(compiled, args=args, env=env, stdin=stdin)
 
 
 def cache_stats() -> Dict[str, Dict[str, int]]:
@@ -416,12 +418,10 @@ def cache_stats() -> Dict[str, Dict[str, int]]:
         name: {"hits": s.hits, "misses": s.misses, "entries": len(store)}
         for name, s, store in (
             ("decode", decode_stats, _DECODE_CACHE),
-            ("compile", compile_stats, _COMPILE_CACHE),
             ("prepare", prepare_stats, _PREPARED_CACHE),
             ("specialize", specialize_stats, _SPECIALIZED_CACHE),
             ("zygote", zygote_stats, _ZYGOTE_CACHE),
             ("run", run_stats, _RUN_CACHE),
-            ("replay", replay_stats, _REPLAY_CACHE),
         )
     }
     stats["zygote"]["quarantined"] = len(_ZYGOTE_QUARANTINE)
@@ -439,12 +439,11 @@ def clear_cache_state() -> None:
     and the time-series sampler both assume counters never decrease.
     """
     _DECODE_CACHE.clear()
-    _COMPILE_CACHE.clear()
+    _ATTACHED.clear()
     _PREPARED_CACHE.clear()
     _SPECIALIZED_CACHE.clear()
     _ZYGOTE_CACHE.clear()
     _RUN_CACHE.clear()
-    _REPLAY_CACHE.clear()
     _ZYGOTE_QUARANTINE.clear()
     _ZYGOTE_VERIFIED.clear()
     _REBUILDS.clear()
@@ -460,10 +459,8 @@ def reset_caches() -> None:
     """
     clear_cache_state()
     decode_stats.reset()
-    compile_stats.reset()
     prepare_stats.reset()
     specialize_stats.reset()
     zygote_stats.reset()
     run_stats.reset()
-    replay_stats.reset()
     _ZYGOTE_FALLBACKS.reset()

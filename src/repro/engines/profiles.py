@@ -20,9 +20,9 @@ Each constant models a mechanism, not a measurement target:
   shim shares a pre-serialized (AOT) artifact with its children and
   initializes lazily; wasmer's shim eagerly builds its full Cranelift
   store per child.
-* startup constants — engine create / compile / instantiate latency, and
-  an interpreter speed used to convert the executed instruction count of
-  the real workload run into simulated seconds.
+* latency constants — compile throughput, the warm-start restore
+  latency, and an interpreter speed used to convert the executed
+  instruction count of the real workload run into simulated seconds.
 
 Absolute values are order-of-magnitude realistic for the versions in
 Table I; the benchmark suite asserts the paper's *relative* claims, which
@@ -63,9 +63,7 @@ class EngineProfile:
     shim_child_rss: int  # private footprint of a runwasi shim worker child
     shim_parent_rss: int  # private footprint of the runwasi shim parent
     # Latency model (seconds / rates):
-    create_latency_s: float  # engine_create + library load
     compile_bps: float  # module bytes compiled per second
-    instantiate_latency_s: float
     interp_ips: float  # guest instructions per simulated second
     #: warm-start cost: cloning an instance from a zygote snapshot instead
     #: of create + compile + instantiate (copying captured state only)
@@ -94,9 +92,7 @@ WAMR = EngineProfile(
     # WAMR is not shipped as a runwasi shim; fields kept for symmetry.
     shim_child_rss=int(1.3 * MIB),
     shim_parent_rss=int(0.5 * MIB),
-    create_latency_s=0.020,
     compile_bps=40 * MIB,  # "compile" = loader pass over the module
-    instantiate_latency_s=0.004,
     interp_ips=60e6,
     # Tiny snapshots (in-place module + one-page memories) clone fast.
     restore_latency_s=0.0008,
@@ -115,9 +111,7 @@ WASMTIME = EngineProfile(
     # artifact), children map it shared and initialize lazily.
     shim_child_rss=int(5.10 * MIB),
     shim_parent_rss=int(0.36 * MIB),
-    create_latency_s=0.120,
     compile_bps=6 * MIB,
-    instantiate_latency_s=0.008,
     interp_ips=400e6,  # JIT-compiled code runs much faster
 )
 
@@ -133,9 +127,7 @@ WASMER = EngineProfile(
     # wasmer's shim eagerly builds a full store + engine per child.
     shim_child_rss=int(22.15 * MIB),
     shim_parent_rss=int(1.10 * MIB),
-    create_latency_s=0.160,
     compile_bps=5 * MIB,
-    instantiate_latency_s=0.010,
     interp_ips=380e6,
 )
 
@@ -150,9 +142,7 @@ WASMEDGE = EngineProfile(
     code_multiplier=1.0,
     shim_child_rss=int(5.85 * MIB),
     shim_parent_rss=int(0.80 * MIB),
-    create_latency_s=0.070,
     compile_bps=25 * MIB,
-    instantiate_latency_s=0.006,
     interp_ips=45e6,
 )
 
@@ -167,9 +157,7 @@ WAMR_AOT = EngineProfile(
     code_multiplier=3.0,  # native code, leaner than Cranelift output
     shim_child_rss=int(1.5 * MIB),
     shim_parent_rss=int(0.5 * MIB),
-    create_latency_s=0.022,
     compile_bps=4 * MIB,  # AOT compilation is the expensive step
-    instantiate_latency_s=0.004,
     interp_ips=500e6,  # near-native execution
     restore_latency_s=0.0008,
 )

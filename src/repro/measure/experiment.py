@@ -87,10 +87,10 @@ def open_run(label: str, count: int, **cluster_args) -> Cluster:
     telemetry, build.
 
     With telemetry on, the run gets its own trace context named ``label``
-    and cold engine caches: runs of one config share a run-cache key, so
-    guest execution counters (and series sampled from them) would
-    otherwise depend on which run came first in the process, and differ
-    at ``--jobs N``. Measurements are warmth-independent
+    and cold engine caches: runs of one image share decode, zygote and
+    run entries, so which guest runs capture, record or replay (and the
+    series sampled from them) would otherwise depend on which run came
+    first in the process, and differ at ``--jobs N``. Measurements are warmth-independent
     (``test_no_cache_recomputes``). State only: zeroing the counters
     would break the worker delta protocol.
     """

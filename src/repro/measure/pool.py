@@ -50,9 +50,10 @@ def prewarm_process_caches() -> None:
 
     Builds the memoized workload images (the Python image joins a
     7.4 MiB stdlib layer — a measurable per-cluster cost) and runs the
-    microservice module through the digest-keyed decode/prepare path, so
-    every forked worker starts with hot engine caches instead of paying
-    the cold start once per worker.
+    microservice module through the digest-keyed decode/prepare path.
+    That decode entry serves every engine, so every forked worker starts
+    with hot engine caches instead of paying the cold start once per
+    worker.
     """
     from repro.workloads.images import build_python_image, build_wasm_image
 

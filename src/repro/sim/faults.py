@@ -6,11 +6,11 @@ pull, sandbox setup, shim spawn, engine compile/instantiate, CRI RPC,
 main exec); the *runtime* points extend the plan past Running into every
 fast path built since: guest traps and fuel/OOM exhaustion mid-run,
 WASI syscall errors, zygote snapshot corruption, engine-cache entry
-corruption (``cache.corrupt`` covers the decode/compile/prepare layers
-and, since PR 7, the digest-keyed specialized-code layer — a corrupted
-entry is re-specialized under the same rebuild cap, falling back to
-unspecialized prepared code if the pass fails), metrics-scrape loss, and
-liveness/readiness probe failures.
+corruption (``cache.corrupt`` covers the decode, prepare and specialize
+layers; an engine lookup draws for the decode entry as
+``compile/{engine}/{digest}``, and a corrupted specialized entry falls
+back to unspecialized prepared code if its re-specialization fails),
+metrics-scrape loss, and liveness/readiness probe failures.
 Each point carries a firing probability, an optional max-occurrence
 budget, and a transient-vs-permanent classification. Components ask the
 plan at the matching point (via
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs
@@ -74,10 +74,10 @@ class FaultPoint(enum.Enum):
 
 
 #: points checked from inside guest execution (``run_wasi`` and below).
-#: When any of these is armed, the run cache is bypassed so every pod
-#: makes its own per-(point, key) draws. The engine caches' replay layer
-#: then executes each distinct guest once and, for later pods, walks the
-#: recorded checks against their own draws.
+#: The armed subset keys the engine caches' run layer, which executes
+#: each distinct guest once and, for later pods, walks the recorded
+#: checks against their own draws, so every pod makes its own
+#: per-(point, key) draws.
 GUEST_RUNTIME_POINTS = frozenset(
     {
         FaultPoint.GUEST_TRAP,

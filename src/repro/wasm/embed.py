@@ -4,8 +4,9 @@ This is the code path every engine model exercises: decode → validate →
 link WASI imports → instantiate → attach exported memory → call
 ``_start`` → collect exit code and captured output.
 
-Repeated runs of one blob are collapsed through the engine caches: the
-bytes are decoded/validated once per digest (``decode`` layer), the
+Repeated runs of one blob are collapsed through the engine caches
+(:mod:`repro.engines.cache`): the bytes are decoded/validated once per
+digest for every engine and embed caller (``decode`` layer), the
 **specialization tier** compiles the prepared code to Python closures
 once per digest (``specialize`` layer — an unmetered and a metered
 closure per function, with statically proven bounds checks dropped;
@@ -16,15 +17,18 @@ subsequent instance from it (``zygote`` layer) — observably identical to
 a cold instantiation, including instruction and fuel metering. Pass
 ``zygote=False`` to run one guest cold.
 
-Under a fault scope arming a guest-runtime point, the **replay** layer
-serves every run of one input after the first that returned: the run
-records the checks it reached and the counter increments between them
-(:class:`ReplayLog`), and later pods walk that log against their own
-fault draws instead of executing the guest again.
+The **run** layer serves every run of one input after the first that
+returned, armed fault plan or not: that run records the checks it
+reached and the counter increments between them (:class:`RunLog`), and
+later runs walk the log against their own fault draws instead of
+executing the guest again. Every run still counts its host calls, bytes
+and instructions. Zygote captures and runs in a caller-chosen host world
+(fs, preopens, clock, interpreter, profiler) always execute.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -34,7 +38,6 @@ from repro.errors import ExhaustionError, WasiExit, WasmError
 from repro.obs import profile
 from repro.sim import faults
 from repro.wasm.ast import Module
-from repro.wasm.decoder import decode_module
 from repro.wasm.runtime import Interpreter, ModuleInstance, Store, instantiate
 from repro.wasm.runtime.snapshot import (
     InstanceSnapshot,
@@ -52,18 +55,29 @@ from repro.wasm.wasi.preview1 import calls_counter
 #: microseconds; the default (request-scale) buckets would collapse them
 _RESTORE_BUCKETS = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 
+_ZYGOTE_CORRUPT = (faults.FaultPoint.ZYGOTE_CORRUPT,)
+_NONE_ARMED: frozenset = frozenset()
+
+#: :mod:`repro.engines.cache`, bound by the first :func:`run_wasi`
+_engine_cache = None
+
 
 @dataclass
 class WasiRunResult:
-    """Outcome of one guest run."""
+    """Outcome of one guest run.
+
+    ``instance`` and ``store`` are ``None`` when the run layer served the
+    run: any repeat run in the default host world (see :func:`run_wasi`)
+    instantiates nothing. A caller that needs the instance must pass a
+    host world of its own, e.g. an ``fs``. Every run a log serves gets
+    the same result object, so callers treat results as read-only.
+    """
 
     exit_code: int
     stdout: bytes
     stderr: bytes
     instructions: int
     memory_bytes: int  # linear memory resident at exit
-    #: the run's instance and store; ``None`` when the replay layer
-    #: served the run, since nothing was instantiated
     instance: Optional[ModuleInstance]
     store: Optional[Store]
     #: True when the instance was cloned from a zygote snapshot
@@ -80,27 +94,25 @@ Increments = Tuple[Tuple[object, float], ...]
 
 
 @dataclass(frozen=True)
-class ReplayLog:
-    """A run that returned, as the replay layer serves it to later pods.
+class RunLog:
+    """A run that returned, as the run layer serves it to later runs.
 
     ``steps`` lists each guest-runtime check the run reached, in order,
-    as ``(point, call, increments)``. ``increments`` are the registry
-    increments the guest made since the previous check. ``call`` is the
+    as ``(point, call, increments)``: the two pre-entrypoint checks under
+    a fault scope, and each WASI call while a guest-runtime point is
+    armed or telemetry is on. ``increments`` are the registry increments
+    the guest made since the previous check. ``call`` is the
     ``repro_wasi_calls_total`` series a WASI call counts before its
     check (``None`` for the pre-entrypoint checks, and with telemetry
-    off). ``tail`` holds the increments after the last check; the other
-    fields are the run's results.
+    off). ``tail`` holds the increments after the last check. ``result``
+    is what every serving returns: the run's results, without its
+    instance and store.
     """
 
     steps: Tuple[Tuple[faults.FaultPoint, object, Increments], ...]
     tail: Increments
-    exit_code: int
-    stdout: bytes
-    stderr: bytes
-    instructions: int
-    memory_bytes: int
-    dirty_memory_bytes: int
     fuel_used: Optional[int]
+    result: WasiRunResult
 
 
 class _Recorder:
@@ -141,19 +153,21 @@ class _Recorder:
         return marked
 
 
-def _replay(log: ReplayLog, plan: faults.FaultPlan, pod_key: str) -> None:
+def _replay(log: RunLog, ctx: Optional[Tuple[faults.FaultPlan, str]]) -> None:
     """Repeat ``log``'s increments and checks in the order the run made them.
 
-    Every check draws from this pod's streams, so a fire raises the
-    :class:`~repro.errors.FaultInjected` the real run would have raised,
-    at the same point and with the counters the real run would have left.
+    Under a fault scope every check draws from this pod's streams, so a
+    fire raises the :class:`~repro.errors.FaultInjected` the real run
+    would have raised, at the same point and with the counters the real
+    run would have left.
     """
     for point, call, increments in log.steps:
         for counter, amount in increments:
             counter.inc(amount)
         if call is not None:
             call.inc()
-        plan.raise_if_fires(point, pod_key)
+        if ctx is not None:
+            ctx[0].raise_if_fires(point, ctx[1])
     for counter, amount in log.tail:
         counter.inc(amount)
 
@@ -319,20 +333,25 @@ def run_wasi(
             snapshot).
         digest: content digest of ``module`` if the caller knows it
             (derived automatically for ``bytes`` input); keys the zygote
-            snapshot layer. Without a digest the run is always cold.
+            and run layers. Without a digest the run is always cold and
+            always executes.
 
     Returns:
         :class:`WasiRunResult`. ``exit_code`` is 0 when the entrypoint
         returns normally, otherwise the ``proc_exit`` code.
     """
-    # Deferred: engines.cache imports engines.base, which imports us.
-    from repro.engines import cache as engine_cache
+    global _engine_cache
+    if _engine_cache is None:
+        # Bound on first use: engines.cache imports engines.base, which
+        # imports us.
+        from repro.engines import cache as _engine_cache
+    engine_cache = _engine_cache
 
     if isinstance(module, (bytes, bytearray)):
         module, digest = engine_cache.decode_cached(bytes(module), digest)
     elif not module.validated:
-        # Once per module object: WasmEngine.compile already validated
-        # every module the engines run.
+        # Once per module object: the decode layer validated every
+        # module the engines run.
         validate_module(module)
 
     ctx = faults.ambient()
@@ -345,16 +364,17 @@ def run_wasi(
             # mismatch both quarantine the digest: the snapshot is
             # dropped, never re-captured, and this run — like every
             # later one — takes the cold two-phase path. Verification
-            # is amortized to once per digest on the happy path, but
-            # runs every time under an armed fault scope (the plan may
+            # is amortized to once per digest, but runs on every
+            # restore while the plan arms ``zygote.corrupt`` (it may
             # corrupt the entry on any restore).
+            every_restore = ctx is not None and ctx[0].arms_any(_ZYGOTE_CORRUPT)
             corrupt = (
-                ctx is not None
+                every_restore
                 and ctx[0].check(faults.FaultPoint.ZYGOTE_CORRUPT, ctx[1])
                 is not None
             )
             if not corrupt and (
-                ctx is not None or not engine_cache.zygote_verified(digest)
+                every_restore or not engine_cache.zygote_verified(digest)
             ):
                 if verify_snapshot(snapshot):
                     engine_cache.zygote_mark_verified(digest)
@@ -369,15 +389,14 @@ def run_wasi(
         capture = snapshot is None and not engine_cache.zygote_known(digest)
     restored = snapshot is not None
 
-    # Replay: under a fault scope arming a guest-runtime point, a run's
-    # only per-pod input is its fault draws. Runs whose host world the
-    # caller chose (fs, preopens, clock, interpreter, profiler) and
-    # zygote captures always execute.
+    # The run layer: in the default host world a run's only inputs are
+    # its arguments and, under a fault scope, its draws. Runs whose host
+    # world the caller chose (fs, preopens, clock, interpreter,
+    # profiler) and zygote captures always execute.
     prof = profile.active_profiler()
-    replay_key = None
+    run_key = None
     if (
-        ctx is not None
-        and digest is not None
+        digest is not None
         and not capture
         and prof is None
         and fs is None
@@ -385,42 +404,35 @@ def run_wasi(
         and clock_ns is None
         and interpreter_cls is Interpreter
     ):
-        armed = ctx[0].armed(faults.GUEST_RUNTIME_POINTS)
-        if armed:
-            # The armed set is part of the key: the wasi.syscall wrapper
-            # exists only while that point is armed. The code tier is
-            # too: the deopt increments depend on it.
-            tier = _code_tier(module, fuel)
-            replay_key = (
-                digest,
-                tuple(args),
-                tuple(sorted((env or {}).items())),
-                stdin,
-                fuel,
-                entrypoint,
-                restored,
-                obs.enabled(),
-                armed,
-                tier,
-            )
-            log = engine_cache.replay_get(replay_key)
-            if log is not None:
-                _replay(log, *ctx)
-                if obs.enabled():
-                    mode = "restore" if restored else "cold"
-                    _count_run(log.instructions, log.fuel_used, mode, tier)
-                return WasiRunResult(
-                    exit_code=log.exit_code,
-                    stdout=log.stdout,
-                    stderr=log.stderr,
-                    instructions=log.instructions,
-                    memory_bytes=log.memory_bytes,
-                    instance=None,
-                    store=None,
-                    restored=restored,
-                    zygote_digest=digest if zygote else None,
-                    dirty_memory_bytes=log.dirty_memory_bytes,
-                )
+        # The armed set is part of the key: the wasi.syscall wrapper
+        # exists only while that point is armed. So are telemetry (the
+        # call counters) and the code tier (the deopt increments), and
+        # the zygote path and switch, which the served result reports.
+        armed = (
+            ctx[0].armed(faults.GUEST_RUNTIME_POINTS) if ctx is not None else _NONE_ARMED
+        )
+        telemetry = obs.enabled()
+        tier = _code_tier(module, fuel)
+        run_key = (
+            digest,
+            tuple(args),
+            tuple(sorted(env.items())) if env else (),
+            stdin,
+            fuel,
+            entrypoint,
+            restored,
+            zygote,
+            telemetry,
+            armed,
+            tier,
+        )
+        log = engine_cache.run_get(run_key)
+        if log is not None:
+            _replay(log, ctx)
+            if telemetry:
+                mode = "restore" if restored else "cold"
+                _count_run(log.result.instructions, log.fuel_used, mode, tier)
+            return log.result
 
     store = Store()
     wasi = WasiEnv(
@@ -433,9 +445,12 @@ def run_wasi(
     )
     host = wasi.register(store, module)
     recorder = None
-    if replay_key is not None:
+    if run_key is not None:
         recorder = _Recorder(wasi.byte_counters + DEOPT_COUNTERS)
-        recorder.watch_wasi(store, host)
+        if armed or telemetry:
+            # A replay needs the WASI marks only to draw wasi.syscall
+            # or to count the calls.
+            recorder.watch_wasi(store, host)
     interp = interpreter_cls(store, fuel=fuel)
     if prof is not None:
         interp.profiler = prof
@@ -515,27 +530,10 @@ def run_wasi(
                 buckets=_RESTORE_BUCKETS,
             ).observe(restore_elapsed)
 
-    stdout = bytes(wasi.stdout)
-    stderr = bytes(wasi.stderr)
-    if recorder is not None:
-        engine_cache.replay_put(
-            replay_key,
-            ReplayLog(
-                steps=tuple(recorder.steps),
-                tail=recorder.increments(),
-                exit_code=exit_code,
-                stdout=stdout,
-                stderr=stderr,
-                instructions=instructions,
-                memory_bytes=memory_bytes,
-                dirty_memory_bytes=dirty,
-                fuel_used=fuel_used,
-            ),
-        )
-    return WasiRunResult(
+    result = WasiRunResult(
         exit_code=exit_code,
-        stdout=stdout,
-        stderr=stderr,
+        stdout=bytes(wasi.stdout),
+        stderr=bytes(wasi.stderr),
         instructions=instructions,
         memory_bytes=memory_bytes,
         instance=instance,
@@ -544,3 +542,14 @@ def run_wasi(
         zygote_digest=digest if zygote else None,
         dirty_memory_bytes=dirty,
     )
+    if recorder is not None:
+        engine_cache.run_put(
+            run_key,
+            RunLog(
+                steps=tuple(recorder.steps),
+                tail=recorder.increments(),
+                fuel_used=fuel_used,
+                result=dataclasses.replace(result, instance=None, store=None),
+            ),
+        )
+    return result

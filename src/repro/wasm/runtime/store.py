@@ -19,7 +19,6 @@ from repro.wasm.types import (
     GlobalType,
     MemoryType,
     TableType,
-    ValType,
     MAX_PAGES,
     PAGE_SIZE,
 )

@@ -1,12 +1,12 @@
-"""Cache-entry corruption: rebuild-once semantics and the run-cache bypass.
+"""Cache-entry corruption: rebuild-once semantics.
 
-Armed with ``cache.corrupt``, a warm decode/compile/prepare hit can come
-back poisoned; the layer must drop the entry and rebuild it — at most
-once per entry (``MAX_REBUILDS_PER_ENTRY``), so a hostile plan cannot
-turn the cache into a permanent miss machine. And with any guest-runtime
-point armed, the run cache must get out of the way: memoizing one pod's
-execution would let its fault draw answer for every pod. The replay
-layer serves those runs instead (``test_replay.py``).
+Armed with ``cache.corrupt``, a warm decode/prepare/specialize hit can
+come back poisoned; the layer must drop the entry and rebuild it — at
+most once per entry (``MAX_REBUILDS_PER_ENTRY``), so a hostile plan
+cannot turn the cache into a permanent miss machine. An engine lookup
+draws for the shared decode entry under its own name,
+``compile/{engine}/{digest}``. How the run layer serves runs under an
+armed plan is ``test_replay.py``'s subject.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.engines.cache import (
     compile_cached,
     decode_cached,
     reset_caches,
-    run_cached,
 )
 from repro.engines import get_engine
 from repro.sim.faults import FaultPlan, FaultPoint, FaultSpec, fault_scope
@@ -66,12 +65,20 @@ class TestCorruptRebuild:
         blob = assemble_wat(WAT)
         engine = get_engine("wamr")
         compiled = compile_cached(engine, blob)
-        with fault_scope(_always_corrupt(), "pod-1"):
-            rebuilt = compile_cached(engine, blob)
-            assert compile_cached(engine, blob) is rebuilt
-        assert rebuilt is not compiled
-        key = ("compile", f"{engine.name}/{compiled.digest}")
-        assert cache_rebuilds()[key] == 1
+        plan = _always_corrupt()
+        with fault_scope(plan, "pod-1"):
+            rebuilt = compile_cached(engine, blob)  # corrupt → re-decode
+            assert compile_cached(engine, blob).module is rebuilt.module
+        assert rebuilt.module is not compiled.module
+        # The engine lookup draws as compile/, never as decode/, and the
+        # prepare and specialize entries take their one rebuild too.
+        digest = compiled.digest
+        assert cache_rebuilds() == {
+            ("compile", f"wamr/{digest}"): 1,
+            ("prepare", digest): 1,
+            ("specialize", digest): 1,
+        }
+        assert plan.count(FaultPoint.CACHE_CORRUPT) == 3
 
     def test_no_scope_means_no_corruption(self):
         blob = assemble_wat(WAT)
@@ -149,44 +156,3 @@ class TestSpecializeCorrupt:
         assert module.funcs[0].prepared is sf
         stats = cache_stats()["specialize"]
         assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 1, 1)
-
-
-class TestRunCacheBypass:
-    def test_armed_guest_points_bypass_run_cache(self):
-        blob = assemble_wat(WAT)
-        engine = get_engine("wamr")
-        plan = FaultPlan(
-            [FaultSpec(FaultPoint.GUEST_TRAP, probability=0.0)]
-        )
-        # probability=0 still counts as unarmed: memoization is safe.
-        with fault_scope(plan, "pod-1"):
-            run_cached(engine, blob, args=("m",))
-            run_cached(engine, blob, args=("m",))
-        assert cache_stats()["run"]["entries"] == 1
-
-        reset_caches()
-        # Armed (probability > 0) but with a spent budget: the bypass
-        # decision keys on arming alone, and no fault actually fires.
-        armed = FaultPlan(
-            [FaultSpec(FaultPoint.GUEST_TRAP, probability=1.0, max_occurrences=0)]
-        )
-        with fault_scope(armed, "pod-1"):
-            run_cached(engine, blob, args=("m",))
-            run_cached(engine, blob, args=("m",))
-        # Nothing memoized: every pod executes and draws its own faults.
-        assert cache_stats()["run"]["entries"] == 0
-
-    def test_bypass_results_match_memoized(self):
-        blob = assemble_wat(WAT)
-        engine = get_engine("wamr")
-        _, memoized = run_cached(engine, blob, args=("m",))
-        plan = FaultPlan(
-            [FaultSpec(FaultPoint.GUEST_TRAP, probability=1.0, max_occurrences=0)]
-        )
-        with fault_scope(plan, "pod-1"):
-            _, bypassed = run_cached(engine, blob, args=("m",))
-        assert (bypassed.exit_code, bypassed.stdout, bypassed.stderr) == (
-            memoized.exit_code,
-            memoized.stdout,
-            memoized.stderr,
-        )

@@ -7,7 +7,7 @@ from repro.engines.base import WasmEngine
 from repro.engines.cache import (
     cache_stats,
     compile_cached,
-    compile_stats,
+    decode_stats,
     prepare_stats,
     reset_caches,
     run_cached,
@@ -107,6 +107,7 @@ class TestCompileRun:
             "validate",
             lambda self: calls.append(self) or validate(self),
         )
+        reset_caches()  # cold: the decode layer validates on its miss
         engine = get_engine("wamr")
         compiled = engine.compile(blob)
         for _ in range(3):
@@ -158,11 +159,17 @@ class TestMemoryAccounting:
 
 class TestCache:
     def test_run_cached_reuses_results(self, blob):
+        # The first run captures the zygote, the second (a restore)
+        # records, and every later run is served from its log.
         reset_caches()
         engine = get_engine("wamr")
-        c1, r1 = run_cached(engine, blob, args=["svc"], env={"A": "1"})
-        c2, r2 = run_cached(engine, blob, args=["svc"], env={"A": "1"})
-        assert r1 is r2 and c1 is c2
+        runs = [
+            run_cached(engine, blob, args=["svc"], env={"A": "1"}) for _ in range(3)
+        ]
+        assert (run_stats.misses, run_stats.hits) == (1, 1)
+        (c1, r1), (c2, r2), (c3, r3) = runs
+        assert r1 == r2 == r3
+        assert c1.module is c2.module is c3.module
 
     def test_cache_distinguishes_env(self, blob):
         reset_caches()
@@ -172,36 +179,52 @@ class TestCache:
         assert r1.stdout != r2.stdout
 
     def test_cache_distinguishes_engine(self, blob):
+        # One decode and one run log serve both engines; each prices the
+        # module and the run with its own profile.
         reset_caches()
-        c1, _ = run_cached(get_engine("wamr"), blob, args=["x"])
-        c2, _ = run_cached(get_engine("wasmtime"), blob, args=["x"])
+        wamr, wasmtime = get_engine("wamr"), get_engine("wasmtime")
+        run_cached(wamr, blob, args=["x"])  # zygote capture
+        c1, r1 = run_cached(wamr, blob, args=["x"])
+        c2, r2 = run_cached(wasmtime, blob, args=["x"])
+        assert run_stats.hits == 1
+        assert c1.module is c2.module
         assert c1.artifact_bytes != c2.artifact_bytes
+        assert r1.instructions == r2.instructions
+        assert r1.exec_seconds == wamr.profile.exec_seconds(r1.instructions)
+        assert r2.exec_seconds == wasmtime.profile.exec_seconds(r2.instructions)
+        assert r1.exec_seconds != r2.exec_seconds
 
     def test_hit_miss_counters(self, blob):
         reset_caches()
         engine = get_engine("wamr")
-        run_cached(engine, blob, args=["svc"])
-        assert (compile_stats.misses, compile_stats.hits) == (1, 0)
+        run_cached(engine, blob, args=["svc"])  # decode, capture: no run lookup
+        assert (decode_stats.misses, decode_stats.hits) == (1, 0)
+        assert (run_stats.misses, run_stats.hits) == (0, 0)
+        run_cached(engine, blob, args=["svc"])  # first restore: records
+        assert (decode_stats.misses, decode_stats.hits) == (1, 1)
         assert (run_stats.misses, run_stats.hits) == (1, 0)
         run_cached(engine, blob, args=["svc"])
-        assert (compile_stats.misses, compile_stats.hits) == (1, 1)
+        assert (decode_stats.misses, decode_stats.hits) == (1, 2)
         assert (run_stats.misses, run_stats.hits) == (1, 1)
 
     def test_prepare_cached_shared_across_engines(self, blob):
-        # Flat code is engine-neutral: the second engine's decode re-uses
-        # the prepared functions keyed by blob digest.
+        # One decode per digest serves every engine, with its prepared
+        # code attached once: the second engine's lookup is a decode hit
+        # that neither prepares nor re-attaches.
         reset_caches()
         c1 = compile_cached(get_engine("wamr"), blob)
         c2 = compile_cached(get_engine("wasmtime"), blob)
-        assert prepare_stats.misses == 1 and prepare_stats.hits == 1
-        assert (
-            c1.module.funcs[0].prepared is c2.module.funcs[0].prepared is not None
-        )
+        assert (decode_stats.misses, decode_stats.hits) == (1, 1)
+        assert (prepare_stats.misses, prepare_stats.hits) == (1, 0)
+        assert c1.module is c2.module
+        assert c1.module.funcs[0].prepared is not None
 
     def test_reset_caches_zeroes_state(self, blob):
         engine = get_engine("wamr")
-        run_cached(engine, blob, args=["svc"])
+        for _ in range(3):
+            run_cached(engine, blob, args=["svc"])
         reset_caches()
         stats = cache_stats()
-        for layer in ("compile", "prepare", "run"):
+        assert set(stats) == {"decode", "prepare", "specialize", "zygote", "run"}
+        for layer in ("decode", "prepare", "run"):
             assert stats[layer] == {"hits": 0, "misses": 0, "entries": 0}

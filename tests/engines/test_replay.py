@@ -1,6 +1,5 @@
-"""The replay layer: chaos executes each distinct guest input once.
+"""The run layer: every distinct guest input executes once.
 
-With a guest-runtime fault point armed, the run cache steps aside and
 ``embed.run_wasi`` serves a repeat run from the log of a real one: the
 checks it reached, in order, and the counter increments between them.
 These tests hold every replay to the real run it stands for: the same
@@ -95,7 +94,7 @@ class _FireAt(FaultPlan):
 
 
 def _replay_stats():
-    return cache_stats()["replay"]
+    return cache_stats()["run"]
 
 
 def _series(*names):
@@ -117,7 +116,7 @@ def _observe(r):
 
 
 def _never_replay(monkeypatch):
-    monkeypatch.setattr(engine_cache, "replay_get", lambda key: None)
+    monkeypatch.setattr(engine_cache, "run_get", lambda key: None)
 
 
 class TestWasiFaultInReplay:
@@ -264,14 +263,14 @@ class TestKey:
 
 
 def _registry_series():
-    """Every registry series except wall-clock ones and the replay
-    layer's own lookups."""
+    """Every registry series except wall-clock ones and the run layer's
+    own lookups."""
     out = {}
     for name, fam in obs.default_registry().state()["families"].items():
         if name in WALLCLOCK_FAMILIES:
             continue
         for labels, value in fam["children"].items():
-            if name == "repro_engine_cache_requests_total" and labels[0] == "replay":
+            if name == "repro_engine_cache_requests_total" and labels[0] == "run":
                 continue
             out[(name, labels)] = value
     return out

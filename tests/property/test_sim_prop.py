@@ -169,7 +169,9 @@ def test_first_touch_charge_is_stable_under_exits(exit_order):
     m = SystemMemoryModel(total_bytes=64 * 1024 * MIB, kernel_base=0)
     procs = []
     for i in range(len(exit_order)):
-        p = m.spawn(f"p{i}", cgroup=f"/pods/pod{i}")
+        # Zero-padded: a working-set query sums every cgroup its prefix
+        # starts with, so /pods/pod1 would also count /pods/pod10.
+        p = m.spawn(f"p{i}", cgroup=f"/pods/pod{i:02d}")
         m.map_file(p, "shared.so", 2 * MIB)
         procs.append(p)
 
@@ -180,6 +182,6 @@ def test_first_touch_charge_is_stable_under_exits(exit_order):
             m.exit(procs[target])
             alive.remove(target)
         total_charged = sum(
-            m.cgroup_working_set(f"/pods/pod{i}") for i in range(len(procs))
+            m.cgroup_working_set(f"/pods/pod{i:02d}") for i in range(len(procs))
         )
         assert total_charged == (2 * MIB if alive else 0)

@@ -21,8 +21,9 @@ from repro.engines.cache import (
     zygote_quarantine,
     zygote_quarantined,
 )
+from repro.measure.recovery import run_recovery
 from repro.sim.faults import FaultPlan, FaultPoint, FaultSpec, fault_scope
-from repro.wasm import assemble_wat
+from repro.wasm import assemble_wat, embed
 from repro.wasm.embed import run_wasi
 from repro.wasm.runtime import Interpreter, ReferenceInterpreter, verify_snapshot
 
@@ -132,18 +133,50 @@ class TestInjectedCorruption:
         blob = assemble_wat(OUTPUT_WAT)
         digest = run_wasi(blob).zygote_digest
         run_wasi(blob)  # happy-path restore marks the digest verified
-        # Under an armed scope the verified marker is NOT trusted — the
-        # plan may have corrupted the entry since. Poison, force the
-        # marker back on, and restore: the check must still run.
+        # While zygote.corrupt is armed the verified marker is NOT
+        # trusted — the plan may have corrupted the entry since. Poison,
+        # force the marker back on, and restore: the check must still
+        # run (armed with a spent budget, so the point itself never fires).
         _poison_cached_snapshot(digest)
         zygote_mark_verified(digest)
         plan = FaultPlan(
-            [FaultSpec(FaultPoint.ZYGOTE_CORRUPT, probability=0.0)]
+            [FaultSpec(FaultPoint.ZYGOTE_CORRUPT, probability=1.0, max_occurrences=0)]
         )
         with fault_scope(plan, "pod-1"):
             r = run_wasi(blob)
         assert not r.restored
         assert zygote_quarantined(digest)
+
+
+class TestVerifyWhileArmed:
+    """A restore re-verifies its snapshot only while ``zygote.corrupt`` is
+    armed; any other fault plan trusts the once-per-digest check."""
+
+    @pytest.fixture()
+    def verifies(self, monkeypatch):
+        calls = []
+        real = embed.verify_snapshot
+        monkeypatch.setattr(
+            embed, "verify_snapshot", lambda snap: calls.append(snap) or real(snap)
+        )
+        return calls
+
+    def test_recovery_plan_verifies_once(self, verifies):
+        # transient_plan arms image.pull and engine.compile only.
+        m = run_recovery(count=200, seed=1)
+        assert m.converged
+        assert len(verifies) == 1
+
+    def test_armed_plan_verifies_every_restore(self, verifies):
+        blob = assemble_wat(OUTPUT_WAT)
+        run_wasi(blob)  # zygote capture
+        plan = FaultPlan(
+            [FaultSpec(FaultPoint.ZYGOTE_CORRUPT, probability=1.0, max_occurrences=0)]
+        )
+        for i in range(5):
+            with fault_scope(plan, f"pod-{i}"):
+                assert run_wasi(blob).restored
+        assert len(verifies) == 5
 
 
 class TestQuarantineApi:
