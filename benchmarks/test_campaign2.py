@@ -82,7 +82,6 @@ def _resume_reruns_remainder_only(tmp_root) -> dict:
         "matrix": {"config": ["crun-wamr", "crun-python"], "count": [10, 25]},
     }
     cache = MeasurementCache(tmp_root / "cache")
-    manifest = tmp_root / "series.json"
 
     class Interrupted(RuntimeError):
         pass
@@ -95,7 +94,7 @@ def _resume_reruns_remainder_only(tmp_root) -> dict:
             raise Interrupted
 
     try:
-        run_series(spec, jobs=1, cache=cache, manifest=manifest, on_cell=interrupt)
+        run_series(spec, jobs=1, cache=cache, on_cell=interrupt)
     except Interrupted:
         pass
 
@@ -105,7 +104,7 @@ def _resume_reruns_remainder_only(tmp_root) -> dict:
         reruns.append((c, n)) or original(self, c, n, **kw)
     )
     try:
-        resumed = run_series(spec, jobs=1, cache=cache, manifest=manifest)
+        resumed = run_series(spec, jobs=1, cache=cache)
     finally:
         ExperimentRunner.run = original
     return {

@@ -261,17 +261,10 @@ def _cmd_zygote(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.measure.cache import MeasurementCache
     from repro.measure.campaign import render_campaign, run_campaign
 
     telemetry = _enable_telemetry(args)
-    if args.no_cache:
-        cache = None
-    elif args.cache_dir:
-        cache = MeasurementCache(pathlib.Path(args.cache_dir))
-    else:
-        from repro.measure.series import DEFAULT_CACHE as cache
-
+    cache = _series_cache(args)
     if telemetry and cache is not None:
         # Cache hits skip simulation — and with it the telemetry the
         # export is supposed to capture. Worker telemetry itself merges
@@ -282,7 +275,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         seed=args.seed,
         jobs=args.jobs,
         cache=cache,
-        manifest=args.manifest,
         nodes=args.nodes,
     )
     print(render_campaign(result))
@@ -405,7 +397,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
             seed=args.seed,
             jobs=args.jobs,
             cache=cache,
-            manifest=args.manifest,
             on_cell=lambda cell, _m: print(f"  done {cell.key}"),
         )
         fresh = len(result.results) - len(result.resumed)
@@ -636,16 +627,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="measurement cache directory (default: $REPRO_MEASURE_CACHE "
-             "or <repo>/.repro-cache/measurements)",
+             "or <repo>/.repro-cache/measurements); an interrupted "
+             "campaign re-run resumes from the cells it holds",
     )
     p.add_argument(
         "--no-cache", action="store_true",
         help="simulate every experiment even if cached",
-    )
-    p.add_argument(
-        "--manifest", default=None, metavar="FILE",
-        help="series manifest: checkpoint per completed cell; an "
-             "interrupted campaign re-run resumes from it",
     )
     p.add_argument(
         "--nodes", type=int, default=1,
@@ -698,10 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="measurement cache directory",
     )
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument(
-        "--manifest", default=None, metavar="FILE",
-        help="checkpoint per completed cell for resumable runs",
-    )
     _add_telemetry_flags(p)
     p.set_defaults(func=_cmd_series)
 

@@ -20,15 +20,14 @@ entry point:
   module serves every instantiation and is re-attached to fresh decodes
   of the same blob;
 * **specialize** — the optimization tier's
-  :class:`~repro.wasm.runtime.specialize.SpecializedModule` per digest
-  (``REPRO_SPECIALIZE``; skipped entirely when ``off``). The compiled
-  closures are instance-independent like prepared code — they reach
-  every instance through the executing frame and guard their call
-  caches at run time — so they attach to every decode of the blob. A
-  failed pass leaves the unspecialized prepared code attached
-  (performance lost, correctness kept). Code is re-attached to the
-  decode entry after a decode or rebuild, after a tier change, and
-  under a fault scope; any other lookup finds it attached already;
+  :class:`~repro.wasm.runtime.specialize.SpecializedModule` per digest.
+  The compiled closures are instance-independent like prepared code —
+  they reach every instance through the executing frame and guard their
+  call caches at run time — so they attach to every decode of the blob.
+  A failed pass leaves the unspecialized prepared code attached
+  (performance lost, correctness kept). Code is attached to the decode
+  entry after a decode or rebuild and under a fault scope; any other
+  lookup finds it attached already;
 * **zygote** — one :class:`~repro.wasm.runtime.snapshot.InstanceSnapshot`
   per digest: the post-initialization instance state the warm-start path
   clones instead of re-running two-phase instantiation. A ``None`` entry
@@ -83,11 +82,7 @@ from repro.wasm.decoder import decode_module
 from repro.wasm.embed import RunLog
 from repro.wasm.runtime.compile import PreparedModule, prepare_module
 from repro.wasm.runtime.snapshot import InstanceSnapshot
-from repro.wasm.runtime.specialize import (
-    SpecializedModule,
-    specialize_mode,
-    specialize_module,
-)
+from repro.wasm.runtime.specialize import SpecializedModule, specialize_module
 from repro.wasm.validation import validate_module
 
 _DECODE_CACHE: Dict[str, Module] = {}
@@ -95,10 +90,6 @@ _PREPARED_CACHE: Dict[str, PreparedModule] = {}
 _SPECIALIZED_CACHE: Dict[str, SpecializedModule] = {}
 _ZYGOTE_CACHE: Dict[str, Optional[InstanceSnapshot]] = {}
 _RUN_CACHE: Dict[Tuple, RunLog] = {}
-
-#: digest -> the specialization tier whose code is attached to the decode
-#: entry; dropped when the entry is re-decoded.
-_ATTACHED: Dict[str, str] = {}
 
 #: digests whose snapshot was found corrupt; never served or re-captured
 #: until :func:`reset_caches`.
@@ -204,30 +195,29 @@ def _decoded(blob: bytes, digest: str, layer: str, prefix: str = "") -> Module:
     """The decode entry for ``digest``, decoding ``blob`` on a miss.
 
     The one place a blob is decoded and validated, for every engine and
-    every embed run. Under a fault scope a hit may be found corrupt
-    (drawn as ``{layer}/{prefix}{digest}``) and is then decoded afresh.
-    Either way the digest's prepared and specialized code is attached on
-    return.
+    every embed run. A hit outside a fault scope returns the entry as it
+    is. Under a scope a hit may be found corrupt (drawn as
+    ``{layer}/{prefix}{digest}``) and is then decoded afresh.
     """
-    scoped = faults.ambient() is not None
     module = _DECODE_CACHE.get(digest)
-    if module is not None and scoped and _corrupt_hit(layer, prefix + digest):
-        module = None
+    if module is not None:
+        if faults.ambient() is None:
+            decode_stats.hit()
+            return module
+        if _corrupt_hit(layer, prefix + digest):
+            module = None
     if module is None:
         decode_stats.miss()
         module = decode_module(bytes(blob))
         validate_module(module)
         _DECODE_CACHE[digest] = module
-        _ATTACHED.pop(digest, None)
     else:
         decode_stats.hit()
-    tier = specialize_mode()
-    if scoped or _ATTACHED.get(digest) != tier:
-        # Under a fault scope every lookup makes the prepare and
-        # specialize draws, so a corrupt entry is rebuilt here.
-        prepare_cached(module, digest)
-        specialize_cached(module, digest)
-        _ATTACHED[digest] = tier
+    # A decode attaches the digest's code. Under a fault scope every
+    # lookup re-attaches it, making the prepare and specialize draws, so
+    # a corrupt entry is rebuilt here.
+    prepare_cached(module, digest)
+    specialize_cached(module, digest)
     return module
 
 
@@ -354,17 +344,14 @@ def specialize_cached(module, digest: str) -> Optional[SpecializedModule]:
 
     Runs after :func:`prepare_cached`, so the unspecialized prepared code
     is always attached first — every failure path below simply leaves it
-    in place. Returns ``None`` when the tier is off or the pass failed
-    for the whole module; otherwise attaches the specialized functions
-    and returns the cache entry. Turning the tier off leaves the entry
-    cached, so turning it back on re-attaches it.
+    in place. Returns ``None`` when the pass failed for the whole module;
+    otherwise attaches the specialized functions and returns the cache
+    entry.
 
     A corrupt hit under the chaos plan is dropped and re-specialized at
     most :data:`MAX_REBUILDS_PER_ENTRY` times, exactly like the other
     layers.
     """
-    if specialize_mode() == "off":
-        return None
     sm = _SPECIALIZED_CACHE.get(digest)
     if sm is not None and _corrupt_hit("specialize", digest):
         _SPECIALIZED_CACHE.pop(digest, None)
@@ -439,7 +426,6 @@ def clear_cache_state() -> None:
     and the time-series sampler both assume counters never decrease.
     """
     _DECODE_CACHE.clear()
-    _ATTACHED.clear()
     _PREPARED_CACHE.clear()
     _SPECIALIZED_CACHE.clear()
     _ZYGOTE_CACHE.clear()

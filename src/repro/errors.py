@@ -156,8 +156,7 @@ class AdmissionRejected(ContainerError):
 
 class SeriesError(ReproError):
     """Invalid experiment-series spec, or a campaign-engine failure
-    (schema violation, inheritance cycle, dead worker pool, manifest
-    mismatch)."""
+    (schema violation, inheritance cycle, dead worker pool)."""
 
 
 # --------------------------------------------------------------------------

@@ -8,17 +8,14 @@ under ``repro`` — any source change silently invalidates the whole cache
 (stale files are just never read again).
 
 Layout: one JSON file per measurement,
-``<root>/<digest16>_<toggles8>_<seed>_<config>_<count>.json``. JSON
-float serialization round-trips exactly (repr-based), so a cache hit is
+``<root>/<digest16>_<seed>_<config>_<count>.json`` — the key is the
+source digest, seed, config and count, and nothing else. JSON float
+serialization round-trips exactly (repr-based), so a cache hit is
 byte-identical to the simulation it replaced — rendered figures and
-campaign summaries cannot drift between cold and warm runs.
-
-``<toggles8>`` fingerprints the runtime toggle that changes what a
-simulation computes — ``REPRO_SPECIALIZE`` — so a run cached with the
-specialization tier off is never served with it on, or the reverse.
-Entries also record the wall-clock seconds the simulation took, which the
-campaign engine reads as per-cell cost estimates for
-longest-expected-cost-first scheduling.
+campaign summaries cannot drift between cold and warm runs. Entries also
+record the wall-clock seconds the simulation took, which the campaign
+engine reads as per-cell cost estimates for longest-expected-cost-first
+scheduling.
 
 The root directory resolves, in order: an explicit constructor argument,
 ``$REPRO_MEASURE_CACHE`` (the value ``off`` disables caching entirely),
@@ -58,25 +55,6 @@ def source_tree_digest() -> str:
             h.update(path.read_bytes())
         _digest_cache = h.hexdigest()
     return _digest_cache
-
-
-def runtime_toggles() -> Dict[str, str]:
-    """The env toggles (normalized) that alter what a simulation computes.
-
-    Values resolve through the subsystem's own parser so equivalent
-    spellings (unset vs explicit default, ``1`` vs ``on``) fingerprint
-    identically.
-    """
-    from repro.wasm.runtime.specialize import specialize_mode
-
-    return {"specialize": specialize_mode()}
-
-
-def toggle_fingerprint() -> str:
-    """Short stable digest of :func:`runtime_toggles` for cache filenames."""
-    toggles = runtime_toggles()
-    raw = ",".join(f"{k}={toggles[k]}" for k in sorted(toggles))
-    return hashlib.sha256(raw.encode()).hexdigest()[:8]
 
 
 def measurement_to_dict(m: DeploymentMeasurement) -> Dict:
@@ -123,9 +101,8 @@ def measurement_from_dict(data: Dict) -> DeploymentMeasurement:
         exit_codes=tuple(data["exit_codes"]),
         ready_fraction=data["ready_fraction"],
         phase_means=dict(data["phase_means"]),
-        # Entries written before the fleet axis lack these keys.
-        nodes=data.get("nodes", 1),
-        per_node=tuple(NodeUsage(**u) for u in data.get("per_node", ())),
+        nodes=data["nodes"],
+        per_node=tuple(NodeUsage(**u) for u in data["per_node"]),
     )
 
 
@@ -141,10 +118,7 @@ class MeasurementCache:
         self.root = pathlib.Path(root)
 
     def _path(self, seed: int, config: str, count: int) -> pathlib.Path:
-        return self.root / (
-            f"{source_tree_digest()[:16]}_{toggle_fingerprint()}"
-            f"_{seed}_{config}_{count}.json"
-        )
+        return self.root / f"{source_tree_digest()[:16]}_{seed}_{config}_{count}.json"
 
     def get(self, seed: int, config: str, count: int) -> Optional[DeploymentMeasurement]:
         path = self._path(seed, config, count)
@@ -155,32 +129,13 @@ class MeasurementCache:
         return measurement_from_dict(data["measurement"])
 
     def cost_estimate(self, seed: int, config: str, count: int) -> Optional[float]:
-        """Wall-clock seconds a prior run of this cell took, if recorded.
-
-        Read across *all* toggle fingerprints: a cell's relative cost is
-        stable under toggles even when its results are not, so any prior
-        entry is a usable scheduling estimate.
-        """
-        digest = source_tree_digest()[:16]
-        suffix = f"_{seed}_{config}_{count}.json"
-        exact = self._path(seed, config, count)
-        candidates = [exact]
+        """Wall-clock seconds a prior run of this cell took, if recorded."""
         try:
-            candidates += [
-                p
-                for p in self.root.glob(f"*{suffix}")
-                if p != exact and p.name.startswith(digest)
-            ]
-        except OSError:
-            pass
-        for path in candidates:
-            try:
-                wall = json.loads(path.read_text()).get("wall_seconds")
-            except (OSError, ValueError):
-                continue
-            if isinstance(wall, (int, float)) and wall > 0:
-                return float(wall)
-        return None
+            data = json.loads(self._path(seed, config, count).read_text())
+        except (OSError, ValueError):
+            return None
+        wall = data.get("wall_seconds")
+        return float(wall) if isinstance(wall, (int, float)) and wall > 0 else None
 
     def put(
         self,
@@ -193,7 +148,6 @@ class MeasurementCache:
         path = self._path(seed, config, count)
         payload = {
             "source_digest": source_tree_digest(),
-            "toggles": runtime_toggles(),
             "seed": seed,
             "wall_seconds": wall_seconds,
             "measurement": measurement_to_dict(m),

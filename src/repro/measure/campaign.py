@@ -53,7 +53,7 @@ class CampaignResult:
 
 
 def run_campaign(
-    seed: int = 1, jobs: int = 1, cache=DEFAULT_CACHE, manifest=None, nodes: int = 1
+    seed: int = 1, jobs: int = 1, cache=DEFAULT_CACHE, nodes: int = 1
 ) -> CampaignResult:
     """Execute the full matrix and evaluate the §IV-F headline claims.
 
@@ -63,8 +63,8 @@ def run_campaign(
     pool (0 = auto-detect); results and telemetry merge
     deterministically, so the summary is byte-identical at any worker
     count. ``cache=None`` bypasses the persistent measurement cache;
-    ``manifest`` (a path) checkpoints per-cell completion so an
-    interrupted campaign resumes where it stopped.
+    with a cache, each cell is stored as it finishes, so an interrupted
+    campaign re-run against the same cache resumes where it stopped.
 
     ``nodes`` > 1 fans every cell's deployment out across a simulated
     N-node fleet (cross-node sharding on top of the worker processes).
@@ -77,9 +77,7 @@ def run_campaign(
         if nodes == 1
         else {"name": "campaign", "base": "campaign", "matrix": {"nodes": [nodes]}}
     )
-    series = run_series(
-        spec, seed=seed, jobs=jobs, cache=cache, manifest=manifest
-    )
+    series = run_series(spec, seed=seed, jobs=jobs, cache=cache)
     if nodes == 1:
         measurements = {
             (config, n): series.measurements[(config, n)]

@@ -73,8 +73,7 @@ class TelemetrySettings:
     """Which telemetry layers a worker (or the parent) collects.
 
     ``capture()`` snapshots the parent's ambient toggles so forked
-    workers reproduce them exactly; a plain bool still works wherever a
-    pool is constructed by legacy callers (metrics+spans only).
+    workers reproduce them exactly.
     """
 
     metrics: bool = False
@@ -97,12 +96,6 @@ class TelemetrySettings:
             sampling_period=timeseries.sampling_period(),
             profiling=profile.profiling_enabled(),
         )
-
-    @classmethod
-    def coerce(cls, value) -> "TelemetrySettings":
-        if isinstance(value, cls):
-            return value
-        return cls(metrics=bool(value))
 
     def apply(self) -> None:
         from repro import obs
@@ -127,12 +120,13 @@ class CellOutcome:
     wall_seconds: float
 
 
-def _worker_main(tasks, results, telemetry) -> None:
+def _worker_main(
+    tasks, results, settings: TelemetrySettings = TelemetrySettings()
+) -> None:
     """Worker loop: pull the longest remaining task, run it, ship results."""
     from repro import obs
     from repro.obs import profile, timeseries
 
-    settings = TelemetrySettings.coerce(telemetry)
     settings.apply()
     from repro.measure.series import run_cell  # deferred: cheap under fork
 
@@ -172,10 +166,11 @@ def _worker_main(tasks, results, telemetry) -> None:
 class WorkerPool:
     """Long-lived worker processes fed through one LPT-ordered queue."""
 
-    def __init__(self, jobs: int, telemetry=False) -> None:
+    def __init__(
+        self, jobs: int, telemetry: TelemetrySettings = TelemetrySettings()
+    ) -> None:
         if jobs < 1:
             raise SeriesError(f"worker pool needs jobs >= 1, got {jobs}")
-        settings = TelemetrySettings.coerce(telemetry)
         prewarm_process_caches()
         ctx = _pool_context()
         self._tasks = ctx.Queue()
@@ -183,7 +178,7 @@ class WorkerPool:
         self._procs = [
             ctx.Process(
                 target=_worker_main,
-                args=(self._tasks, self._results, settings),
+                args=(self._tasks, self._results, telemetry),
                 daemon=True,
             )
             for _ in range(jobs)

@@ -6,9 +6,8 @@ pool. This module replaces that with **experiment series as data**
 (pavilion2-style): a series is a config dict with matrix expansion,
 inheritance, and seed derivation; the engine expands it into a DAG of
 :class:`Cell`\\ s (stage barriers), schedules the cells over a persistent
-warm-worker pool with longest-expected-cost-first ordering, merges
-per-cell telemetry deterministically, and checkpoints a resumable
-manifest per completed cell.
+warm-worker pool with longest-expected-cost-first ordering, and merges
+per-cell telemetry deterministically.
 
 Spec schema (every key optional unless noted)::
 
@@ -37,33 +36,26 @@ duplicate cells. ``derive_seeds`` derives each cell's seed from a sha256
 of the series seed and the cell coordinates (stable across processes and
 expansions, unlike ``hash()``).
 
-Resume: :class:`SeriesManifest` journals completed cells keyed by the
-source-tree digest, toggle fingerprint, seed, and expanded-cell digest.
-An interrupted series re-run with the same manifest reloads finished
-deploy cells from the measurement cache and re-runs only the remainder;
-summaries are byte-identical because cache hits round-trip exactly.
+Resume: every finished deploy cell is stored in the measurement cache
+(:mod:`repro.measure.cache`) as soon as it completes, so an interrupted
+series re-run against the same cache serves the finished cells from it
+and re-runs only the remainder; summaries are byte-identical because
+cache hits round-trip exactly. Cells outside the cache's key space
+(recovery, chaos, fleet shards) re-run; they are deterministic per seed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import pathlib
-import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.integration import RUNTIME_CONFIGS
 from repro.errors import SeriesError
-from repro.measure.cache import (
-    MeasurementCache,
-    default_cache,
-    runtime_toggles,
-    source_tree_digest,
-)
+from repro.measure.cache import MeasurementCache, default_cache
 from repro.measure.experiment import DENSITIES, ExperimentRunner, measure
 
 #: sentinel: "use the ambient default cache" (an explicit None disables)
@@ -112,7 +104,7 @@ class Cell:
     ``nodes`` is the fleet-size shard axis (deploy cells only). It
     defaults to 1 and is deliberately *absent* from the key, the seed
     coordinates, and the sort key whenever it is 1, so every pre-fleet
-    series keeps byte-identical manifests, derived seeds, and ordering.
+    series keeps byte-identical cell keys, derived seeds, and ordering.
     """
 
     series: str
@@ -126,7 +118,7 @@ class Cell:
 
     @property
     def key(self) -> str:
-        """Stable identity used for manifests, dedup, and result lookup."""
+        """Stable identity used for dedup and result lookup."""
         parts = [self.kind, self.config, f"n{self.count}", f"s{self.seed}"]
         if self.nodes != 1:
             parts.append(f"nodes{self.nodes}")
@@ -483,68 +475,6 @@ def run_cell(cell: Cell) -> Any:
     raise SeriesError(f"unknown cell kind {cell.kind!r}")
 
 
-# -- manifest (resume) ---------------------------------------------------------
-
-
-class SeriesManifest:
-    """Per-cell completion journal making interrupted series resumable.
-
-    The manifest is only honored when its identity header — series name,
-    seed, source-tree digest, runtime-toggle set, and the digest of the
-    expanded cell list — matches the current run; any mismatch starts a
-    fresh journal (the old one would describe different experiments).
-    Completed *deploy* cells resume from the measurement cache; kinds
-    without a persistent store re-run (they are deterministic per seed).
-    """
-
-    VERSION = 1
-
-    def __init__(self, path) -> None:
-        self.path = pathlib.Path(path)
-        self._data: Dict[str, Any] = {}
-
-    @staticmethod
-    def _cells_digest(cells: Sequence[Cell]) -> str:
-        raw = "\n".join(cell.key for cell in cells)
-        return hashlib.sha256(raw.encode()).hexdigest()[:16]
-
-    def begin(self, series: str, seed: int, cells: Sequence[Cell]) -> set:
-        """Load-or-create the journal; returns the completed cell keys."""
-        header = {
-            "version": self.VERSION,
-            "series": series,
-            "seed": seed,
-            "source_digest": source_tree_digest()[:16],
-            "toggles": runtime_toggles(),
-            "cells_digest": self._cells_digest(cells),
-        }
-        try:
-            data = json.loads(self.path.read_text())
-        except (OSError, ValueError):
-            data = {}
-        if all(data.get(k) == v for k, v in header.items()):
-            self._data = data
-        else:
-            self._data = dict(header, completed={})
-        return set(self._data["completed"])
-
-    @property
-    def completed(self) -> Dict[str, Optional[float]]:
-        return dict(self._data.get("completed", {}))
-
-    def mark(self, cell: Cell, wall_seconds: Optional[float] = None) -> None:
-        """Record one finished cell (atomic write-then-rename)."""
-        self._data.setdefault("completed", {})[cell.key] = wall_seconds
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                json.dump(self._data, fh, indent=1)
-            os.replace(tmp, self.path)
-        except OSError:
-            pass  # read-only filesystem: run unjournaled
-
-
 # -- execution -----------------------------------------------------------------
 
 
@@ -555,7 +485,7 @@ class SeriesResult:
     series: str
     cells: List[Cell]
     results: Dict[str, Any] = field(default_factory=dict)
-    #: cells served from the measurement cache / manifest (not re-run)
+    #: cells served from the measurement cache (not re-run)
     resumed: List[str] = field(default_factory=list)
 
     def get(self, cell: Cell) -> Any:
@@ -598,15 +528,16 @@ def execute_cells(
     cells: Sequence[Cell],
     jobs: int = 1,
     cache=DEFAULT_CACHE,
-    manifest: Optional[SeriesManifest] = None,
     on_cell: Optional[Callable[[Cell, Any], None]] = None,
 ) -> Tuple[Dict[str, Any], List[str]]:
     """Run cells (sequential order = the given order); returns results.
 
     The shared engine under :func:`run_series`: cache partitioning, the
-    warm pool, LPT scheduling, deterministic telemetry merge, and
-    manifest checkpointing all live here. Returns ``(results by cell
-    key, resumed cell keys)``.
+    warm pool, LPT scheduling and deterministic telemetry merge all live
+    here. A cacheable cell found in the cache is served from it
+    (resumed); every other cell runs, and a cacheable one is stored as
+    soon as it finishes. Returns ``(results by cell key, resumed cell
+    keys)``.
     """
     cells = list(cells)
     if jobs <= 0:
@@ -617,10 +548,6 @@ def execute_cells(
     # jobs=1 with the ambient cache rides the module-level measure()
     # memo, sharing warm results with the figure generators in-process.
     use_memo = cache is DEFAULT_CACHE and store is not None
-
-    completed = manifest.begin(cells[0].series, cells[0].seed, cells) if (
-        manifest is not None and cells
-    ) else set()
 
     results: Dict[str, Any] = {}
     resumed: List[str] = []
@@ -634,8 +561,6 @@ def execute_cells(
         if hit is not None:
             results[cell.key] = hit
             resumed.append(cell.key)
-            if manifest is not None and cell.key not in completed:
-                manifest.mark(cell)
             continue
         pending.append(cell)
 
@@ -646,8 +571,6 @@ def execute_cells(
         results[cell.key] = result
         if store is not None and cell.cacheable and not cached:
             store.put(cell.seed, cell.config, cell.count, result, wall_seconds=wall)
-        if manifest is not None:
-            manifest.mark(cell, wall)
         if on_cell is not None:
             on_cell(cell, result)
 
@@ -713,23 +636,18 @@ def run_series(
     seed: Optional[int] = None,
     jobs: int = 1,
     cache=DEFAULT_CACHE,
-    manifest=None,
     on_cell: Optional[Callable[[Cell, Any], None]] = None,
 ) -> SeriesResult:
     """Expand and execute a series (shipped name or spec dict).
 
-    ``manifest`` — a path or :class:`SeriesManifest` — makes the run
-    resumable: each completed cell is journaled, and a re-run skips
-    cells already journaled *and* present in the measurement cache.
-    ``on_cell`` fires after each completed cell (progress/interruption).
+    A re-run against the same ``cache`` resumes: deploy cells an earlier
+    (possibly interrupted) run finished are served from the cache, and
+    only the rest simulate. ``on_cell`` fires after each completed cell
+    (progress/interruption).
     """
     spec = validate_spec(spec)
     cells = expand_series(spec, seed=seed)
-    if manifest is not None and not isinstance(manifest, SeriesManifest):
-        manifest = SeriesManifest(manifest)
-    results, resumed = execute_cells(
-        cells, jobs=jobs, cache=cache, manifest=manifest, on_cell=on_cell
-    )
+    results, resumed = execute_cells(cells, jobs=jobs, cache=cache, on_cell=on_cell)
     return SeriesResult(
         series=spec["name"], cells=cells, results=results, resumed=resumed
     )
@@ -740,7 +658,6 @@ __all__ = [
     "DEFAULT_CACHE",
     "KINDS",
     "SHIPPED_SERIES",
-    "SeriesManifest",
     "SeriesResult",
     "auto_jobs",
     "derive_seed",

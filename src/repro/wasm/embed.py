@@ -10,7 +10,7 @@ digest for every engine and embed caller (``decode`` layer), the
 **specialization tier** compiles the prepared code to Python closures
 once per digest (``specialize`` layer — an unmetered and a metered
 closure per function, with statically proven bounds checks dropped;
-disable with ``REPRO_SPECIALIZE=off``), and
+a function the pass declines keeps its prepared flat code), and
 the **zygote warm-start** path instantiates once per digest, captures an
 :class:`~repro.wasm.runtime.snapshot.InstanceSnapshot`, and clones every
 subsequent instance from it (``zygote`` layer) — observably identical to
@@ -173,7 +173,9 @@ def _replay(log: RunLog, ctx: Optional[Tuple[faults.FaultPlan, str]]) -> None:
 
 
 def _code_tier(module: Module, fuel: Optional[int]) -> str:
-    """The specialization-tier code a run of ``module`` dispatches to."""
+    """The specialization-tier code a run of ``module`` dispatches to:
+    ``off`` when it carries no specialized code (the pass declined, or
+    the caller decoded the module itself)."""
     pf = module.funcs[0].prepared if module.funcs else None
     if getattr(pf, "fallback", None) is None:
         return "off"

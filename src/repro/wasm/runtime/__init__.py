@@ -3,12 +3,12 @@
 Two interpreters share one store model: the production
 :class:`Interpreter` runs flat pre-compiled code (see ``compile.py``),
 while :class:`ReferenceInterpreter` walks the AST and serves as the
-executable specification for differential testing. A third, optional
-tier (``specialize.py``, ``REPRO_SPECIALIZE``) compiles prepared code to
-Python closures per module digest, dropping the bounds checks a static
-proof shows are redundant: an unmetered and a metered closure per
-function, the metered one handing only the segment where its fuel runs
-out back to the prepared code.
+executable specification for differential testing. A third tier
+(``specialize.py``) compiles prepared code to Python closures per module
+digest, dropping the bounds checks a static proof shows are redundant:
+an unmetered and a metered closure per function, the metered one
+handing only the segment where its fuel runs out back to the prepared
+code.
 """
 
 from repro.wasm.runtime.store import (
@@ -30,7 +30,6 @@ from repro.wasm.runtime.reference import ReferenceInterpreter
 from repro.wasm.runtime.specialize import (
     SpecializedFunction,
     SpecializedModule,
-    specialize_mode,
     specialize_module,
 )
 from repro.wasm.runtime.instantiate import instantiate
@@ -62,7 +61,6 @@ __all__ = [
     "prepare_module",
     "SpecializedFunction",
     "SpecializedModule",
-    "specialize_mode",
     "specialize_module",
     "instantiate",
 ]

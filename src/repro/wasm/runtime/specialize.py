@@ -2,14 +2,13 @@
 
 The flat interpreter (``compile.py``) pays one Python call per flat entry
 and re-checks every memory access against the memory's current size.
-This module is an optional second stage over finished
-:class:`PreparedFunction` code: it compiles each function to a real
-Python closure (``exec``-generated, one ``while`` dispatch loop over
-basic blocks with stack slots and locals held in Python local
-variables). It never rewrites the flat code. A
-:class:`SpecializedFunction` shares the prepared ``code`` tuple and adds
-only closures, attached as ``PreparedFunction.compiled`` and
-``PreparedFunction.metered``.
+This module is a second stage over finished :class:`PreparedFunction`
+code: it compiles each function to a real Python closure
+(``exec``-generated, one ``while`` dispatch loop over basic blocks with
+stack slots and locals held in Python local variables). It never
+rewrites the flat code. A :class:`SpecializedFunction` shares the
+prepared ``code`` tuple and adds only closures, attached as
+``PreparedFunction.compiled`` and ``PreparedFunction.metered``.
 
 One analysis, two emissions: every compiled function gets an
 unmetered closure (``compiled``) and a metered one (``metered``), and
@@ -38,17 +37,16 @@ closure keeps a monomorphic cache cell guarded on ``(table identity,
 slot address)``; a miss (counted as ``reason="ic_miss"``) takes the full
 generic path, including its exact trap messages, then refills the cell.
 
-Everything is behind ``REPRO_SPECIALIZE`` (default ``on``;
-``off``/``0``/``false``/``no`` disables the tier). ``engines/cache.py``
-keys the result by content digest (the ``specialize`` layer) so
-compilation runs once per blob across N-hundred-pod experiments, and
-the ReferenceInterpreter remains the differential oracle for all of it
+Every blob the engine caches decode runs this tier's code, or prepared
+code where the pass declines. ``engines/cache.py`` keys the result by
+content digest (the ``specialize`` layer) so compilation runs once per
+blob across N-hundred-pod experiments, and the ReferenceInterpreter
+remains the differential oracle for all of it
 (``tests/wasm/test_differential.py``).
 """
 
 from __future__ import annotations
 
-import os
 import struct
 import time
 from typing import Dict, List, Optional, Set, Tuple
@@ -66,8 +64,6 @@ from repro.wasm.runtime.compile import (
 from repro.wasm.runtime.interpreter import Frame
 from repro.wasm.runtime.ops import BINOPS, CMPOPS, UNOPS
 from repro.wasm.types import PAGE_SIZE
-
-SPECIALIZE_ENV = "REPRO_SPECIALIZE"
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -106,28 +102,16 @@ _IC_MISS = _DEOPTS_TOTAL.labels("ic_miss")
 DEOPT_COUNTERS = (METERED_DEOPT, _IC_MISS)
 
 
-def specialize_mode() -> str:
-    """Resolve ``REPRO_SPECIALIZE`` to ``"on"`` or ``"off"``.
-
-    Read per call so tests and experiment sweeps can flip the toggle
-    without re-importing anything. The whole-experiment differential
-    (``tests/integration/test_specialize_toggle.py``) selects the flat
-    tier through it.
-    """
-    raw = os.environ.get(SPECIALIZE_ENV, "on").strip().lower()
-    return "off" if raw in ("off", "0", "false", "no") else "on"
-
-
 class SpecializedFunction(PreparedFunction):
     """Prepared code plus its unmetered and metered closures.
 
     Shares ``code`` with ``fallback``, the unspecialized
     :class:`PreparedFunction`, so a metered closure's deopt runs exactly
-    the code the tier-off path runs. ``fallback`` is kept so cache-layer
-    corruption and the ``off`` toggle can always restore baseline code,
-    and so re-specializing an already-attached module never stacks
-    tiers. ``compiled`` and ``metered`` are both ``None`` when the
-    closure compiler declined the function.
+    the code a declined function runs. ``fallback`` is kept so a
+    corrupt-entry rebuild can always restore baseline code, and so
+    re-specializing an already-attached module never stacks tiers.
+    ``compiled`` and ``metered`` are both ``None`` when the closure
+    compiler declined the function.
     """
 
     __slots__ = ("fallback",)

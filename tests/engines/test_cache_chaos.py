@@ -132,27 +132,3 @@ class TestSpecializeCorrupt:
         assert pf is not None
         assert not isinstance(pf, SpecializedFunction)
         assert cache_stats()["specialize"]["entries"] == 0
-
-    def test_off_mode_skips_layer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPECIALIZE", "off")
-        blob = assemble_wat(WAT)
-        module, _ = decode_cached(blob)
-        assert not isinstance(module.funcs[0].prepared, SpecializedFunction)
-        assert cache_stats()["specialize"]["entries"] == 0
-
-    def test_mode_change_respecializes(self, monkeypatch):
-        # on -> off -> on: off restores the baseline prepared code, and
-        # turning the tier back on re-attaches the cached entry.
-        blob = assemble_wat(WAT)
-        module, _ = decode_cached(blob)
-        sf = module.funcs[0].prepared
-        assert isinstance(sf, SpecializedFunction)  # default: on
-        assert sf.compiled is not None
-        monkeypatch.setenv("REPRO_SPECIALIZE", "off")
-        module, _ = decode_cached(blob)
-        assert module.funcs[0].prepared is sf.fallback
-        monkeypatch.setenv("REPRO_SPECIALIZE", "on")
-        module, _ = decode_cached(blob)
-        assert module.funcs[0].prepared is sf
-        stats = cache_stats()["specialize"]
-        assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 1, 1)

@@ -1,13 +1,16 @@
-"""Specialization-tier toggle end-to-end: figure inputs must not move.
+"""Specialization tier end-to-end: figure inputs must not move.
 
 The acceptance criterion for the specialization tier is that it changes
 *speed only*: every measurement feeding the paper's figures — working
 sets, free-memory deltas, startup makespans, per-phase traces — is
-byte-identical whether ``REPRO_SPECIALIZE`` is off or on. Engine runs
-are metered: with the tier on they run the metered closures, which
-retire the same instructions, debit the same fuel and exhaust at the
-same instruction as the flat code the tier-off runs execute (the fuel
-sweeps in ``tests/wasm/test_differential.py`` pin that per budget).
+byte-identical whether guest code runs on the tier or on the prepared
+flat code (the ``flat_tier`` fixture: the pass declines, as it does for
+a function it cannot compile). Engine runs are metered: on the tier
+they run the metered closures, which retire the same instructions,
+debit the same fuel and exhaust at the same instruction as the flat
+code (the fuel sweeps in ``tests/wasm/test_differential.py`` pin that
+per budget). Each flat side asserts that it attached no specialized
+code, and each specialized side that the pass stored some.
 
 The measurement caches (in-process lru + on-disk) are defeated so both
 sides of every comparison run the full simulation.
@@ -15,7 +18,7 @@ sides of every comparison run the full simulation.
 
 import pytest
 
-from repro.engines.cache import reset_caches
+from repro.engines.cache import cache_stats, reset_caches
 from repro.measure.experiment import ExperimentRunner, _cached_measurement, measure
 from repro.measure.figures import fig8_startup_10
 from repro.measure.report import render_series
@@ -33,45 +36,50 @@ def fresh_measurements(monkeypatch):
     reset_caches()
 
 
-def _measure_with(monkeypatch, spec_mode, config, count=DENSITY):
-    monkeypatch.setenv("REPRO_SPECIALIZE", spec_mode)
+def _both_tiers(flat_tier, run):
+    """``run()`` on the specialization tier, then on flat code."""
+    _cached_measurement.cache_clear()
     reset_caches()
-    return ExperimentRunner(seed=7).run(config, count)
+    on = run()
+    assert cache_stats()["specialize"]["entries"] > 0
+    _cached_measurement.cache_clear()
+    with flat_tier() as specialized:
+        off = run()
+        assert specialized() == 0, "the flat side ran specialized code"
+    return on, off
 
 
 class TestMeasurementsByteIdentical:
     @pytest.mark.parametrize("config", ["crun-wamr", "crun-wasmtime"])
-    def test_wasm_config_unaffected_by_toggle(self, config, monkeypatch):
-        on = _measure_with(monkeypatch, "on", config)
-        off = _measure_with(monkeypatch, "off", config)
+    def test_wasm_config_unaffected_by_toggle(self, config, flat_tier):
+        on, off = _both_tiers(
+            flat_tier, lambda: ExperimentRunner(seed=7).run(config, DENSITY)
+        )
         assert on == off  # full dataclass equality, phase traces included
 
-    def test_python_baseline_unaffected(self, monkeypatch):
-        on = _measure_with(monkeypatch, "on", "runc-python")
-        off = _measure_with(monkeypatch, "off", "runc-python")
+    def test_python_baseline_unaffected(self, flat_tier):
+        # The Python baseline runs no guest Wasm. Figs 6-7 measure it in
+        # the process that measured crun-wamr, so each side measures it
+        # after a crun-wamr deployment on that side's tier.
+        def run():
+            wasm = ExperimentRunner(seed=7).run("crun-wamr", DENSITY)
+            return wasm, ExperimentRunner(seed=7).run("runc-python", DENSITY)
+
+        on, off = _both_tiers(flat_tier, run)
         assert on == off
 
 
 class TestFigureOutputsByteIdentical:
-    def _render_fig8(self, monkeypatch, spec_mode):
-        monkeypatch.setenv("REPRO_SPECIALIZE", spec_mode)
-        _cached_measurement.cache_clear()
-        reset_caches()
-        return render_series(fig8_startup_10(seed=7))
-
-    def test_fig8_renders_identically(self, monkeypatch):
-        on = self._render_fig8(monkeypatch, "on")
-        off = self._render_fig8(monkeypatch, "off")
+    def test_fig8_renders_identically(self, flat_tier):
+        on, off = _both_tiers(
+            flat_tier, lambda: render_series(fig8_startup_10(seed=7))
+        )
         assert on == off
 
-    def test_measure_helper_identical_at_density(self, monkeypatch):
+    def test_measure_helper_identical_at_density(self, flat_tier):
         # `measure` is the single entry point behind every figN_* series,
         # so identity here extends to all figures at this density.
-        monkeypatch.setenv("REPRO_SPECIALIZE", "on")
-        reset_caches()
-        on = measure("crun-wamr", DENSITY, seed=11)
-        monkeypatch.setenv("REPRO_SPECIALIZE", "off")
-        _cached_measurement.cache_clear()
-        reset_caches()
-        off = measure("crun-wamr", DENSITY, seed=11)
+        on, off = _both_tiers(
+            flat_tier, lambda: measure("crun-wamr", DENSITY, seed=11)
+        )
         assert on == off

@@ -13,7 +13,6 @@ from repro.measure.cache import (
     measurement_from_dict,
     measurement_to_dict,
     source_tree_digest,
-    toggle_fingerprint,
 )
 from repro.measure.experiment import ExperimentRunner, measure
 from repro.measure.series import DEFAULT_CACHE, Cell, auto_jobs, execute_cells
@@ -82,33 +81,12 @@ class TestMeasurementCache:
         m = sequential[("crun-wamr", 10)]
         cache.put(1, "crun-wamr", 10, m)
         (entry,) = (tmp_path / "cache").glob("*.json")
-        assert entry.name.startswith(source_tree_digest()[:16])
-        # A source-tree change produces a different digest prefix — the
-        # stale entry is simply never read again.
+        # The one key: source digest, seed, config, count. A source-tree
+        # change produces a different digest prefix — the stale entry is
+        # simply never read again.
+        assert entry.name == f"{source_tree_digest()[:16]}_1_crun-wamr_10.json"
         payload = json.loads(entry.read_text())
         assert payload["source_digest"] == source_tree_digest()
-
-    def test_toggle_flip_is_a_cache_miss(self, sequential, tmp_path, monkeypatch):
-        """A run cached with REPRO_SPECIALIZE in one position must never be
-        served with it in the other: the toggle is part of the cache key."""
-        cache = MeasurementCache(tmp_path / "cache")
-        m = sequential[("crun-wamr", 10)]
-        cache.put(1, "crun-wamr", 10, m)
-        assert cache.get(1, "crun-wamr", 10) == m
-        baseline = toggle_fingerprint()
-        monkeypatch.setenv("REPRO_SPECIALIZE", "off")
-        assert toggle_fingerprint() != baseline
-        assert cache.get(1, "crun-wamr", 10) is None
-        monkeypatch.delenv("REPRO_SPECIALIZE")
-        assert cache.get(1, "crun-wamr", 10) == m
-
-    def test_equivalent_toggle_spellings_share_entries(self, sequential, tmp_path, monkeypatch):
-        cache = MeasurementCache(tmp_path / "cache")
-        m = sequential[("crun-wamr", 10)]
-        cache.put(1, "crun-wamr", 10, m)
-        # Explicit defaults fingerprint identically to unset toggles.
-        monkeypatch.setenv("REPRO_SPECIALIZE", "on")
-        assert cache.get(1, "crun-wamr", 10) == m
 
     def test_wall_seconds_recorded_for_cost_estimates(self, sequential, tmp_path):
         cache = MeasurementCache(tmp_path / "cache")

@@ -10,7 +10,6 @@ from repro.measure.experiment import ExperimentRunner
 from repro.measure.series import (
     SHIPPED_SERIES,
     Cell,
-    SeriesManifest,
     derive_seed,
     expand_series,
     resolve_spec,
@@ -187,7 +186,7 @@ class TestNodesAxis:
 
     def test_single_node_cells_keep_prefleet_keys(self):
         # Byte-compat: a nodes=1 cell's key/identity must be exactly what
-        # pre-fleet expansions produced, so old manifests keep resuming.
+        # pre-fleet expansions produced.
         cells = expand_series(self.FLEET_SPEC)
         assert [c.key for c in cells] == [
             "deploy:crun-wamr:n10:s1",
@@ -246,6 +245,8 @@ class TestNodesAxis:
 
 
 class TestManifestResume:
+    """An interrupted series resumes from the measurement cache alone."""
+
     def _run_counting(self, monkeypatch):
         calls = []
         original = ExperimentRunner.run
@@ -259,7 +260,6 @@ class TestManifestResume:
 
     def test_interrupted_series_resumes_remainder_only(self, tmp_path, monkeypatch):
         cache = MeasurementCache(tmp_path / "cache")
-        manifest = tmp_path / "series.json"
         seen = []
 
         class Interrupted(RuntimeError):
@@ -271,18 +271,12 @@ class TestManifestResume:
                 raise Interrupted
 
         with pytest.raises(Interrupted):
-            run_series(
-                SMALL_SPEC,
-                jobs=1,
-                cache=cache,
-                manifest=manifest,
-                on_cell=interrupt_after_two,
-            )
-        assert len(SeriesManifest(manifest).__dict__) >= 0  # path exists
-        assert len(json.loads(manifest.read_text())["completed"]) == 2
+            run_series(SMALL_SPEC, jobs=1, cache=cache, on_cell=interrupt_after_two)
+        # Each finished cell was stored as it completed.
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
         calls = self._run_counting(monkeypatch)
-        resumed = run_series(SMALL_SPEC, jobs=1, cache=cache, manifest=manifest)
+        resumed = run_series(SMALL_SPEC, jobs=1, cache=cache)
         # Only the N - K unfinished cells simulate again.
         assert len(calls) == 2
         assert set(resumed.resumed) == set(seen)
@@ -297,32 +291,11 @@ class TestManifestResume:
 
     def test_completed_series_reruns_nothing(self, tmp_path, monkeypatch):
         cache = MeasurementCache(tmp_path / "cache")
-        manifest = tmp_path / "series.json"
-        run_series(SMALL_SPEC, jobs=1, cache=cache, manifest=manifest)
+        run_series(SMALL_SPEC, jobs=1, cache=cache)
         calls = self._run_counting(monkeypatch)
-        again = run_series(SMALL_SPEC, jobs=1, cache=cache, manifest=manifest)
+        again = run_series(SMALL_SPEC, jobs=1, cache=cache)
         assert calls == []
         assert len(again.resumed) == 4
-
-    def test_manifest_identity_mismatch_starts_fresh(self, tmp_path):
-        manifest = SeriesManifest(tmp_path / "series.json")
-        cells = expand_series(SMALL_SPEC)
-        assert manifest.begin("small", 1, cells) == set()
-        manifest.mark(cells[0], wall_seconds=0.5)
-        # Same identity: the completed cell is honored.
-        reloaded = SeriesManifest(tmp_path / "series.json")
-        assert reloaded.begin("small", 1, cells) == {cells[0].key}
-        # Different seed: the journal describes other experiments.
-        other = SeriesManifest(tmp_path / "series.json")
-        assert other.begin("small", 2, cells) == set()
-
-    def test_manifest_rejects_changed_cell_list(self, tmp_path):
-        manifest = SeriesManifest(tmp_path / "series.json")
-        cells = expand_series(SMALL_SPEC)
-        manifest.begin("small", 1, cells)
-        manifest.mark(cells[0])
-        fewer = cells[:-1]
-        assert SeriesManifest(tmp_path / "series.json").begin("small", 1, fewer) == set()
 
 
 class TestRunSeries:

@@ -246,15 +246,16 @@ class TestSeriesCommand:
         assert "done recovery:crun-wamr:n100:s1" in out
         assert "1/1 cells" in out
 
-    def test_run_journals_to_manifest(self, tmp_path, capsys):
-        import json
-
-        manifest = tmp_path / "series.json"
-        assert main([
-            "series", "run", "recovery",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--manifest", str(manifest),
-        ]) == 0
-        capsys.readouterr()
-        completed = json.loads(manifest.read_text())["completed"]
-        assert list(completed) == ["recovery:crun-wamr:n100:s1"]
+    def test_rerun_resumes_from_cache(self, tmp_path, capsys):
+        argv = ["series", "run", "zygote", "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert "zygote: 2/2 cells (0 from cache, 2 simulated)" in first
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert "zygote: 2/2 cells (2 from cache, 0 simulated)" in second
+        assert "done " not in second
+        # The cached cells print the figures the simulated ones did.
+        rows = [line for line in first.splitlines() if "mem=" in line]
+        assert len(rows) == 2
+        assert [line for line in second.splitlines() if "mem=" in line] == rows

@@ -479,7 +479,7 @@ class TestMicroserviceFuel:
         interp = interps[-1]
         return outcome, writes, interp.instructions_executed, interp.fuel
 
-    def test_budgets_around_each_write(self, monkeypatch):
+    def test_budgets_around_each_write(self, monkeypatch, flat_tier):
         reset_caches()
         try:
             writes = self._observe(monkeypatch, ReferenceInterpreter, None)[1]
@@ -489,40 +489,50 @@ class TestMicroserviceFuel:
                 for fuel in (k - 2, k - 1, k, k + 1):
                     ref = self._observe(monkeypatch, ReferenceInterpreter, fuel)
                     assert ref[0][0] == "exhausted"
-                    for mode in ("off", "on"):
-                        monkeypatch.setenv("REPRO_SPECIALIZE", mode)
-                        deopts = METERED_DEOPT.value
+                    with flat_tier() as specialized:
                         got = self._observe(monkeypatch, Interpreter, fuel)
-                        assert got == ref, f"{mode} fuel={fuel}"
-                        # On: every function has a metered closure, and
-                        # exactly the segment the fuel ran out in deopts.
-                        assert METERED_DEOPT.value - deopts == (mode == "on")
+                        assert got == ref, f"flat fuel={fuel}"
+                        assert specialized() == 0
+                    # On the tier every function has a metered closure,
+                    # and exactly the segment the fuel ran out in deopts.
+                    deopts = METERED_DEOPT.value
+                    got = self._observe(monkeypatch, Interpreter, fuel)
+                    assert got == ref, f"specialized fuel={fuel}"
+                    assert METERED_DEOPT.value - deopts == 1
         finally:
             reset_caches()
 
 
+def _microservice_runs(fuel):
+    """The microservice's observable result under each interpreter."""
+    results = []
+    for cls in INTERPS:
+        r = run_wasi(
+            build_microservice_wasm(),
+            args=["svc"],
+            env={"REQUESTS": "3"},
+            fuel=fuel,
+            interpreter_cls=cls,
+        )
+        results.append((r.exit_code, r.stdout, r.stderr, r.instructions, r.memory_bytes))
+    return results
+
+
 @pytest.mark.parametrize("fuel", [None, 5_000_000])
-@pytest.mark.parametrize("spec_mode", ["off", "on"])
-def test_full_wasi_microservice_agrees(spec_mode, fuel, monkeypatch):
+@pytest.mark.parametrize("tier", ["off", "on"])
+def test_full_wasi_microservice_agrees(tier, fuel, flat_tier):
     # The reference walks the AST and ignores specialization entirely, so
-    # it is a fixed oracle across both modes; the flat interpreter
-    # picks up whatever the digest cache attached for the current mode.
-    monkeypatch.setenv("REPRO_SPECIALIZE", spec_mode)
+    # it is a fixed oracle for both tiers; the flat interpreter runs
+    # whatever the digest cache attached: the closures (``on``), or flat
+    # code when the pass declines (``off``).
     reset_caches()
     try:
-        blob = build_microservice_wasm()
-        results = []
-        for cls in INTERPS:
-            r = run_wasi(
-                blob,
-                args=["svc"],
-                env={"REQUESTS": "3"},
-                fuel=fuel,
-                interpreter_cls=cls,
-            )
-            results.append(
-                (r.exit_code, r.stdout, r.stderr, r.instructions, r.memory_bytes)
-            )
+        if tier == "on":
+            results = _microservice_runs(fuel)
+        else:
+            with flat_tier() as specialized:
+                results = _microservice_runs(fuel)
+                assert specialized() == 0
         assert results[0] == results[1]
     finally:
         reset_caches()

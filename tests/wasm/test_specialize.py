@@ -30,7 +30,6 @@ from repro.wasm.runtime import (
     Store,
     instantiate,
     prepare_module,
-    specialize_mode,
     specialize_module,
 )
 from repro.wasm.runtime.specialize import (
@@ -291,22 +290,24 @@ class TestRunsLabel:
         obs.reset()
         obs.set_enabled(was)
 
-    def _modes(self, monkeypatch, spec_mode, body):
-        monkeypatch.setenv("REPRO_SPECIALIZE", spec_mode)
+    def _modes(self, body):
         blob = assemble_wat(f'(module (func (export "_start") {body}))')
         run_wasi(blob, fuel=1_000_000)
         family = obs.default_registry().get("repro_specialize_runs_total")
         return {labels[0]: c.value for labels, c in family.samples() if c.value}
 
-    def test_metered_run_on_the_tier_is_compiled(self, monkeypatch):
-        assert self._modes(monkeypatch, "on", "nop") == {"compiled": 1}
+    def test_metered_run_on_the_tier_is_compiled(self):
+        assert self._modes("nop") == {"compiled": 1}
 
-    def test_declined_function_is_bytecode(self, monkeypatch):
+    def test_declined_function_is_bytecode(self):
         # Past the closure compiler's size limit: flat code in both modes.
-        assert self._modes(monkeypatch, "on", "nop " * 4001) == {"bytecode": 1}
+        assert self._modes("nop " * 4001) == {"bytecode": 1}
 
-    def test_tier_off_is_off(self, monkeypatch):
-        assert self._modes(monkeypatch, "off", "nop") == {"off": 1}
+    def test_tier_off_is_off(self, flat_tier):
+        # The whole pass declined: no specialized code attached at all.
+        with flat_tier() as specialized:
+            assert self._modes("nop") == {"off": 1}
+            assert specialized() == 0
 
 
 class TestDriver:
@@ -344,25 +345,3 @@ class TestDriver:
         before = fam.labels().count
         _specialized(TestClosureTier.LOOP)
         assert fam.labels().count == before + 1
-
-
-class TestModeParsing:
-    @pytest.mark.parametrize(
-        "raw,want",
-        [
-            ("on", "on"),
-            ("", "on"),
-            ("bytecode", "on"),
-            ("off", "off"),
-            ("0", "off"),
-            ("FALSE", "off"),
-            ("no", "off"),
-            ("garbage", "on"),
-        ],
-    )
-    def test_env_values(self, raw, want, monkeypatch):
-        if raw == "":
-            monkeypatch.delenv("REPRO_SPECIALIZE", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_SPECIALIZE", raw)
-        assert specialize_mode() == want
