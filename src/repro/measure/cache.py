@@ -4,8 +4,9 @@ Simulated experiments are deterministic functions of (source tree, seed,
 config, density), so their results can be memoized across processes and
 invocations: warm re-runs of figures, tests, and `repro campaign` skip
 simulation entirely. Entries are keyed by a digest of every ``.py`` file
-under ``repro`` — any source change silently invalidates the whole cache
-(stale files are just never read again).
+under ``repro`` — any source change silently invalidates the whole cache.
+A cache's first ``put`` removes the entries other digests wrote, since
+none of them can be read again; other files in the root stay.
 
 Layout: one JSON file per measurement,
 ``<root>/<digest16>_<seed>_<config>_<count>.json`` — the key is the
@@ -24,10 +25,12 @@ then ``<repo>/.repro-cache/measurements``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import pathlib
+import re
 import tempfile
 from typing import Dict, Optional
 
@@ -42,6 +45,9 @@ _PACKAGE_ROOT = pathlib.Path(__file__).resolve().parents[1]  # src/repro
 _REPO_ROOT = _PACKAGE_ROOT.parents[1]
 
 _digest_cache: Optional[str] = None
+
+#: ``<digest16>_<seed>_<config>_<count>.json``, the name of every entry
+_ENTRY_NAME = re.compile(r"[0-9a-f]{16}_-?\d+_.+_\d+\.json")
 
 
 def source_tree_digest() -> str:
@@ -116,6 +122,7 @@ class MeasurementCache:
                 or _REPO_ROOT / ".repro-cache" / "measurements"
             )
         self.root = pathlib.Path(root)
+        self._swept = False
 
     def _path(self, seed: int, config: str, count: int) -> pathlib.Path:
         return self.root / f"{source_tree_digest()[:16]}_{seed}_{config}_{count}.json"
@@ -154,6 +161,9 @@ class MeasurementCache:
         }
         try:
             self.root.mkdir(parents=True, exist_ok=True)
+            if not self._swept:
+                self._swept = True
+                self._drop_stale()
             # Write-then-rename: concurrent sessions never see torn files.
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             with os.fdopen(fd, "w") as fh:
@@ -161,6 +171,15 @@ class MeasurementCache:
             os.replace(tmp, path)
         except OSError:
             pass  # read-only filesystem: run uncached
+
+    def _drop_stale(self) -> None:
+        """Remove the entries other source digests wrote to this root."""
+        prefix = source_tree_digest()[:16]
+        with contextlib.suppress(OSError):  # e.g. a read-only root
+            for path in self.root.iterdir():
+                name = path.name
+                if _ENTRY_NAME.fullmatch(name) and not name.startswith(prefix):
+                    path.unlink(missing_ok=True)  # another process may sweep too
 
 
 def default_cache() -> Optional[MeasurementCache]:

@@ -82,11 +82,28 @@ class TestMeasurementCache:
         cache.put(1, "crun-wamr", 10, m)
         (entry,) = (tmp_path / "cache").glob("*.json")
         # The one key: source digest, seed, config, count. A source-tree
-        # change produces a different digest prefix — the stale entry is
-        # simply never read again.
+        # change produces a different digest prefix, so the entry is never
+        # read again (and the next cache's first put removes it).
         assert entry.name == f"{source_tree_digest()[:16]}_1_crun-wamr_10.json"
         payload = json.loads(entry.read_text())
         assert payload["source_digest"] == source_tree_digest()
+
+    def test_put_drops_other_digests_entries(self, sequential, tmp_path):
+        root = tmp_path / "cache"
+        root.mkdir()
+        prefix = source_tree_digest()[:16]
+        other = format(int(prefix, 16) ^ 1, "016x")
+        for name in (
+            f"{other}_1_crun-wamr_10.json",
+            f"{other}_2_crun-wasmtime-zygote_400.json",
+            "notes.txt",
+            "tmpq1w2e3r4.tmp",
+        ):
+            (root / name).write_text("{}")
+        MeasurementCache(root).put(1, "crun-wamr", 10, sequential[("crun-wamr", 10)])
+        assert sorted(p.name for p in root.iterdir()) == sorted(
+            [f"{prefix}_1_crun-wamr_10.json", "notes.txt", "tmpq1w2e3r4.tmp"]
+        )
 
     def test_wall_seconds_recorded_for_cost_estimates(self, sequential, tmp_path):
         cache = MeasurementCache(tmp_path / "cache")
