@@ -1,9 +1,12 @@
-"""High-level container runtime: containerd, shims, runwasi, CRI."""
+"""High-level container runtime: containerd, its shims and the runwasi shims.
+
+The kubelet calls :class:`Containerd` directly; containerd dispatches
+each container to its config's one low-level runtime or runwasi shim.
+"""
 
 from repro.container.highlevel.shim import spawn_runc_shim, spawn_pause
 from repro.container.highlevel.runwasi import RunwasiShim
 from repro.container.highlevel.containerd import Containerd, PodHandle
-from repro.container.highlevel.cri import CRIService
 
 __all__ = [
     "spawn_runc_shim",
@@ -11,5 +14,4 @@ __all__ = [
     "RunwasiShim",
     "Containerd",
     "PodHandle",
-    "CRIService",
 ]

@@ -1,36 +1,29 @@
 """containerd: the high-level runtime driving shims and OCI runtimes.
 
-Owns pod sandboxes and container tasks on one node. The
-``create_container`` activity realizes the startup decomposition from
-:mod:`repro.container.startup`: a node-global serialized phase, a
-CPU-bound parallel phase on the 20-way run queue (scaled by memory
-pressure), then the runtime-specific dispatch that spawns the real
-process/memory state and runs the workload through the interpreter.
+Owns pod sandboxes and container tasks on one node; the kubelet calls
+``run_pod_sandbox``, ``create_container`` and ``remove_pod_sandbox``
+directly. The ``create_container`` activity realizes the startup
+decomposition from :mod:`repro.container.startup`: a node-global
+serialized phase, a CPU-bound parallel phase on the 20-way run queue
+(scaled by memory pressure), then the dispatch to the config's one
+runtime or shim, which spawns the real process/memory state and runs
+the workload through the interpreter.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro import obs
 from repro.container.highlevel.runwasi import RunwasiShim
 from repro.container.highlevel.shim import spawn_pause, spawn_runc_shim
 from repro.container.lifecycle import Container
-from repro.container.lowlevel.base import OCIRuntimeBase
-from repro.container.lowlevel.runc import RuncRuntime
+from repro.container.lowlevel.base import OCIRuntime, kill_and_delete
 from repro.container.nodeenv import NodeEnv
 from repro.container.startup import startup_profile
-from repro.core.integration import (
-    ABLATION_CONFIGS,
-    RUNTIME_CONFIGS,
-    RuntimeConfig,
-    build_ablation_crun,
-    build_crun_with_engine,
-    build_crun_with_wamr,
-)
-from repro.engines.registry import get_engine
+from repro.core.integration import CONFIGS, build_runtime
 from repro.errors import ContainerError
 from repro.oci.bundle import build_bundle
 from repro.sim.faults import FaultPoint
@@ -61,30 +54,14 @@ class Containerd:
             "containerd sandbox/container lifecycle events",
             ("event",),
         )
-        # Low-level runtimes, one per crun-based config (each deployment
-        # in the paper configures a single handler per runtime).
-        self._runtimes: Dict[str, OCIRuntimeBase] = {
-            "crun-wamr": build_crun_with_wamr(env.memory),
-            "crun-wasmtime": build_crun_with_engine("wasmtime"),
-            "crun-wasmer": build_crun_with_engine("wasmer"),
-            "crun-wasmedge": build_crun_with_engine("wasmedge"),
-            "crun-python": build_crun_with_wamr(env.memory),  # handler unused
-            "runc-python": RuncRuntime(),
-            # Ablation variants (DESIGN.md §7).
-            "crun-wamr-aot": build_ablation_crun("crun-wamr-aot", env.memory),
-            "crun-wamr-static": build_ablation_crun("crun-wamr-static", env.memory),
-            "youki-wamr": build_ablation_crun("youki-wamr", env.memory),
-            "crun-wamr-zygote": build_ablation_crun("crun-wamr-zygote", env.memory),
-        }
         self._m_zygote = obs.counter(
             "repro_zygote_containers_total",
             "containers created by zygote warm-start mode",
             ("mode",),
         )
-        self._shims: Dict[str, RunwasiShim] = {
-            f"shim-{name}": RunwasiShim(get_engine(name))
-            for name in ("wasmtime", "wasmer", "wasmedge")
-        }
+        #: config id → its runtime or shim, built from the config's row
+        #: when its first container arrives on this node
+        self._runtimes: Dict[str, Union[OCIRuntime, RunwasiShim]] = {}
 
     # -- sandboxes -------------------------------------------------------------
 
@@ -114,17 +91,8 @@ class Containerd:
         self.env.note_pod_removed()
         self._m_tasks.labels("sandbox_removed").inc()
 
-    @staticmethod
-    def _config(config_id: str) -> Optional[RuntimeConfig]:
-        return RUNTIME_CONFIGS.get(config_id) or ABLATION_CONFIGS.get(config_id)
-
     def _teardown_container(self, handle: PodHandle, container: Container) -> None:
-        config = self._config(container.runtime_config)
-        assert config is not None
-        if config.family == "runwasi":
-            self._shims[container.runtime_config].kill_and_delete(self.env, container)
-        else:
-            self._runtimes[container.runtime_config].kill_and_delete(self.env, container)
+        kill_and_delete(self.env, container)
         if container in handle.containers:
             handle.containers.remove(container)
         self._m_tasks.labels("container_removed").inc()
@@ -141,13 +109,16 @@ class Containerd:
     ):
         """Activity: create + start one container; returns the Container."""
         env = self.env
-        config = self._config(config_id)
+        config = CONFIGS.get(config_id)
         if config is None:
             raise ContainerError(f"unknown runtime config {config_id!r}")
         handle = self.pods.get(pod_uid)
         if handle is None:
             raise ContainerError(f"no sandbox for pod {pod_uid}")
         profile = startup_profile(config_id)
+        runtime = self._runtimes.get(config_id)
+        if runtime is None:
+            runtime = self._runtimes[config_id] = build_runtime(config, env.memory)
 
         # Image pull (warm after the first pod of a deployment). The
         # injection point models registry/transport flakes, which occur
@@ -222,18 +193,11 @@ class Containerd:
             # yields inside the scope — so the ambient context never
             # interleaves across pods.
             with env.fault_scope(pod_uid):
-                if config.family == "runwasi":
-                    exec_seconds = self._shims[config_id].create_and_exec(
-                        env, container, bundle
+                if config.family != "runwasi" and handle.shim is None:
+                    handle.shim = spawn_runc_shim(
+                        env, pod_uid, for_runc=(config.family == "runc")
                     )
-                else:
-                    if handle.shim is None:
-                        handle.shim = spawn_runc_shim(
-                            env, pod_uid, for_runc=(config.family == "runc")
-                        )
-                    exec_seconds = self._runtimes[config_id].create_and_exec(
-                        env, container, bundle
-                    )
+                exec_seconds = runtime.create_and_exec(env, container, bundle)
             env.inject(FaultPoint.MAIN_EXEC, pod_uid)
         except BaseException:
             for proc in container.processes:

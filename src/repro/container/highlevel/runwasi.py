@@ -83,12 +83,3 @@ class RunwasiShim:
         container.facts["shim"] = self.name
         container.facts["instructions"] = result.instructions
         return result.exec_seconds
-
-    def kill_and_delete(self, env: NodeEnv, container: Container) -> None:
-        if container.state in (ContainerState.RUNNING, ContainerState.CREATED):
-            container.transition(ContainerState.STOPPED)
-            container.stopped_at = env.kernel.now
-        for proc in container.processes:
-            env.memory.exit(proc)
-        container.processes.clear()
-        container.transition(ContainerState.DELETED)

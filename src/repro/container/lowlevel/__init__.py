@@ -1,16 +1,20 @@
-"""Low-level OCI runtimes: runC, crun (with wasm handlers), youki."""
+"""Low-level OCI runtimes: one runtime class for runC, crun and youki, and
+crun's upstream wasm handler."""
 
-from repro.container.lowlevel.base import OCIRuntimeBase, WasmHandler, RuntimeInfo
-from repro.container.lowlevel.runc import RuncRuntime
-from repro.container.lowlevel.crun import CrunRuntime, EmbeddedEngineHandler
-from repro.container.lowlevel.youki import YoukiRuntime
+from repro.container.lowlevel.base import (
+    HOSTS,
+    HostRuntime,
+    OCIRuntime,
+    WasmHandler,
+    kill_and_delete,
+)
+from repro.container.lowlevel.crun import EmbeddedEngineHandler
 
 __all__ = [
-    "OCIRuntimeBase",
+    "HOSTS",
+    "HostRuntime",
+    "OCIRuntime",
     "WasmHandler",
-    "RuntimeInfo",
-    "RuncRuntime",
-    "CrunRuntime",
+    "kill_and_delete",
     "EmbeddedEngineHandler",
-    "YoukiRuntime",
 ]

@@ -1,17 +1,17 @@
-"""Shared machinery of the low-level OCI runtimes.
+"""The low-level OCI runtime, as one runtime configuration uses it.
 
 A low-level runtime receives a bundle from the containerd shim, creates
 the container process, and either ``exec``s the native entrypoint (the
-Python baseline) or hands the bundle to a registered **wasm handler**
-that runs the module inside the container process (crun's handler
-mechanism, which the paper's WAMR integration plugs into).
+Python baseline) or hands the bundle to its **wasm handler**, which runs
+the module inside the container process (crun's handler mechanism, which
+the paper's WAMR integration plugs into). runC, crun and youki differ
+here only in their name and, for a handler, in the host record it maps.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import List, Optional, Protocol
+from typing import Optional, Protocol
 
 from repro.container import constants as C
 from repro.container.lifecycle import Container, ContainerState
@@ -24,8 +24,8 @@ from repro.workloads.python_app import PYTHON_RUNTIME
 
 
 @dataclass(frozen=True)
-class RuntimeInfo:
-    """Identity + binary shape of a low-level runtime."""
+class HostRuntime:
+    """The runtime binary whose container process a wasm handler runs in."""
 
     name: str
     text_file: str
@@ -33,14 +33,20 @@ class RuntimeInfo:
     child_private: int  # private RSS the runtime process keeps post-setup
 
 
+#: The runtimes that host a wasm handler, by name.
+HOSTS = {
+    host.name: host
+    for host in (
+        HostRuntime("crun", C.CRUN_TEXT_FILE, C.CRUN_TEXT, C.CRUN_CHILD_PRIVATE),
+        HostRuntime("youki", C.YOUKI_TEXT_FILE, C.YOUKI_TEXT, C.YOUKI_CHILD_PRIVATE),
+    )
+}
+
+
 class WasmHandler(Protocol):
     """crun-style pluggable wasm execution backend."""
 
     name: str
-
-    def matches(self, bundle: Bundle) -> bool:
-        """Should this handler run the bundle's entrypoint?"""
-        ...
 
     def execute(
         self, env: NodeEnv, container: Container, bundle: Bundle, proc: SimProcess
@@ -49,33 +55,13 @@ class WasmHandler(Protocol):
         ...
 
 
-class OCIRuntimeBase(abc.ABC):
-    """Base for runC/crun/youki."""
+class OCIRuntime:
+    """runC, crun or youki, with the wasm handler fixed when it is built
+    (None: a wasm image fails, as under runC)."""
 
-    def __init__(self, info: RuntimeInfo) -> None:
-        self.info = info
-        self._handlers: List[WasmHandler] = []
-
-    @property
-    def name(self) -> str:
-        return self.info.name
-
-    def register_handler(self, handler: WasmHandler) -> None:
-        """Install a wasm handler (crun/youki support this; runC rejects)."""
-        if not self.supports_handlers():
-            raise ContainerError(f"{self.name} does not support wasm handlers")
-        self._handlers.append(handler)
-
-    @abc.abstractmethod
-    def supports_handlers(self) -> bool: ...
-
-    def handler_for(self, bundle: Bundle) -> Optional[WasmHandler]:
-        for handler in self._handlers:
-            if handler.matches(bundle):
-                return handler
-        return None
-
-    # -- container creation ----------------------------------------------
+    def __init__(self, name: str, handler: Optional[WasmHandler] = None) -> None:
+        self.name = name
+        self.handler = handler
 
     def create_and_exec(
         self, env: NodeEnv, container: Container, bundle: Bundle
@@ -93,17 +79,16 @@ class OCIRuntimeBase(abc.ABC):
         container.processes.append(proc)
         container.transition(ContainerState.CREATED)
 
-        handler = self.handler_for(bundle)
         wasm = is_wasm_image(bundle.image)
-        if wasm and handler is None:
+        if wasm and self.handler is None:
             env.memory.exit(proc)
             raise ContainerError(
                 f"{self.name}: no wasm handler for image {bundle.image.reference}"
             )
 
         container.transition(ContainerState.RUNNING)
-        if handler is not None and wasm:
-            return handler.execute(env, container, bundle, proc)
+        if wasm:
+            return self.handler.execute(env, container, bundle, proc)
         return self._exec_native(env, container, bundle, proc)
 
     def _exec_native(
@@ -144,13 +129,16 @@ class OCIRuntimeBase(abc.ABC):
         # steady-state service work is idle.
         return 0.0
 
-    # -- teardown --------------------------------------------------------------
 
-    def kill_and_delete(self, env: NodeEnv, container: Container) -> None:
-        if container.state in (ContainerState.RUNNING, ContainerState.CREATED):
-            container.transition(ContainerState.STOPPED)
-            container.stopped_at = env.kernel.now
-        for proc in container.processes:
-            env.memory.exit(proc)
-        container.processes.clear()
-        container.transition(ContainerState.DELETED)
+def kill_and_delete(env: NodeEnv, container: Container) -> None:
+    """OCI kill + delete: stop the container and release its processes.
+
+    The same for every runtime and shim, so containerd calls it directly.
+    """
+    if container.state in (ContainerState.RUNNING, ContainerState.CREATED):
+        container.transition(ContainerState.STOPPED)
+        container.stopped_at = env.kernel.now
+    for proc in container.processes:
+        env.memory.exit(proc)
+    container.processes.clear()
+    container.transition(ContainerState.DELETED)

@@ -1,4 +1,4 @@
-"""crun: the lightweight C OCI runtime with pluggable wasm handlers.
+"""crun's upstream wasm handler: an engine embedded eagerly.
 
 crun's upstream wasm support links an engine's embedder API into the
 container process; :class:`EmbeddedEngineHandler` models that path for
@@ -12,39 +12,21 @@ from __future__ import annotations
 
 from repro.container import constants as C
 from repro.container.lifecycle import Container
-from repro.container.lowlevel.base import OCIRuntimeBase, RuntimeInfo
+from repro.container.lowlevel.base import HostRuntime
 from repro.container.nodeenv import NodeEnv
 from repro.engines.base import WasmEngine
 from repro.engines.cache import run_cached
-from repro.oci.annotations import is_wasm_image
 from repro.oci.bundle import Bundle
 from repro.sim.process import SimProcess
-
-
-class CrunRuntime(OCIRuntimeBase):
-    def __init__(self) -> None:
-        super().__init__(
-            RuntimeInfo(
-                name="crun",
-                text_file=C.CRUN_TEXT_FILE,
-                text_size=C.CRUN_TEXT,
-                child_private=C.CRUN_CHILD_PRIVATE,
-            )
-        )
-
-    def supports_handlers(self) -> bool:
-        return True
 
 
 class EmbeddedEngineHandler:
     """Upstream-style crun wasm handler: eager engine embedding."""
 
-    def __init__(self, engine: WasmEngine) -> None:
+    def __init__(self, name: str, engine: WasmEngine, host: HostRuntime) -> None:
+        self.name = name
         self.engine = engine
-        self.name = f"crun-{engine.name}"
-
-    def matches(self, bundle: Bundle) -> bool:
-        return is_wasm_image(bundle.image)
+        self.host = host
 
     def execute(
         self, env: NodeEnv, container: Container, bundle: Bundle, proc: SimProcess
@@ -57,13 +39,16 @@ class EmbeddedEngineHandler:
             env=bundle.spec.process.env,
         )
 
-        # Memory: the crun process stays alive hosting the engine.
-        private = C.CRUN_CHILD_PRIVATE + self.engine.embedded_private_bytes(
+        # Memory: the runtime process stays alive hosting the engine.
+        host = self.host
+        private = host.child_private + self.engine.embedded_private_bytes(
             compiled, result.linear_memory_bytes
         )
         private += int(env.jitter(f"wasmmem/{container.container_id}", C.MEMORY_JITTER))
         env.memory.map_private(proc, private, label=f"{self.name}-rss")
-        env.memory.map_file(proc, C.CRUN_TEXT_FILE, C.CRUN_TEXT, label="crun-text")
+        env.memory.map_file(
+            proc, host.text_file, host.text_size, label=f"{host.name}-text"
+        )
         env.memory.map_file(
             proc, self.engine.profile.lib_file, self.engine.profile.lib_text,
             label=f"{self.engine.name}-lib",

@@ -84,13 +84,9 @@ class NodeEnv:
         kubelet = self.memory.spawn("kubelet", cgroup="/system.slice/kubelet")
         self.memory.map_private(kubelet, C.KUBELET_BASE, label="kubelet-heap")
         self.containerd_proc = proc
-        self._containerd_heap_key = "containerd-growth"
-        self.memory.map_private(proc, 0, label="containerd-growth")
-        # map_private generated a key; find it for later resizing.
-        for key, seg in proc.segments.items():
-            if seg.label == "containerd-growth":
-                self._containerd_heap_key = key
-                break
+        self._containerd_heap_key = self.memory.map_private(
+            proc, 0, label="containerd-growth"
+        )
 
     # -- per-pod bookkeeping -------------------------------------------------
 

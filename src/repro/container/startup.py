@@ -55,7 +55,17 @@ class StartupProfile:
         return self.serial_s + self.serial_growth_s * containers_created
 
 
-_PROFILES: Dict[str, StartupProfile] = {
+#: Warm-start decomposition for the zygote ablation: the clone skips the
+#: loader's page-zeroing under the mm lock (the growth term all but
+#: vanishes) and replaces engine create + load + two-phase instantiation
+#: with a snapshot copy in the parallel phase.
+_ZYGOTE_WARM = StartupProfile(
+    "crun-wamr-zygote+warm", 3.00, 0.0015, 4.0e-6, 0.012, jitter_s=0.008
+)
+
+#: One profile per runtime configuration id (the ids of
+#: :data:`repro.core.integration.CONFIGS`).
+PROFILES: Dict[str, StartupProfile] = {
     p.config: p
     for p in (
         # -- crun with embedded engines -----------------------------------
@@ -70,26 +80,11 @@ _PROFILES: Dict[str, StartupProfile] = {
         # -- native (Python) baselines ------------------------------------------
         StartupProfile("crun-python", 3.00, 0.008, 2.8e-5, 0.360),
         StartupProfile("runc-python", 3.30, 0.009, 3.0e-5, 0.420),
-    )
-}
-
-
-#: Warm-start decomposition for the zygote ablation: the clone skips the
-#: loader's page-zeroing under the mm lock (the growth term all but
-#: vanishes) and replaces engine create + load + two-phase instantiation
-#: with a snapshot copy in the parallel phase.
-_ZYGOTE_WARM = StartupProfile(
-    "crun-wamr-zygote+warm", 3.00, 0.0015, 4.0e-6, 0.012, jitter_s=0.008
-)
-
-#: Extension profiles for the ablation configurations (not in the paper's
-#: matrix): AOT pays per-container compilation in the parallel phase;
-#: the static build skips the loader's serialized work but pages in a
-#: private text copy instead; the zygote config starts cold at exactly
-#: crun-wamr's constants and switches to ``warm`` once a snapshot exists.
-_ABLATION_PROFILES: Dict[str, StartupProfile] = {
-    p.config: p
-    for p in (
+        # -- ablations (not in the paper's matrix): AOT pays per-container
+        # compilation in the parallel phase; the static build skips the
+        # loader's serialized work but pages in a private text copy
+        # instead; the zygote config starts cold at exactly crun-wamr's
+        # constants and switches to ``warm`` once a snapshot exists.
         StartupProfile("crun-wamr-aot", 3.00, 0.004, 4.0e-5, 0.260),
         StartupProfile("crun-wamr-static", 3.00, 0.005, 6.0e-5, 0.085),
         # youki's Rust runtime is a touch heavier per creation than crun.
@@ -100,19 +95,7 @@ _ABLATION_PROFILES: Dict[str, StartupProfile] = {
 
 
 def startup_profile(config: str) -> StartupProfile:
-    profile = _PROFILES.get(config) or _ABLATION_PROFILES.get(config)
+    profile = PROFILES.get(config)
     if profile is None:
-        raise KeyError(
-            f"no startup profile for {config!r}; known: "
-            f"{sorted(_PROFILES) + sorted(_ABLATION_PROFILES)}"
-        )
+        raise KeyError(f"no startup profile for {config!r}; known: {sorted(PROFILES)}")
     return profile
-
-
-def known_configs() -> list[str]:
-    """The paper's nine configurations."""
-    return sorted(_PROFILES)
-
-
-def ablation_configs() -> list[str]:
-    return sorted(_ABLATION_PROFILES)

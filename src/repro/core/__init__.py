@@ -14,18 +14,19 @@ Three mechanisms from §III-C, each implemented here:
    ``exec`` into a separate engine binary, which is where the memory win
    comes from.
 
-:func:`repro.core.integration.build_crun_with_wamr` assembles a crun with
-our handler (plus, optionally, the upstream engine handlers used as
-baselines).
+:func:`repro.core.integration.build_runtime` makes any configuration's
+runtime or shim from its :class:`~repro.core.integration.RuntimeConfig`
+row; for ``crun-wamr`` that is a crun with our handler.
 """
 
 from repro.core.dynlib import DynamicLibraryLoader
 from repro.core.wamr_handler import WamrCrunHandler
-from repro.core.integration import build_crun_with_wamr, CRUN_WAMR_CONFIG
+from repro.core.integration import CONFIGS, CRUN_WAMR_CONFIG, build_runtime
 
 __all__ = [
     "DynamicLibraryLoader",
     "WamrCrunHandler",
-    "build_crun_with_wamr",
+    "build_runtime",
+    "CONFIGS",
     "CRUN_WAMR_CONFIG",
 ]

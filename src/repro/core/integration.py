@@ -1,10 +1,12 @@
-"""Assembly of the modified crun and the runtime-configuration table.
+"""The runtime-configuration table and the one builder of its runtimes.
 
-``build_crun_with_wamr`` produces the artifact the paper ships: a crun
-whose wasm handler is WAMR. The configuration ids used across the
-benchmark campaign (Table II reconstruction) are defined here so every
-layer (kubelet RuntimeClass, containerd dispatch, figure generators)
-shares one vocabulary.
+A configuration id (Table II reconstruction, plus the ablations) names a
+row that states everything the id decides: the low-level runtime or
+shim, the engine, zygote warm start and library sharing. Every layer
+(kubelet RuntimeClass, containerd dispatch, figure generators) shares
+this vocabulary, and :func:`build_runtime` makes a config's runtime from
+its row — for ``crun-wamr``, the artifact the paper ships: a crun whose
+wasm handler is WAMR.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.container.lowlevel.crun import CrunRuntime, EmbeddedEngineHandler
+from repro.container.lowlevel.base import HOSTS, OCIRuntime
+from repro.container.lowlevel.crun import EmbeddedEngineHandler
 from repro.core.dynlib import DynamicLibraryLoader
 from repro.core.wamr_handler import WamrCrunHandler
 from repro.engines.registry import get_engine
@@ -27,13 +30,18 @@ class RuntimeConfig:
     """One row of the evaluation matrix."""
 
     config_id: str  # e.g. "crun-wamr"
-    family: str  # "crun" | "runc" | "runwasi"
-    engine: Optional[str]  # wasm engine name, None for native
+    family: str  # "crun" | "runc" | "youki" | "runwasi"
+    #: the engine that runs a wasm image, in the runtime's handler or
+    #: linked into the runwasi shim; None: no handler (runC)
+    engine: Optional[str]
     workload: str  # "wasm" | "python"
     is_ours: bool = False
     #: zygote warm-start: 2nd..Nth container of an image clones the
     #: first's instance snapshot (COW memory, warm startup profile)
     zygote: bool = False
+    #: False: a statically linked WAMR, each container paying for the
+    #: engine text privately instead of sharing one dlopen-ed mapping
+    share_library: bool = True
 
 
 #: The nine benchmarked configurations (paper Table II + §IV).
@@ -47,7 +55,8 @@ RUNTIME_CONFIGS: Dict[str, RuntimeConfig] = {
         RuntimeConfig("shim-wasmtime", "runwasi", "wasmtime", "wasm"),
         RuntimeConfig("shim-wasmer", "runwasi", "wasmer", "wasm"),
         RuntimeConfig("shim-wasmedge", "runwasi", "wasmedge", "wasm"),
-        RuntimeConfig("crun-python", "crun", None, "python"),
+        # The paper's modified crun: a wasm image under it runs on WAMR.
+        RuntimeConfig("crun-python", "crun", "wamr", "python"),
         RuntimeConfig("runc-python", "runc", None, "python"),
     )
 }
@@ -58,13 +67,16 @@ ABLATION_CONFIGS: Dict[str, RuntimeConfig] = {
     c.config_id: c
     for c in (
         RuntimeConfig("crun-wamr-aot", "crun", "wamr-aot", "wasm"),
-        RuntimeConfig("crun-wamr-static", "crun", "wamr", "wasm"),
+        RuntimeConfig("crun-wamr-static", "crun", "wamr", "wasm", share_library=False),
         # Handler portability: the same WAMR handler hosted by youki.
-        RuntimeConfig("youki-wamr", "crun", "wamr", "wasm"),
+        RuntimeConfig("youki-wamr", "youki", "wamr", "wasm"),
         # Zygote warm-start: snapshot-and-clone instantiation (DESIGN.md).
         RuntimeConfig("crun-wamr-zygote", "crun", "wamr", "wasm", zygote=True),
     )
 }
+
+#: Every configuration a node runs: the one lookup for an id.
+CONFIGS: Dict[str, RuntimeConfig] = {**RUNTIME_CONFIGS, **ABLATION_CONFIGS}
 
 WASM_CONFIGS = [c for c in RUNTIME_CONFIGS if RUNTIME_CONFIGS[c].workload == "wasm"]
 CRUN_WASM_CONFIGS = [
@@ -75,50 +87,33 @@ CRUN_WASM_CONFIGS = [
 RUNWASI_CONFIGS = [c for c, cfg in RUNTIME_CONFIGS.items() if cfg.family == "runwasi"]
 PYTHON_CONFIGS = [c for c, cfg in RUNTIME_CONFIGS.items() if cfg.workload == "python"]
 
+#: Engines the paper's handler runs; crun embeds every other one eagerly.
+WAMR_ENGINES = frozenset({"wamr", "wamr-aot"})
 
-def build_crun_with_wamr(
-    memory: Optional[SystemMemoryModel] = None,
-    include_upstream_handlers: bool = False,
-) -> CrunRuntime:
-    """The modified crun: WAMR handler first, upstream handlers optional.
 
-    Handler order matters — crun picks the first matching handler, so the
-    WAMR handler shadows the upstream ones when both are installed (the
-    deployment the paper evaluates uses one handler per node config).
+def build_runtime(config: RuntimeConfig, memory: SystemMemoryModel):
+    """The low-level runtime or runwasi shim that runs ``config`` on the
+    node whose memory is ``memory``; each WAMR handler gets its own loader.
     """
-    crun = CrunRuntime()
-    loader = DynamicLibraryLoader(memory) if memory is not None else None
-    crun.register_handler(WamrCrunHandler(loader=loader))
-    if include_upstream_handlers:
-        for engine_name in ("wasmtime", "wasmer", "wasmedge"):
-            crun.register_handler(EmbeddedEngineHandler(get_engine(engine_name)))
-    return crun
+    if config.family == "runwasi":
+        # Deferred: the high-level package imports containerd, which
+        # imports this module.
+        from repro.container.highlevel.runwasi import RunwasiShim
 
-
-def build_crun_with_engine(engine_name: str) -> CrunRuntime:
-    """A baseline crun with one upstream engine handler."""
-    crun = CrunRuntime()
-    crun.register_handler(EmbeddedEngineHandler(get_engine(engine_name)))
-    return crun
-
-
-def build_ablation_crun(config_id: str, memory: Optional[SystemMemoryModel] = None):
-    """Low-level runtime variants for the ablation configurations."""
-    from repro.container.lowlevel.youki import YoukiRuntime
-
-    loader = DynamicLibraryLoader(memory) if memory is not None else None
-    if config_id == "crun-wamr-aot":
-        runtime = CrunRuntime()
-        runtime.register_handler(WamrCrunHandler(loader=loader, engine_name="wamr-aot"))
-    elif config_id == "crun-wamr-static":
-        runtime = CrunRuntime()
-        runtime.register_handler(WamrCrunHandler(loader=loader, share_library=False))
-    elif config_id == "crun-wamr-zygote":
-        runtime = CrunRuntime()
-        runtime.register_handler(WamrCrunHandler(loader=loader, zygote=True))
-    elif config_id == "youki-wamr":
-        runtime = YoukiRuntime()
-        runtime.register_handler(WamrCrunHandler(loader=loader))
+        return RunwasiShim(get_engine(config.engine))
+    if config.engine is None:
+        return OCIRuntime(config.family)
+    host = HOSTS[config.family]
+    engine = get_engine(config.engine)
+    if config.engine in WAMR_ENGINES:
+        handler = WamrCrunHandler(
+            config.config_id,
+            engine,
+            host,
+            DynamicLibraryLoader(memory),
+            share_library=config.share_library,
+            zygote=config.zygote,
+        )
     else:
-        raise KeyError(f"unknown ablation config {config_id!r}")
-    return runtime
+        handler = EmbeddedEngineHandler(config.config_id, engine, host)
+    return OCIRuntime(host.name, handler)

@@ -18,16 +18,13 @@ assembled here.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.container import constants as C
 from repro.container.lifecycle import Container
+from repro.container.lowlevel.base import HostRuntime
 from repro.container.nodeenv import NodeEnv
 from repro.core.dynlib import DynamicLibraryLoader
 from repro.engines.base import WasmEngine
 from repro.engines.cache import run_cached
-from repro.engines.registry import get_engine
-from repro.oci.annotations import is_wasm_image
 from repro.oci.bundle import Bundle
 from repro.sim.process import SimProcess
 
@@ -36,9 +33,12 @@ class WamrCrunHandler:
     """crun wasm handler backed by the WebAssembly Micro Runtime.
 
     Args:
-        loader: shared per-node dlopen bookkeeping (created lazily).
-        engine_name: ``"wamr"`` (the paper's interpreter mode) or
-            ``"wamr-aot"`` (the ablation's ahead-of-time mode).
+        name: the runtime configuration id this handler serves.
+        engine: WAMR in the paper's interpreter mode, or the ablation's
+            ahead-of-time mode.
+        host: the runtime whose container process hosts the handler; its
+            text and retained heap are mapped into every container.
+        loader: the node's dlopen bookkeeping for this configuration.
         share_library: when False, models a statically linked build —
             each container pays for the engine text privately instead of
             sharing one ``dlopen``-ed mapping (the DESIGN.md §7 ablation).
@@ -50,24 +50,19 @@ class WamrCrunHandler:
 
     def __init__(
         self,
-        loader: Optional[DynamicLibraryLoader] = None,
-        engine_name: str = "wamr",
+        name: str,
+        engine: WasmEngine,
+        host: HostRuntime,
+        loader: DynamicLibraryLoader,
         share_library: bool = True,
         zygote: bool = False,
     ) -> None:
-        self.engine: WasmEngine = get_engine(engine_name)
+        self.name = name
+        self.engine = engine
+        self.host = host
         self.loader = loader
         self.share_library = share_library
         self.zygote = zygote
-        self.name = "crun-wamr" if engine_name == "wamr" else f"crun-{engine_name}"
-        if not share_library:
-            self.name += "-static"
-        if zygote:
-            self.name += "-zygote"
-        self.containers_executed = 0
-
-    def matches(self, bundle: Bundle) -> bool:
-        return is_wasm_image(bundle.image)
 
     # -- WASI argument handling (§III-C.2) ---------------------------------
 
@@ -85,9 +80,7 @@ class WamrCrunHandler:
     def execute(
         self, env: NodeEnv, container: Container, bundle: Bundle, proc: SimProcess
     ) -> float:
-        if self.loader is None:
-            self.loader = DynamicLibraryLoader(env.memory)
-
+        host = self.host
         blob = bundle.read_file(bundle.spec.process.args[0])
         world = self.build_wasi_world(bundle)
         compiled, result = run_cached(
@@ -109,7 +102,9 @@ class WamrCrunHandler:
                 proc, self.engine.profile.lib_text, label="libiwasm-static"
             )
             dlopen_s = 0.0
-        env.memory.map_file(proc, C.CRUN_TEXT_FILE, C.CRUN_TEXT, label="crun-text")
+        env.memory.map_file(
+            proc, host.text_file, host.text_size, label=f"{host.name}-text"
+        )
 
         if self.zygote:
             # Zygote model: engine structures, in-place artifact, and the
@@ -126,7 +121,7 @@ class WamrCrunHandler:
             seg_key = env.memory.map_cow(proc, cow_key, shared, label="zygote-image")
             dirty = min(shared, C.ZYGOTE_DIRTY_FLOOR + result.dirty_memory_bytes)
             proc.cow_split(seg_key, dirty)
-            private = C.CRUN_CHILD_PRIVATE + self.engine.profile.per_instance
+            private = host.child_private + self.engine.profile.per_instance
             private += int(
                 env.jitter(f"wamrmem/{container.container_id}", C.MEMORY_JITTER)
             )
@@ -136,9 +131,10 @@ class WamrCrunHandler:
             if container.facts.get("zygote_warm"):
                 container.facts["zygote_restore_s"] = self.engine.warm_startup_seconds()
         else:
-            # In-process interpreter: crun child keeps its own small heap plus
-            # WAMR's structures; no JIT buffers (artifact = module in place).
-            private = C.CRUN_CHILD_PRIVATE + self.engine.embedded_private_bytes(
+            # In-process interpreter: the runtime's child keeps its own small
+            # heap plus WAMR's structures; no JIT buffers (artifact = module
+            # in place).
+            private = host.child_private + self.engine.embedded_private_bytes(
                 compiled, result.linear_memory_bytes
             )
             private += int(
@@ -155,5 +151,4 @@ class WamrCrunHandler:
         container.facts["instructions"] = result.instructions
         container.facts["linear_memory"] = result.linear_memory_bytes
         container.facts["wasi_preopens"] = sorted(world["preopens"])
-        self.containers_executed += 1
         return result.exec_seconds + dlopen_s

@@ -115,7 +115,7 @@ class FaultInjected(ContainerError):
     """A failure injected by :class:`repro.sim.faults.FaultPlan`.
 
     Subclasses :class:`ContainerError` so every layer that already treats
-    container-runtime failures as operational (kubelet pod-sync, the CRI)
+    container-runtime failures as operational (kubelet pod-sync, containerd)
     handles injected faults through the same paths as organic ones.
     ``transient`` drives the kubelet's restart decision: transient faults
     are retried under the pod's restart policy, permanent ones fail the

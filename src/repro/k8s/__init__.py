@@ -2,9 +2,9 @@
 
 A deliberately faithful (if compact) control plane: pods are objects in
 an API server, a scheduler binds them to nodes respecting capacity and
-RuntimeClass support, and each node's kubelet drives the CRI to realize
-them. The metrics server scrapes per-pod cgroup working sets — the
-measurement channel of Figs 3 and 6.
+RuntimeClass support, and each node's kubelet makes the CRI calls on its
+node's containerd to realize them. The metrics server scrapes per-pod
+cgroup working sets — the measurement channel of Figs 3 and 6.
 """
 
 from repro.k8s.objects import (

@@ -10,8 +10,9 @@ from repro.k8s.objects import NodeInfo, Pod, PodPhase, PodSpec, RuntimeClass
 
 Watcher = Callable[[Pod], None]
 #: called with (node_name, slot_delta) when a pod is bound (-1) or a
-#: bound pod leaves the API server (+1) — the scheduler's incremental
-#: free-slot bookkeeping hangs off this
+#: bound pod gives its slot back (+1): once, when it turns Failed or
+#: Succeeded or leaves the API server, whichever comes first — the
+#: scheduler's incremental free-slot bookkeeping hangs off this
 CapacityWatcher = Callable[[str, int], None]
 
 
@@ -96,16 +97,23 @@ class APIServer:
         pod.reason = reason
         if phase is PodPhase.RUNNING and pod.running_at is None:
             pod.running_at = self._clock()
+        elif phase is PodPhase.FAILED or phase is PodPhase.SUCCEEDED:
+            # Like Kubernetes, only non-terminated pods count toward a
+            # node's pod capacity.
+            self._release_slot(pod)
         self._notify(pod)
 
     def delete_pod(self, pod: Pod) -> None:
         self.pods.pop(pod.uid, None)
-        if pod.node_name:
-            node = self.nodes.get(pod.node_name)
-            if node and pod.uid in node.pod_uids:
-                node.pod_uids.remove(pod.uid)
-                for watcher in self._capacity_watchers:
-                    watcher(node.name, +1)
+        self._release_slot(pod)
+
+    def _release_slot(self, pod: Pod) -> None:
+        """Give a bound pod's node slot back, if it still holds one."""
+        node = self.nodes.get(pod.node_name) if pod.node_name else None
+        if node is not None and pod.uid in node.pod_uids:
+            node.pod_uids.remove(pod.uid)
+            for watcher in self._capacity_watchers:
+                watcher(node.name, +1)
 
     def _notify(self, pod: Pod) -> None:
         for watcher in self._pod_watchers:

@@ -1,9 +1,9 @@
 """Cluster assembly: one call builds the full simulated testbed.
 
 ``build_cluster()`` wires kernel → memory model → NodeEnv → containerd →
-CRI → kubelet → API server/scheduler/metrics-server, registers a
-RuntimeClass per benchmarked configuration, and publishes the workload
-images — the state §IV-A's Continuum deployment would leave behind.
+kubelet → API server/scheduler/metrics-server, registers a RuntimeClass
+per runtime configuration, and publishes the workload images — the state
+§IV-A's Continuum deployment would leave behind.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.container.highlevel.containerd import Containerd
-from repro.container.highlevel.cri import CRIService
 from repro.container.nodeenv import NodeEnv
-from repro.container.startup import ablation_configs, known_configs
-from repro.core.integration import ABLATION_CONFIGS, RUNTIME_CONFIGS
+from repro.core.integration import CONFIGS
 from repro.errors import KubernetesError, SchedulingError
 from repro.k8s.apiserver import APIServer
 from repro.k8s.controllers import DeploymentController
@@ -70,7 +68,6 @@ class WorkerNode:
     name: str
     env: NodeEnv
     containerd: Containerd
-    cri: CRIService
     kubelet: Kubelet
     metrics: MetricsServer
     info: NodeInfo
@@ -106,9 +103,7 @@ class Cluster:
     ) -> PodSpec:
         """A single-container PodSpec for a runtime config (image inferred)."""
         if image is None:
-            config = RUNTIME_CONFIGS.get(runtime_config) or ABLATION_CONFIGS.get(
-                runtime_config
-            )
+            config = CONFIGS.get(runtime_config)
             if config is None:
                 raise KubernetesError(f"unknown runtime configuration {runtime_config!r}")
             image = WASM_IMAGE_REF if config.workload == "wasm" else PYTHON_IMAGE_REF
@@ -326,7 +321,7 @@ def build_cluster(
         locality_weight=locality_weight,
     )
 
-    for config_id in known_configs() + ablation_configs():
+    for config_id in CONFIGS:
         api.register_runtime_class(RuntimeClass(name=config_id, handler=config_id))
 
     if node_specs is None:
@@ -355,11 +350,10 @@ def build_cluster(
         env.images.pull(WASM_IMAGE_REF)
         env.images.pull(PYTHON_IMAGE_REF)
         containerd = Containerd(env)
-        cri = CRIService(containerd)
         kubelet = Kubelet(
             node_name=name,
             api=api,
-            cri=cri,
+            containerd=containerd,
             env=env,
             probes=probes or ProbeConfig(),
             admission_shedding=admission_shedding,
@@ -369,7 +363,7 @@ def build_cluster(
             max_pods=spec.max_pods,
             allocatable_memory=spec.memory_bytes,
             labels=dict(spec.labels),
-            runtime_handlers=known_configs() + ablation_configs(),
+            runtime_handlers=list(CONFIGS),
         )
         api.register_node(info)
         scheduler.attach_node_signals(
@@ -385,7 +379,6 @@ def build_cluster(
             name=name,
             env=env,
             containerd=containerd,
-            cri=cri,
             kubelet=kubelet,
             metrics=MetricsServer(
                 memory, containerd, faults=fault_plan, node_name=name

@@ -1,9 +1,11 @@
-"""Kubelet: realizes scheduled pods on its node through the CRI.
+"""Kubelet: realizes scheduled pods on its node through its containerd.
 
 The pod sync activity models the control-plane pipeline ahead of container
 creation (watch delivery, sync-loop pickup, sandbox + CNI setup) as the
-runtime config's ``pipeline_s`` latency with small jitter, then drives the
-CRI: RunPodSandbox → CreateContainer/StartContainer per container.
+runtime config's ``pipeline_s`` latency with small jitter, then makes the
+CRI calls on the node's containerd itself: RunPodSandbox, then
+CreateContainer/StartContainer per container, each RPC a ``cri.rpc``
+fault point.
 
 Pod sync is **self-healing**: a failed attempt tears the sandbox down
 (idempotently), classifies the failure, and — under the pod's restart
@@ -19,11 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro import obs
-from repro.container.highlevel.cri import (
-    ContainerConfig,
-    CRIService,
-    PodSandboxConfig,
-)
+from repro.container.highlevel.containerd import Containerd
 from repro.container.lifecycle import Container
 from repro.container.nodeenv import NodeEnv
 from repro.container.startup import startup_profile
@@ -83,7 +81,7 @@ class Kubelet:
 
     node_name: str
     api: APIServer
-    cri: CRIService
+    containerd: Containerd
     env: NodeEnv
     #: pod uid → realized containers
     pod_containers: Dict[str, List[Container]] = field(default_factory=dict)
@@ -234,18 +232,18 @@ class Kubelet:
             )
         self._relieve_memory_pressure(exclude_uid=pod.uid)
 
-        sandbox = PodSandboxConfig(
-            pod_uid=pod.uid, name=pod.name, runtime_handler=handler
-        )
-        self.cri.run_pod_sandbox(sandbox)
+        self.env.inject(FaultPoint.CRI_RPC, f"RunPodSandbox/{pod.uid}")
+        self.containerd.run_pod_sandbox(pod.uid)
 
         containers: List[Container] = []
         for cspec in pod.spec.containers:
-            container = yield self.cri.create_and_start_container(
-                sandbox,
-                ContainerConfig(
-                    image_ref=cspec.image, command=cspec.command, env=cspec.env
-                ),
+            self.env.inject(FaultPoint.CRI_RPC, f"CreateContainer/{pod.uid}")
+            container = yield self.containerd.create_container(
+                pod.uid,
+                handler,
+                cspec.image,
+                command=cspec.command,
+                env_vars=cspec.env,
             )
             containers.append(container)
 
@@ -342,7 +340,7 @@ class Kubelet:
 
     def _cleanup_attempt(self, pod: Pod) -> None:
         """Release whatever a failed attempt left on the node (idempotent)."""
-        self.cri.remove_pod_sandbox(pod.uid)
+        self.containerd.remove_pod_sandbox(pod.uid)
         self.pod_containers.pop(pod.uid, None)
 
     # -- failure classification ---------------------------------------------

@@ -55,7 +55,6 @@ __all__ = [
     "tagged_spans",
     "span_watermark",
     "span_groups_since",
-    "adopt_span_groups",
     "adopt_telemetry_groups",
     "reset",
 ]
@@ -172,7 +171,7 @@ def span_groups_since(mark: int) -> List[Tuple[str, List[object]]]:
     """Spans recorded after ``mark``, grouped by context label.
 
     Groups are ordered by first appearance, spans within a group in
-    record order — the shape :func:`adopt_span_groups` replays.
+    record order — the shape :func:`adopt_telemetry_groups` replays.
     """
     groups: List[Tuple[str, List[object]]] = []
     index: Dict[int, int] = {}
@@ -184,18 +183,6 @@ def span_groups_since(mark: int) -> List[Tuple[str, List[object]]]:
         else:
             groups[pos][1].append(span)
     return groups
-
-
-def adopt_span_groups(groups: Sequence[Tuple[str, Sequence[object]]]) -> None:
-    """Replay another process's span groups into this process's trace.
-
-    Each group opens a fresh context here (parent numbering), then its
-    spans append in order.
-    """
-    for label, spans in groups:
-        cid = new_context(label)
-        for span in spans:
-            _spans.append((cid, span))
 
 
 def adopt_telemetry_groups(

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.container.lifecycle import Container, ContainerState
-from repro.container.startup import known_configs, startup_profile
+from repro.container.startup import startup_profile
+from repro.core.integration import RUNTIME_CONFIGS
 from repro.errors import InvalidTransition
 
 
@@ -50,8 +51,8 @@ class TestLifecycle:
 
 class TestStartupProfiles:
     def test_all_nine_configs_present(self):
-        assert len(known_configs()) == 9
-        for config in known_configs():
+        assert len(RUNTIME_CONFIGS) == 9
+        for config in RUNTIME_CONFIGS:
             profile = startup_profile(config)
             assert profile.pipeline_s > 0
             assert profile.parallel_s > 0
@@ -76,7 +77,7 @@ class TestStartupProfiles:
     def test_ours_has_smallest_parallel_cost(self):
         """The WAMR handler avoids JIT compilation and CPython boot."""
         ours = startup_profile("crun-wamr").parallel_s
-        for other in known_configs():
+        for other in RUNTIME_CONFIGS:
             if other != "crun-wamr":
                 assert ours < startup_profile(other).parallel_s
 

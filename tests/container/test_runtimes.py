@@ -6,11 +6,11 @@ from repro.container import constants as C
 from repro.container.highlevel.containerd import Containerd
 from repro.container.highlevel.runwasi import RunwasiShim
 from repro.container.lifecycle import Container, ContainerState
-from repro.container.lowlevel.crun import CrunRuntime, EmbeddedEngineHandler
-from repro.container.lowlevel.runc import RuncRuntime
-from repro.container.lowlevel.youki import YoukiRuntime
+from repro.container.lowlevel.base import HOSTS, OCIRuntime, kill_and_delete
+from repro.container.lowlevel.crun import EmbeddedEngineHandler
 from repro.container.nodeenv import NodeEnv
-from repro.core.integration import build_crun_with_wamr
+from repro.core.integration import CONFIGS, build_runtime
+from repro.core.wamr_handler import WamrCrunHandler
 from repro.engines.registry import get_engine
 from repro.errors import ContainerError
 from repro.oci.bundle import build_bundle
@@ -38,32 +38,38 @@ def make_container(config: str = "crun-wamr") -> Container:
     )
 
 
+def crun_with(engine_name: str) -> OCIRuntime:
+    """A crun hosting the upstream handler for ``engine_name``."""
+    name = f"crun-{engine_name}"
+    return OCIRuntime(
+        "crun", EmbeddedEngineHandler(name, get_engine(engine_name), HOSTS["crun"])
+    )
+
+
 class TestHandlerRegistration:
     def test_runc_rejects_handlers(self):
-        runc = RuncRuntime()
-        with pytest.raises(ContainerError, match="does not support"):
-            runc.register_handler(EmbeddedEngineHandler(get_engine("wamr")))
+        runc = build_runtime(CONFIGS["runc-python"], SystemMemoryModel())
+        assert runc.name == "runc" and runc.handler is None
 
     def test_crun_and_youki_accept_handlers(self):
-        for runtime in (CrunRuntime(), YoukiRuntime()):
-            runtime.register_handler(EmbeddedEngineHandler(get_engine("wasmtime")))
-            assert runtime.handler_for(
-                build_bundle("c", build_wasm_image())
-            ) is not None
+        memory = SystemMemoryModel()
+        for config_id, host in (("crun-wamr", "crun"), ("youki-wamr", "youki")):
+            runtime = build_runtime(CONFIGS[config_id], memory)
+            assert runtime.name == host
+            assert isinstance(runtime.handler, WamrCrunHandler)
+            assert runtime.handler.host is HOSTS[host]
 
-    def test_handler_order_first_match_wins(self):
-        crun = build_crun_with_wamr(include_upstream_handlers=True)
-        handler = crun.handler_for(build_bundle("c", build_wasm_image()))
-        assert handler.name == "crun-wamr"
-
-    def test_no_handler_matches_python_bundle(self):
-        crun = build_crun_with_wamr()
-        assert crun.handler_for(build_bundle("c", build_python_image())) is None
+    def test_no_handler_matches_python_bundle(self, env):
+        crun = build_runtime(CONFIGS["crun-wamr"], env.memory)
+        container = make_container("crun-wamr")
+        crun.create_and_exec(env, container, build_bundle("c", build_python_image()))
+        assert container.facts["runtime_model"] == "cpython"
+        assert "handler" not in container.facts
 
 
 class TestNativeExec:
     def test_python_workload(self, env):
-        crun = CrunRuntime()
+        crun = OCIRuntime("crun")
         container = make_container("crun-python")
         bundle = build_bundle("c", build_python_image(), env_override={"REQUESTS": "1"})
         exec_s = crun.create_and_exec(env, container, bundle)
@@ -76,10 +82,10 @@ class TestNativeExec:
     def test_runc_python_slightly_heavier(self, env):
         runc_container = make_container("runc-python")
         crun_container = make_container("crun-python")
-        RuncRuntime().create_and_exec(
+        OCIRuntime("runc").create_and_exec(
             env, runc_container, build_bundle("c1", build_python_image())
         )
-        CrunRuntime().create_and_exec(
+        OCIRuntime("crun").create_and_exec(
             env, crun_container, build_bundle("c2", build_python_image())
         )
         # runC pods carry a small extra (paper's 17.98% vs 18.15% spread).
@@ -90,13 +96,13 @@ class TestNativeExec:
         assert abs(diff) < 0.1 * MIB and diff != 0
 
     def test_wasm_bundle_without_handler_fails(self, env):
-        runc = RuncRuntime()
+        runc = OCIRuntime("runc")
         container = make_container()
         with pytest.raises(ContainerError, match="no wasm handler"):
             runc.create_and_exec(env, container, build_bundle("c", build_wasm_image()))
 
     def test_unknown_native_binary_rejected(self, env):
-        crun = CrunRuntime()
+        crun = OCIRuntime("crun")
         container = make_container()
         bundle = build_bundle(
             "c", build_python_image(), args_override=["/usr/bin/node"]
@@ -105,19 +111,18 @@ class TestNativeExec:
             crun.create_and_exec(env, container, bundle)
 
     def test_kill_and_delete_releases_memory(self, env):
-        crun = CrunRuntime()
+        crun = OCIRuntime("crun")
         container = make_container("crun-python")
         before = env.memory.node_working_set()
         crun.create_and_exec(env, container, build_bundle("c", build_python_image()))
-        crun.kill_and_delete(env, container)
+        kill_and_delete(env, container)
         assert container.state is ContainerState.DELETED
         assert env.memory.node_working_set() == before
 
 
 class TestEmbeddedEngines:
     def test_wasm_execution_real_output(self, env):
-        crun = CrunRuntime()
-        crun.register_handler(EmbeddedEngineHandler(get_engine("wasmedge")))
+        crun = crun_with("wasmedge")
         container = make_container("crun-wasmedge")
         bundle = build_bundle("c", build_wasm_image(), env_override={"REQUESTS": "2"})
         exec_s = crun.create_and_exec(env, container, bundle)
@@ -126,8 +131,7 @@ class TestEmbeddedEngines:
         assert exec_s > 0
 
     def test_engine_lib_shared_across_containers(self, env):
-        crun = CrunRuntime()
-        crun.register_handler(EmbeddedEngineHandler(get_engine("wasmtime")))
+        crun = crun_with("wasmtime")
         for i in range(3):
             c = make_container(f"crun-wasmtime")
             c.container_id = f"c{i}"
@@ -137,8 +141,7 @@ class TestEmbeddedEngines:
     def test_memory_ranking_wamr_smallest(self, env):
         footprints = {}
         for engine_name in ("wamr", "wasmtime", "wasmer", "wasmedge"):
-            crun = CrunRuntime()
-            crun.register_handler(EmbeddedEngineHandler(get_engine(engine_name)))
+            crun = crun_with(engine_name)
             c = make_container(f"crun-{engine_name}")
             c.container_id = engine_name
             crun.create_and_exec(env, c, build_bundle(engine_name, build_wasm_image()))
@@ -183,7 +186,7 @@ class TestRunwasi:
         container = make_container("shim-wasmtime")
         before = env.memory.node_working_set()
         shim.create_and_exec(env, container, build_bundle("c", build_wasm_image()))
-        shim.kill_and_delete(env, container)
+        kill_and_delete(env, container)
         assert env.memory.node_working_set() == before
 
 
@@ -235,6 +238,22 @@ class TestContainerd:
         ]
         env.kernel.run_all(gens)
         assert env.containers_created == 3
+
+    def test_first_dlopen_of_each_config_pays_the_load(self, env):
+        """Each WAMR-handled config keeps its own loader on the node."""
+        containerd = Containerd(env)
+        gens = []
+        for i, config in enumerate(("crun-wamr", "crun-wamr", "crun-wamr-zygote")):
+            containerd.run_pod_sandbox(f"pod{i}")
+            gens.append(
+                containerd.create_container(
+                    f"pod{i}", config, build_wasm_image().reference
+                )
+            )
+        wamr_a, wamr_b, zygote = env.kernel.run_all(gens)
+        warm, cold = sorted([wamr_a.facts["dlopen_s"], wamr_b.facts["dlopen_s"]])
+        assert warm < cold == zygote.facts["dlopen_s"]
+        assert zygote.facts["handler"] == "crun-wamr-zygote"
 
     def test_remove_pod_tears_down_containers(self, env):
         containerd = Containerd(env)

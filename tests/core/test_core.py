@@ -4,13 +4,16 @@ import pytest
 
 from repro.container.lifecycle import Container
 from repro.container.nodeenv import NodeEnv
+from repro.container.lowlevel.crun import EmbeddedEngineHandler
+from repro.container.startup import PROFILES
 from repro.core import (
+    CONFIGS,
     CRUN_WAMR_CONFIG,
     DynamicLibraryLoader,
     WamrCrunHandler,
-    build_crun_with_wamr,
+    build_runtime,
 )
-from repro.core.integration import RUNTIME_CONFIGS, build_crun_with_engine
+from repro.core.integration import ABLATION_CONFIGS, RUNTIME_CONFIGS
 from repro.oci.bundle import build_bundle
 from repro.oci.spec import MountSpec
 from repro.sim.kernel import Kernel
@@ -23,6 +26,11 @@ def env() -> NodeEnv:
     e = NodeEnv.create(kernel=Kernel(), memory=SystemMemoryModel())
     e.images.push(build_wasm_image())
     return e
+
+
+def wamr_handler(memory: SystemMemoryModel) -> WamrCrunHandler:
+    """The paper's handler, as the builder gives it to ``crun-wamr``."""
+    return build_runtime(CONFIGS[CRUN_WAMR_CONFIG], memory).handler
 
 
 def make_container(i: int = 0) -> Container:
@@ -59,7 +67,7 @@ class TestDynamicLibraryLoader:
 
 class TestWasiWorld:
     def test_args_env_from_oci_spec(self):
-        handler = WamrCrunHandler()
+        handler = wamr_handler(SystemMemoryModel())
         bundle = build_bundle(
             "c",
             build_wasm_image(),
@@ -72,7 +80,7 @@ class TestWasiWorld:
         assert world["env"]["SERVICE"] == "microservice"
 
     def test_preopens_include_rootfs_and_mounts(self):
-        handler = WamrCrunHandler()
+        handler = wamr_handler(SystemMemoryModel())
         bundle = build_bundle(
             "c",
             build_wasm_image(),
@@ -85,7 +93,7 @@ class TestWasiWorld:
 
 class TestExecution:
     def test_runs_module_in_process(self, env):
-        handler = WamrCrunHandler()
+        handler = wamr_handler(env.memory)
         container = make_container()
         proc = env.memory.spawn("crun:wamr-0", cgroup=container.cgroup)
         container.processes.append(proc)
@@ -98,7 +106,7 @@ class TestExecution:
         assert len(container.processes) == 1
 
     def test_dlopen_cost_amortizes(self, env):
-        handler = WamrCrunHandler()
+        handler = wamr_handler(env.memory)
         costs = []
         for i in range(3):
             container = make_container(i)
@@ -109,24 +117,34 @@ class TestExecution:
         assert costs[0] > costs[1] == costs[2]
 
     def test_memory_footprint_small(self, env):
-        handler = WamrCrunHandler()
+        handler = wamr_handler(env.memory)
         container = make_container()
         proc = env.memory.spawn("crun:wamr", cgroup=container.cgroup)
         container.processes.append(proc)
         handler.execute(env, container, build_bundle("c", build_wasm_image()), proc)
         assert proc.private_bytes() < 5 * MIB
 
-    def test_matches_only_wasm(self):
-        handler = WamrCrunHandler()
-        assert handler.matches(build_bundle("c", build_wasm_image()))
-        assert not handler.matches(build_bundle("c", build_python_image()))
+    def test_matches_only_wasm(self, env):
+        """crun-python is the paper's modified crun: a Python image is
+        exec'd natively, a wasm image still runs through WAMR."""
+        crun = build_runtime(CONFIGS["crun-python"], env.memory)
+        env.images.push(build_python_image())
+        native, wasm = make_container(0), make_container(1)
+        crun.create_and_exec(env, native, build_bundle("c0", build_python_image()))
+        crun.create_and_exec(env, wasm, build_bundle("c1", build_wasm_image()))
+        assert native.facts["runtime_model"] == "cpython"
+        assert "handler" not in native.facts
+        assert wasm.facts["handler"] == "crun-python"
+        assert wasm.facts["engine"] == "wamr"
+        assert b"microservice: ready" in wasm.stdout
 
 
 class TestIntegrationAssembly:
     def test_wamr_handler_registered(self):
-        crun = build_crun_with_wamr()
-        bundle = build_bundle("c", build_wasm_image())
-        assert crun.handler_for(bundle).name == "crun-wamr"
+        crun = build_runtime(CONFIGS[CRUN_WAMR_CONFIG], SystemMemoryModel())
+        assert crun.name == "crun"
+        assert isinstance(crun.handler, WamrCrunHandler)
+        assert crun.handler.name == "crun-wamr"
 
     def test_runtime_config_table_complete(self):
         assert len(RUNTIME_CONFIGS) == 9
@@ -135,7 +153,24 @@ class TestIntegrationAssembly:
         families = {c.family for c in RUNTIME_CONFIGS.values()}
         assert families == {"crun", "runc", "runwasi"}
 
+    def test_configs_and_startup_profiles_name_the_same_ids(self):
+        assert len(CONFIGS) == len(RUNTIME_CONFIGS) + len(ABLATION_CONFIGS) == 13
+        assert set(PROFILES) == set(CONFIGS)
+
     def test_baseline_builder(self):
-        crun = build_crun_with_engine("wasmedge")
-        handler = crun.handler_for(build_bundle("c", build_wasm_image()))
-        assert handler.name == "crun-wasmedge"
+        crun = build_runtime(CONFIGS["crun-wasmedge"], SystemMemoryModel())
+        assert isinstance(crun.handler, EmbeddedEngineHandler)
+        assert crun.handler.name == "crun-wasmedge"
+
+    def test_every_config_builds_from_its_row(self):
+        memory = SystemMemoryModel()
+        for config in CONFIGS.values():
+            runtime = build_runtime(config, memory)
+            if config.family == "runwasi":
+                assert runtime.engine.name == config.engine
+            elif config.engine is None:
+                assert runtime.name == config.family and runtime.handler is None
+            else:
+                assert runtime.name == config.family
+                assert runtime.handler.name == config.config_id
+                assert runtime.handler.engine.name == config.engine

@@ -177,10 +177,10 @@ class TestTeardownHygiene:
         pods = cluster.deploy_and_wait("crun-wamr", 1)
         uid = pods[0].uid
         assert uid in cluster.node.containerd.pods
-        cluster.node.cri.remove_pod_sandbox(uid)
+        cluster.node.containerd.remove_pod_sandbox(uid)
         # Second (and third) removal of the same sandbox is a no-op.
-        cluster.node.cri.remove_pod_sandbox(uid)
-        cluster.node.cri.remove_pod_sandbox(uid)
+        cluster.node.containerd.remove_pod_sandbox(uid)
+        cluster.node.containerd.remove_pod_sandbox(uid)
         assert uid not in cluster.node.containerd.pods
 
     def test_delete_deployment_returns_node_memory_to_baseline(self):

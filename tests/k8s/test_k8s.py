@@ -12,7 +12,7 @@ from repro.k8s import (
     RuntimeClass,
     Scheduler,
 )
-from repro.k8s.cluster import build_cluster
+from repro.k8s.cluster import NodeSpec, build_cluster
 from repro.sim.memory import MIB
 from repro.workloads.images import PYTHON_IMAGE_REF, WASM_IMAGE_REF
 
@@ -56,6 +56,37 @@ class TestAPIServer:
         assert api.nodes["n0"].pod_count == 1
         api.delete_pod(pod)
         assert api.nodes["n0"].pod_count == 0
+
+    def test_terminal_pod_releases_its_slot_once(self):
+        api = APIServer()
+        api.register_runtime_class(RuntimeClass("crun-wamr", "crun-wamr"))
+        api.register_node(NodeInfo(name="n0", runtime_handlers=["crun-wamr"]))
+        deltas = []
+        api.watch_capacity(lambda node, delta: deltas.append((node, delta)))
+        pod = api.create_pod("a", pod_spec())
+        api.bind_pod(pod, "n0")
+        api.set_phase(pod, PodPhase.RUNNING)
+        api.set_phase(pod, PodPhase.FAILED, reason="Evicted")
+        assert api.nodes["n0"].pod_count == 0
+        api.set_phase(pod, PodPhase.FAILED)
+        api.delete_pod(pod)
+        assert deltas == [("n0", -1), ("n0", +1)]
+
+    def test_evicted_pods_do_not_hold_slots_their_replacements_need(self):
+        """Terminated pods stop counting toward the node's max_pods."""
+        cluster = build_cluster(
+            seed=1, node_specs=[NodeSpec("n", memory_bytes=800 * MIB, max_pods=6)]
+        )
+        cluster.deploy_and_wait("crun-wasmtime", 1)
+        template = cluster.pod_template("crun-wasmtime")
+        cluster.converge("svc", template, 5, max_rounds=3)  # no SchedulingError
+        live = [
+            p
+            for p in cluster.api.pods_on_node("n")
+            if p.phase not in (PodPhase.FAILED, PodPhase.SUCCEEDED)
+        ]
+        assert cluster.api.nodes["n"].pod_count == len(live)
+        cluster.node.env.memory.verify_accounting()
 
     def test_duplicate_node_rejected(self):
         api = APIServer()

@@ -110,7 +110,8 @@ LABELS = ({}, {"zone": "a"}, {"zone": "b"})
 @settings(max_examples=40, deadline=None)
 # Converging crun-wasmtime pods on an 800 MiB node fills it past the page
 # cache, which the kubelet's pressure check must treat as reclaimable; the
-# run ends in a SchedulingError (capacity), as evicted pods keep their slots.
+# pods it evicts give their slots back, so the run converges without a
+# SchedulingError.
 @example(
     nodes=[(20, 800 * MIB, 6, {})],
     config="crun-wasmtime",
