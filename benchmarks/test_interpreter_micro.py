@@ -11,13 +11,17 @@ vs the reference tree-walker on fib and memory-churn, so the throughput
 trajectory is tracked across PRs (CI uploads it as an artifact). One
 window per interpreter is too short to compare alone on a busy host, so
 flat and reference windows are timed in pairs whose order alternates,
-and the ≥2× floor holds the median of the per-pair ratios.
+and the ≥2× floor holds the median of the per-pair ratios. The reference
+tree-walker recurses in Python, and its speed depends on where its frames
+fall in CPython's frame stack, so every workload is timed on a new thread,
+from the same empty stack whatever depth the test is called at.
 """
 
 import gc
 import json
 import statistics
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from conftest import OUTPUT_DIR, emit
 
@@ -148,7 +152,9 @@ def test_bench_interpreter_vs_reference_json():
     median of paired flat/reference ratios."""
     report = {"pairs": PAIRS, "window_seconds": WINDOW_S, "workloads": {}}
     for name, (src, export, args) in _WORKLOADS.items():
-        prepared, reference, ratios = _paired_throughput(src, export, args)
+        with ThreadPoolExecutor(max_workers=1) as fresh_thread:
+            timed = fresh_thread.submit(_paired_throughput, src, export, args)
+            prepared, reference, ratios = timed.result()
         q1, _, q3 = statistics.quantiles(ratios, n=4)
         report["workloads"][name] = {
             "prepared": prepared,
@@ -168,11 +174,12 @@ def test_bench_interpreter_vs_reference_json():
         for name, w in report["workloads"].items()
     ]
     emit("interp_throughput", "\n".join(lines))
-    for name, w in report["workloads"].items():
-        assert w["speedup"] >= 2.0, (
-            f"{name}: flat interpreter lost its ≥2x edge "
-            f"(median of {PAIRS} paired ratios {w['speedup']:.2f}x)"
-        )
+    below = {
+        name: w["speedup"] for name, w in report["workloads"].items() if w["speedup"] < 2.0
+    }
+    assert not below, (
+        f"flat interpreter lost its ≥2x edge (median of {PAIRS} paired ratios): {below}"
+    )
 
 
 def test_bench_interpreter_fib(benchmark):

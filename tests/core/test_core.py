@@ -161,16 +161,3 @@ class TestIntegrationAssembly:
         crun = build_runtime(CONFIGS["crun-wasmedge"], SystemMemoryModel())
         assert isinstance(crun.handler, EmbeddedEngineHandler)
         assert crun.handler.name == "crun-wasmedge"
-
-    def test_every_config_builds_from_its_row(self):
-        memory = SystemMemoryModel()
-        for config in CONFIGS.values():
-            runtime = build_runtime(config, memory)
-            if config.family == "runwasi":
-                assert runtime.engine.name == config.engine
-            elif config.engine is None:
-                assert runtime.name == config.family and runtime.handler is None
-            else:
-                assert runtime.name == config.family
-                assert runtime.handler.name == config.config_id
-                assert runtime.handler.engine.name == config.engine
