@@ -24,8 +24,14 @@ so the unmetered configuration pays no per-instruction conditional.
 
 With the specialization tier on, ``_call_wasm`` runs a function's
 compiled closure instead: the unmetered one when ``fuel`` is ``None``,
-the metered one otherwise. The metered closure checks fuel once per
-straight-line segment and hands a segment the remaining fuel cannot
+the metered one otherwise, with the arguments as positional parameters
+and the call depth as one more. A closure calls another closure
+directly, so a guest run enters ``_call_wasm`` once, from the export
+call, and builds no :class:`Frame`; ``_depth`` holds the depth only
+where an activation leaves the closures (a flat activation, a host
+function, a deopt), and ``_call_wasm`` restores the depth it saved on
+entry whatever happened below it. The metered closure checks fuel once
+per straight-line segment and hands a segment the remaining fuel cannot
 cover back to this loop (``_run`` from that segment's ``pc``), which
 then exhausts or traps at exactly the instruction it always would.
 """
@@ -41,8 +47,11 @@ from repro.wasm.runtime.store import FuncInstance, ModuleInstance, Store
 
 
 class Frame:
-    """Activation record: locals, owning instance, and its default memory.
+    """Activation record of the flat loop: locals, owning instance, and
+    its default memory.
 
+    Compiled closures keep their locals in Python locals and build none;
+    a metered closure's deopt builds one from the locals it hands over.
     The memory is resolved once per call (and cached on the instance):
     ``MemoryInstance.grow`` extends the bytearray in place, so a cached
     reference stays valid across ``memory.grow``.
@@ -66,11 +75,11 @@ class Interpreter:
         max_call_depth: int = 400,
     ) -> None:
         # A guest call costs 3 Python frames in the flat scheme (the call
-        # handler -> _call_wasm -> _run); budget 6 per guest frame for
-        # headroom (host functions, instantiation nesting) plus a 1000
-        # frame base for the embedder. The limit is raised, never lowered
-        # or restored: it is process-global and other live interpreters
-        # may depend on it.
+        # handler -> _call_wasm -> _run) and 1 from closure to closure;
+        # budget 6 per guest frame for headroom (host functions,
+        # instantiation nesting) plus a 1000 frame base for the embedder.
+        # The limit is raised, never lowered or restored: it is
+        # process-global and other live interpreters may depend on it.
         needed = 1000 + max_call_depth * 6
         if sys.getrecursionlimit() < needed:
             sys.setrecursionlimit(needed)
@@ -104,7 +113,8 @@ class Interpreter:
     # -- function activation ---------------------------------------------------
 
     def _call_wasm(self, fi: FuncInstance, args: List[object]) -> List[object]:
-        if self._depth >= self.max_call_depth:
+        depth = self._depth
+        if depth >= self.max_call_depth:
             raise ExhaustionError("call stack exhausted")
         code_obj = fi.code
         prepared = code_obj.prepared
@@ -113,49 +123,53 @@ class Interpreter:
             # result is keyed to the Function object so it happens once.
             prepared = prepare_function(fi.module.module, code_obj)
             code_obj.prepared = prepared
-        if prepared.local_defaults:
-            args.extend(prepared.local_defaults)  # `args` is a fresh list
         inst = fi.module
         mem = inst.mem0
         if mem is None and inst.mem_addrs:
             mem = inst.mem0 = self.store.mems[inst.mem_addrs[0]]
         prof = self.profiler
         compiled = prepared.compiled if self.fuel is None else prepared.metered
+        # Each finally restores the depth saved on entry rather than
+        # decrementing: a closure carries its depth as an argument and
+        # stores it here only before leaving the closure tier, so what an
+        # activation leaves behind is not its entry depth.
         if compiled is not None:
             # Specialization tier: the exec'd closure of the run's kind
-            # flushes its own retired-instruction count (and fuel, when
-            # metered) and raises the same traps as the flat code;
-            # results come back as the final list.
-            self._depth += 1
+            # takes the parameters as positional arguments, flushes its
+            # own retired-instruction count (and fuel, when metered) and
+            # raises the same traps as the flat code; results come back
+            # as the final list.
             if prof is None:
                 try:
-                    return compiled(self, Frame(args, inst, mem))
+                    return compiled(self, inst, mem, depth + 1, *args)
                 finally:
-                    self._depth -= 1
+                    self._depth = depth
             # Inner activations flush their counts in their own
             # finally first, so the delta seen here is inclusive.
             prof.enter(fi.name or "<anonymous>")
             base = self.instructions_executed
             try:
-                return compiled(self, Frame(args, inst, mem))
+                return compiled(self, inst, mem, depth + 1, *args)
             finally:
-                self._depth -= 1
+                self._depth = depth
                 prof.exit(self.instructions_executed - base)
+        if prepared.local_defaults:
+            args.extend(prepared.local_defaults)  # `args` is a fresh list
         frame = Frame(args, inst, mem)
         stack: List[object] = []
-        self._depth += 1
+        self._depth = depth + 1
         if prof is None:
             try:
                 self._run(prepared.code, frame, stack)
             finally:
-                self._depth -= 1
+                self._depth = depth
         else:
             prof.enter(fi.name or "<anonymous>")
             base = self.instructions_executed
             try:
                 self._run(prepared.code, frame, stack)
             finally:
-                self._depth -= 1
+                self._depth = depth
                 prof.exit(self.instructions_executed - base)
         n = prepared.n_results
         if n == 0:

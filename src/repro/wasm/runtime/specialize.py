@@ -32,10 +32,18 @@ on stack values (constants, ``x & mask`` results, comparison results)
 and returns the pcs of loads and stores whose address is provably below
 the declared memory *minimum* — a lower bound on the memory's size for
 its whole lifetime, since ``grow`` only extends. The closure emits those
-accesses without their bounds check. Each ``call_indirect`` site in a
-closure keeps a monomorphic cache cell guarded on ``(table identity,
-slot address)``; a miss (counted as ``reason="ic_miss"``) takes the full
-generic path, including its exact trap messages, then refills the cell.
+accesses without their bounds check.
+
+A call from one closure to another is a plain Python call: the callee's
+parameters arrive as positional arguments after its instance, memory and
+call depth, and no :class:`~repro.wasm.runtime.interpreter.Frame` is
+built. Each call site keeps a cell with the callee's closure of the
+caller's kind: a direct call's cell is guarded on the caller's instance,
+a ``call_indirect`` cell on ``(table identity, slot address)``. A
+``call_indirect`` miss (counted as ``reason="ic_miss"``) checks the
+callee's type, with the generic path's exact trap messages, then refills
+the cell. Host functions, callees left on flat code and profiled runs
+go through ``Interpreter._call_wasm`` or the host function instead.
 
 Every blob the engine caches decode runs this tier's code, or prepared
 code where the pass declines. ``engines/cache.py`` keys the result by
@@ -541,18 +549,19 @@ def _deopter(code, name: str):
     """The metered closure's exit to flat code for a segment the fuel
     cannot cover.
 
-    The closure has flushed its count and fuel; this restores its locals
-    into the frame and runs ``code`` from the segment's ``pc`` with the
+    The closure has flushed its count and fuel; this stores its call
+    depth in ``interp._depth``, builds a :class:`Frame` from the locals
+    it hands over and runs ``code`` from the segment's ``pc`` with the
     operand stack the closure held there. The segment is straight-line
     and costs more than the fuel left, so the flat loop must raise inside
     it: exhaustion, or a trap that comes first. A return is a compiler
     bug, not an exhaustion.
     """
 
-    def deopt(interp, frame, pc, stack, locals_):
+    def deopt(interp, inst, mem, depth, pc, stack, locals_):
         METERED_DEOPT.inc()
-        frame.locals = locals_
-        interp._run(code, frame, stack, pc)
+        interp._depth = depth
+        interp._run(code, Frame(locals_, inst, mem), stack, pc)
         raise RuntimeError(
             f"metered deopt of {name} at pc {pc} returned instead of "
             "exhausting its fuel"
@@ -561,20 +570,72 @@ def _deopter(code, name: str):
     return deopt
 
 
+def _cell_filler(kind: str):
+    """A call cell's miss handler for closures of ``kind`` (``compiled``
+    or ``metered``).
+
+    ``fill(interp, cell, at, fi)`` points ``cell[at:at + 4]`` at ``fi``:
+    the function instance, its closure of ``kind`` (``None`` for a host
+    function or a function left on flat code), its instance and that
+    instance's memory. The caller writes the cell's guard afterwards.
+    """
+
+    def fill(interp, cell, at, fi):
+        closure = inst = mem = None
+        if fi.host_fn is None:
+            prepared = fi.code.prepared
+            if prepared is not None:
+                closure = getattr(prepared, kind)
+            inst = fi.module
+            mem = inst.mem0
+            if mem is None and inst.mem_addrs:
+                mem = inst.mem0 = interp.store.mems[inst.mem_addrs[0]]
+        cell[at:at + 4] = (fi, closure, inst, mem)
+
+    return fill
+
+
+_FILL = {False: _cell_filler("compiled"), True: _cell_filler("metered")}
+
+#: helpers a closure may call, each bound as a positional default of the
+#: closures whose emission used it
+_HELPERS = {
+    "WT": WasmTrap,
+    "EE": ExhaustionError,
+    "SE": V.sign_extend,
+    "S32": V.signed32,
+    "S64": V.signed64,
+    "LD32": _U32.unpack_from,
+    "LD64": _U64.unpack_from,
+    "LF32": _F32.unpack_from,
+    "LF64": _F64.unpack_from,
+    "ST32": _U32.pack_into,
+    "ST64": _U64.pack_into,
+    "SF32": _F32.pack_into,
+    "SF64": _F64.pack_into,
+    "MISS": _IC_MISS.inc,
+    "TMISS": _ic_type_mismatch,
+}
+
+
 class _ClosureCompiler:
     """Compile one prepared flat function to two exec'd Python closures.
 
     :meth:`compile` analyzes the function once and emits it twice: an
-    unmetered closure that never touches fuel, and a metered one. Each
-    closure's signature is ``_spec(interp, frame, **bound)`` and its
-    return value is the activation's result list. Stack slots live in
-    Python locals ``s0..sN`` addressed by *absolute static height*
-    (heights are propagated from pc 0 and must be consistent at every
-    join — a conflict aborts compilation, keeping the function on
-    prepared code). Locals live in ``l0..lK`` and are written back only
-    by a metered deopt: frames are per-activation and nothing else
-    outside the activation reads them. Control flow is a ``while True``
-    loop over an ``if pc ==`` chain of basic blocks.
+    unmetered closure that never touches fuel, and a metered one. For a
+    function with k parameters each closure's signature is
+    ``_spec(interp, inst, mem, depth, l0, ..., l{k-1}, <bound helpers>)``:
+    ``inst`` and ``mem`` are the function's instance and default memory,
+    ``depth`` the activation's call depth, and the helpers positional
+    defaults, bound only where the emission used them. The return value is
+    the activation's result list. Stack slots live in Python locals
+    ``s0..sN`` addressed by *absolute static height* (heights are
+    propagated from pc 0 and must be consistent at every join — a
+    conflict aborts compilation, keeping the function on prepared code).
+    Locals live in ``l0..lK``; the prologue starts the non-parameter ones
+    from their defaults, and only a metered deopt hands them on, to the
+    :class:`Frame` it builds. Control flow is a ``while True`` loop over
+    an ``if pc ==`` chain of basic blocks.
 
     Instruction accounting matches the flat loop exactly: weights
     accumulate into a local ``_n`` (flushed by ``finally``), and the
@@ -595,23 +656,34 @@ class _ClosureCompiler:
 
     Loads and stores at the pcs in ``safe`` (see
     :func:`_proven_in_bounds`) are emitted without their bounds check.
-    Direct calls carry a per-site cell ``[instance, fi, closure,
-    defaults]`` guarded on caller-instance identity: a hit calls the
-    callee's closure of the same kind without going through
-    ``_call_wasm``; each ``call_indirect`` site carries a ``[table,
-    slot_addr, fi]`` cell.
+    Each call site carries a cell: ``[instance, fi, closure, callee
+    instance, callee memory]`` for a direct call, guarded on the caller's
+    instance, and ``[table, slot_addr, fi, closure, callee instance,
+    callee memory]`` for a ``call_indirect``, guarded on table identity
+    and slot address. A miss fills it (:func:`_cell_filler`); a hit on a
+    callee with a closure of the caller's kind checks ``depth`` against
+    ``interp.max_call_depth`` and calls that closure with ``depth + 1``,
+    without going through ``_call_wasm``. Every other call stores
+    ``depth`` in ``interp._depth`` first: a host function, a callee on
+    flat code and every call of a profiled run.
     """
 
     def __init__(
-        self, module: Module, func: Function, pf: PreparedFunction, safe: Set[int]
+        self,
+        module: Module,
+        func: Function,
+        pf: PreparedFunction,
+        safe: Set[int],
+        name: str,
     ):
         self.code = pf.code
         self.safe = safe
         self.n_results = pf.n_results
         self.sigs = _func_signatures(module)
-        ft = module.types[func.type_idx]
-        self.n_locals = len(ft.params) + len(pf.local_defaults)
-        self.name = pf.name or "fn"
+        self.n_params = len(module.types[func.type_idx].params)
+        self.local_defaults = pf.local_defaults
+        self.n_locals = self.n_params + len(pf.local_defaults)
+        self.name = name
         self.end_pc = len(pf.code) - 1
         if not pf.code or pf.code[self.end_pc][0] is not flat.h_end:
             raise _Unsupported("no terminal h_end")
@@ -623,6 +695,7 @@ class _ClosureCompiler:
         self.leaders: Set[int] = set()
         self.uses_memory = False
         self.metered = False  # the emission in progress
+        self.uses_store = False  # the emission in progress reads interp.store
 
     # -- binding ------------------------------------------------------------
 
@@ -634,6 +707,19 @@ class _ClosureCompiler:
             self._bind_ids[key] = name
             self.binds[name] = obj
         return name
+
+    def _helper(self, name: str) -> str:
+        """Bind the shared helper ``name`` (see ``_HELPERS``) into the
+        closure being emitted; a closure binds only the helpers it uses."""
+        if name not in self.binds:
+            self.binds[name] = _HELPERS[name]
+        return name
+
+    def _fill(self) -> str:
+        """Bind the cell filler of this emission's kind."""
+        if "FILL" not in self.binds:
+            self.binds["FILL"] = _FILL[self.metered]
+        return "FILL"
 
     def _lit(self, value) -> str:
         if isinstance(value, int):
@@ -730,6 +816,8 @@ class _ClosureCompiler:
         name = _CMP_NAMES.get(f)
         template = _INLINE_CMPS.get(name)
         if template is not None:
+            if template.startswith("S"):  # signed: S32(a) < S32(b)
+                self._helper(template[:3])
             return template.format(a=a, b=b)
         return f"{self._bind(f, 'F')}({a}, {b})"
 
@@ -757,19 +845,20 @@ class _ClosureCompiler:
         if checked:
             stmts = [f"_a = {expr}"]
             stmts.append(
-                f"if _a < 0 or _a + {width} > len(data): raise WT({_OOB!r})"
+                f"if _a < 0 or _a + {width} > len(data):"
+                f" raise {self._helper('WT')}({_OOB!r})"
             )
             expr = "_a"
         else:
             stmts = []
         if packer is not None:
-            stmts.append(f"{dst} = {packer}(data, {expr})[0]")
+            stmts.append(f"{dst} = {self._helper(packer)}(data, {expr})[0]")
             return stmts
         if not checked:
             stmts.append(f"_a = {expr}")
         stmts.append(f"_v = int.from_bytes(data[_a:_a + {width}], 'little')")
         if signed:
-            stmts.append(f"{dst} = SE(_v, {width * 8}, {bits})")
+            stmts.append(f"{dst} = {self._helper('SE')}(_v, {width * 8}, {bits})")
         else:
             stmts.append(f"{dst} = _v")
         return stmts
@@ -781,9 +870,12 @@ class _ClosureCompiler:
         if checked:
             stmts.append(f"_a = {expr}")
             stmts.append(
-                f"if _a < 0 or _a + {width} > len(data): raise WT({_OOB!r})"
+                f"if _a < 0 or _a + {width} > len(data):"
+                f" raise {self._helper('WT')}({_OOB!r})"
             )
             expr = "_a"
+        if packer is not None:
+            self._helper(packer)
         if packer == "ST32":
             stmts.append(f"ST32(data, {expr}, {value} & 0xFFFFFFFF)")
         elif packer == "ST64":
@@ -801,54 +893,20 @@ class _ClosureCompiler:
         return stmts
 
     def _call_stmts(self, idx: int, n: int, h: int):
-        """Direct ``call``: per-site cell fast path + generic fallback."""
+        """Direct ``call`` through this site's cell, guarded on the
+        caller's instance: its function index space is fixed, so a hit
+        cannot go stale."""
         base = h - n
         results = len(self.sigs[idx].results)
-        args_list = ", ".join(f"s{base + k}" for k in range(n))
-        cell = self._bind([None, None, None, None, None, None], "D")
-        kind = "metered" if self.metered else "compiled"
+        cell = self._bind([None] * 5, "D")
         stmts = [
-            f"_d = {cell}",
-            "if inst is _d[0]:",
-            "    _fi = _d[1]",
-            "    _cc = _d[2]",
-            "else:",
-            f"    _fi = store.funcs[inst.func_addrs[{idx}]]",
-            "    _cc = None",
-            "    if _fi.host_fn is None:",
-            "        _pp = _fi.code.prepared",
-            f"        if _pp is not None and _pp.{kind} is not None:",
-            "            _m = _fi.module",
-            "            _mm = _m.mem0",
-            "            if _mm is None and _m.mem_addrs:",
-            "                _mm = _m.mem0 = store.mems[_m.mem_addrs[0]]",
-            f"            _cc = _pp.{kind}",
-            "            _d[1] = _fi",
-            "            _d[2] = _cc",
-            "            _d[3] = list(_pp.local_defaults)",
-            "            _d[4] = _m",
-            "            _d[5] = _mm",
-            "            _d[0] = inst",
-            # The cell fast path skips _call_wasm, which is where the
-            # profiler hangs its enter/exit hooks — so profiled
-            # activations take the generic path to keep frame
-            # attribution complete (profiling is opt-in; the extra
-            # attribute check is the only cost when it is off).
-            "if _cc is not None and interp.profiler is None:",
-            "    if interp._depth >= interp.max_call_depth:"
-            " raise EE('call stack exhausted')",
-            "    interp._depth += 1",
-            "    try:",
-            f"        _r = _cc(interp, FR([{args_list}] + _d[3], _d[4], _d[5]))",
-            "    finally:",
-            "        interp._depth -= 1",
-            "elif _fi.host_fn is None:",
-            f"    _r = interp._call_wasm(_fi, [{args_list}])",
-            "else:",
-            f"    _r = _fi.host_fn({args_list})",
+            f"_c = {cell}",
+            "if _c[0] is not inst:",
+            f"    {self._fill()}(interp, _c, 1,"
+            f" interp.store.funcs[inst.func_addrs[{idx}]])",
+            "    _c[0] = inst",
         ]
-        for k in range(results):
-            stmts.append(f"s{base + k} = _r[{k}]")
+        stmts += self._invoke_stmts(1, base, n, results)
         return stmts, base + results
 
     def _call_indirect_stmts(self, expected, n: int, h: int):
@@ -856,40 +914,64 @@ class _ClosureCompiler:
 
         The guard is table *identity* plus slot address: store function
         lists are append-only and ``FuncInstance`` objects are never
-        rebound to a different address, so a hit cannot go stale. A miss
-        replays the generic path — identical traps, in the same order as
-        the flat handler — and refills the cell.
+        rebound to a different address, so a hit cannot go stale. The
+        element checks run on every call and a miss checks the type, so
+        the traps and their order are the flat handler's; then it counts
+        the miss and refills the cell.
         """
         base = h - 1 - n
         results = len(expected.results)
-        args_list = ", ".join(f"s{base + k}" for k in range(n))
+        wt = self._helper("WT")
         et = self._bind(expected, "ET")
-        cc = self._bind([None, -1, None], "C")
+        cell = self._bind([None] * 6, "C")
+        self.uses_store = True
         stmts = [
             "_t = store.tables[inst.table_addrs[0]]",
             "_e = _t.elements",
             f"_i = s{h - 1}",
-            "if _i < 0 or _i >= len(_e): raise WT('undefined element')",
+            f"if _i < 0 or _i >= len(_e): raise {wt}('undefined element')",
             "_a = _e[_i]",
-            "if _a is None: raise WT('uninitialized element')",
-            f"_c = {cc}",
-            "if _c[0] is _t and _c[1] == _a:",
-            "    _fi = _c[2]",
-            "else:",
+            f"if _a is None: raise {wt}('uninitialized element')",
+            f"_c = {cell}",
+            "if _c[0] is not _t or _c[1] != _a:",
             "    _fi = store.funcs[_a]",
-            f"    if _fi.type != {et}: TMISS({et}, _fi.type)",
-            "    MISS()",
+            f"    if _fi.type != {et}: {self._helper('TMISS')}({et}, _fi.type)",
+            f"    {self._helper('MISS')}()",
+            f"    {self._fill()}(interp, _c, 2, _fi)",
             "    _c[0] = _t",
             "    _c[1] = _a",
-            "    _c[2] = _fi",
-            "if _fi.host_fn is None:",
-            f"    _r = interp._call_wasm(_fi, [{args_list}])",
+        ]
+        stmts += self._invoke_stmts(2, base, n, results)
+        return stmts, base + results
+
+    def _invoke_stmts(self, at: int, base: int, n: int, results: int):
+        """The call through a filled cell ``_c``, for both call kinds.
+
+        ``_c[at]`` is the callee's ``FuncInstance``, then come its
+        closure of this emission's kind, its instance and its memory. A
+        closure is called directly with the call depth as an argument;
+        anything else stores the depth for ``_call_wasm`` or the host
+        function first. A profiled run always takes that generic path,
+        where the profiler's hooks are.
+        """
+        args = ", ".join(f"s{base + k}" for k in range(n))
+        stmts = [
+            f"if _c[{at + 1}] is not None and interp.profiler is None:",
+            "    if depth >= interp.max_call_depth:"
+            f" raise {self._helper('EE')}('call stack exhausted')",
+            f"    _r = _c[{at + 1}](interp, _c[{at + 2}], _c[{at + 3}],"
+            f" depth + 1{', ' if args else ''}{args})",
             "else:",
-            f"    _r = _fi.host_fn({args_list})",
+            "    interp._depth = depth",
+            f"    _fi = _c[{at}]",
+            "    if _fi.host_fn is None:",
+            f"        _r = interp._call_wasm(_fi, [{args}])",
+            "    else:",
+            f"        _r = _fi.host_fn({args})",
         ]
         for k in range(results):
             stmts.append(f"s{base + k} = _r[{k}]")
-        return stmts, base + results
+        return stmts
 
     # -- per-entry emission --------------------------------------------------
 
@@ -919,12 +1001,14 @@ class _ClosureCompiler:
             expr, trapping = self._unop_expr(args, f"s{h - 1}")
             return trapping, [f"s{h - 1} = {expr}"], h
         if handler is flat.h_global_get:
+            self.uses_store = True
             return (
                 False,
                 [f"s{h} = store.globals[inst.global_addrs[{args}]].value"],
                 h + 1,
             )
         if handler is flat.h_global_set:
+            self.uses_store = True
             return (
                 True,  # traps on immutable globals
                 [f"store.globals[inst.global_addrs[{args}]].set(s{h - 1})"],
@@ -1002,6 +1086,7 @@ class _ClosureCompiler:
                 h,
             )
         if handler is flat.h_memory_fill:
+            self._helper("WT")
             return (
                 True,
                 [
@@ -1013,6 +1098,7 @@ class _ClosureCompiler:
                 h - 3,
             )
         if handler is flat.h_memory_copy:
+            self._helper("WT")
             return (
                 True,
                 [
@@ -1025,6 +1111,8 @@ class _ClosureCompiler:
                 h - 3,
             )
         if handler is flat.h_memory_init:
+            self._helper("WT")
+            self.uses_store = True
             return (
                 True,
                 [
@@ -1040,6 +1128,7 @@ class _ClosureCompiler:
                 h - 3,
             )
         if handler is flat.h_data_drop:
+            self.uses_store = True
             return (
                 False,
                 [f"store.datas[inst.data_addrs[{args}]] = None"],
@@ -1081,7 +1170,7 @@ class _ClosureCompiler:
             emit(self._ret(h), 0)
             return None
         if handler is flat.h_unreachable:
-            emit("raise WT('unreachable executed')", 0)
+            emit(f"raise {self._helper('WT')}('unreachable executed')", 0)
             return None
         if handler is flat.h_goto:
             self._jump(args, h, emit, 0)
@@ -1154,7 +1243,9 @@ class _ClosureCompiler:
         emit(f"if _n + {weight} > _f:")
         for stmt in _FLUSH:
             emit(stmt, 1)
-        emit(f"DEOPT(interp, frame, {pc}, [{stack}], [{locals_}])", 1)
+        if "DEOPT" not in self.binds:
+            self.binds["DEOPT"] = _deopter(self.code, self.name)
+        emit(f"DEOPT(interp, inst, mem, depth, {pc}, [{stack}], [{locals_}])", 1)
 
     def _emit_block(self, leader: int, out: List[str]) -> None:
         pc = leader
@@ -1216,46 +1307,25 @@ class _ClosureCompiler:
 
     def _emit(self, metered: bool):
         self.metered = metered
+        self.uses_store = False
         self.binds = {}
         self._bind_ids = {}
-        self.binds.update(
-            WT=WasmTrap,
-            EE=ExhaustionError,
-            FR=Frame,
-            SE=V.sign_extend,
-            S32=V.signed32,
-            S64=V.signed64,
-            LD32=_U32.unpack_from,
-            LD64=_U64.unpack_from,
-            LF32=_F32.unpack_from,
-            LF64=_F64.unpack_from,
-            ST32=_U32.pack_into,
-            ST64=_U64.pack_into,
-            SF32=_F32.pack_into,
-            SF64=_F64.pack_into,
-            MISS=_IC_MISS.inc,
-            TMISS=_ic_type_mismatch,
-        )
-        if metered:
-            self.binds["DEOPT"] = _deopter(self.code, self.name)
         body: List[str] = []
         for bi, leader in enumerate(sorted(self.leaders)):
             body.append(
                 f"            {'if' if bi == 0 else 'elif'} pc == {leader}:"
             )
             self._emit_block(leader, body)
-        # Bound objects ride in as keyword defaults so lookups inside the
-        # closure are LOAD_FAST, not module-global dict probes.
-        params = "".join(f", {k}={k}" for k in self.binds)
-        lines = [f"def _spec(interp, frame{params}):"]
-        if self.n_locals:
-            lines.append("    loc = frame.locals")
-            for i in range(self.n_locals):
-                lines.append(f"    l{i} = loc[{i}]")
-        lines.append("    store = interp.store")
-        lines.append("    inst = frame.instance")
+        # Bound objects ride in as positional defaults so lookups inside
+        # the closure are LOAD_FAST, not module-global dict probes.
+        params = "".join(f", l{i}" for i in range(self.n_params))
+        params += "".join(f", {k}={k}" for k in self.binds)
+        lines = [f"def _spec(interp, inst, mem, depth{params}):"]
+        for i, value in enumerate(self.local_defaults, self.n_params):
+            lines.append(f"    l{i} = {value!r}")
+        if self.uses_store:
+            lines.append("    store = interp.store")
         if self.uses_memory:
-            lines.append("    mem = frame.mem")
             lines.append("    data = mem.data")
         lines.append("    _n = 0")
         if metered:
@@ -1313,8 +1383,9 @@ def specialize_module(
     if report is None:
         report = SpecializeReport()
     mem_min = _memory_min_bytes(module)
+    n_imported = len(_func_signatures(module)) - len(module.funcs)
     functions: List[PreparedFunction] = []
-    for func in module.funcs:
+    for index, func in enumerate(module.funcs, n_imported):
         pf = func.prepared
         base = getattr(pf, "fallback", None)
         if base is not None:
@@ -1325,7 +1396,11 @@ def specialize_module(
         try:
             safe = _proven_in_bounds(module, pf.code, mem_min)
             try:
-                compiler = _ClosureCompiler(module, func, pf, safe)
+                # Closures are named after their function (its index
+                # when the module carries no names), so profilers and
+                # tracebacks tell them apart.
+                name = pf.name or f"func{index}"
+                compiler = _ClosureCompiler(module, func, pf, safe, name)
                 compiled, metered = compiler.compile()
             except _Unsupported:
                 compiled = metered = None

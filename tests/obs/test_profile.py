@@ -110,6 +110,42 @@ class TestInterpreterIntegration:
         assert sum(stacks.values()) == result.instructions > 0
         assert text.startswith("_start")
 
+    def test_call_indirect_activation_is_profiled(self):
+        # The call_indirect cell's fast path skips `_call_wasm`, where the
+        # profiler's hooks are; with a profiler attached every activation
+        # takes the generic path, so $leaf shows under _start on each of
+        # the three calls (the first fills the cell, the others hit it).
+        from repro.wasm import assemble_wat
+        from repro.wasm.embed import run_wasi
+
+        blob = assemble_wat(
+            """
+            (module
+              (type $t (func (result i32)))
+              (table 1 funcref) (elem (i32.const 0) $leaf)
+              (func $leaf (result i32)
+                (i32.add (i32.const 1) (i32.const 2)))
+              (func (export "_start")
+                (drop (call_indirect (type $t) (i32.const 0)))
+                (drop (call_indirect (type $t) (i32.const 0)))
+                (drop (call_indirect (type $t) (i32.const 0))))
+            )
+            """
+        )
+        profile.reset()
+        profile.set_profiling(True)
+        try:
+            result = run_wasi(blob, zygote=False)
+            stacks = dict(profile._profiler.stacks)
+        finally:
+            profile.set_profiling(False)
+            profile.reset()
+        assert result.exit_code == 0
+        leaf = [path for path in stacks if len(path) == 2]
+        assert len(leaf) == 1 and leaf[0][0] == "_start"
+        assert stacks[leaf[0]] == 3 * 3  # three activations of 3 each
+        assert sum(stacks.values()) == result.instructions
+
     def test_profiling_off_leaves_no_trace(self):
         from repro.wasm import assemble_wat
         from repro.wasm.embed import run_wasi

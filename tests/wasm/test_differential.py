@@ -25,6 +25,7 @@ from repro.wasm.runtime import (
     prepare_module,
     specialize_module,
 )
+from repro.wasm.runtime.host import HostModule, sig
 from repro.wasm.runtime.specialize import METERED_DEOPT
 from repro.wasm.wasi import WasiEnv
 from repro.workloads.microservice import build_microservice_wasm
@@ -297,6 +298,20 @@ class TestTrapsAgree:
         src = """(module (func $f (export "run") (call $f)))"""
         assert check(src)[0] == "exhausted"
 
+    @pytest.mark.parametrize("fuel", [None, 301, 10**6])
+    def test_stack_exhaustion_through_call_indirect(self, fuel):
+        # Every call after the first hits the site's filled cell; the
+        # closure tier counts depth in an argument, the others in
+        # `_depth`. 301 runs out of fuel on the way down.
+        src = """(module (type $t (func))
+            (table 1 funcref) (elem (i32.const 0) $f)
+            (func $f (export "run") (call_indirect (type $t) (i32.const 0))))"""
+        outcome = check(src, fuel=fuel)
+        assert outcome == (
+            ("exhausted", "fuel exhausted") if fuel == 301
+            else ("exhausted", "call stack exhausted")
+        )
+
     def test_trunc_invalid(self):
         src = """(module (func (export "run") (result i32)
             (i32.trunc_f64_s (f64.const nan))))"""
@@ -359,7 +374,9 @@ class TestMeteredClosures:
         # call site's filled cell; the sweep runs out inside each one.
         _, _, (_, spec) = _variants(self.CALLS)
         caller = spec.funcs[1].prepared.metered
-        assert "_cc = _pp.metered" in caller.__specialized_source__
+        _execute(Interpreter, spec, "run", (4,), 10**6)
+        (cell,) = [d for d in caller.__defaults__ if isinstance(d, list)]
+        assert cell[2] is spec.funcs[0].prepared.metered
         seen = sweep(self.CALLS, args=(4,))
         # 2 headers, then per iteration: loop test (3), local.get + call
         # (2), $g (6), the rest of the body (6). The second iteration's
@@ -443,6 +460,130 @@ class TestMeteredClosures:
         for fuel in range(6, 17):
             assert seen[fuel][0] == ("trap", "integer divide by zero")
             assert seen[fuel][1:3] == (6, fuel - 6)
+
+
+class TestCallsLeavingTheClosureTier:
+    """Calls whose callee is not a closure of the caller's instance.
+
+    A closure calls another closure directly, with its call depth as an
+    argument; every other callee must see the depth and the memory it
+    would see on flat code. Each case runs linked instances of the
+    reference, flat and specialized builds (``_variants``) and compares
+    them.
+    """
+
+    CHAIN = """
+        (module
+          (import "env" "h" (func $h (param i32) (result i32)))
+          (func $a (export "a") (param i32) (result i32)
+            (i32.add (call $b (i32.add (local.get 0) (i32.const 1)))
+                     (i32.const 1)))
+          (func $b (param i32) (result i32)
+            NOPS
+            (call $h (local.get 0))))
+    """.replace("NOPS", "nop " * 4001)
+
+    @pytest.mark.parametrize("fuel", [None, 10**7])
+    def test_mixed_chain_exhausts_at_the_flat_depth(self, fuel):
+        # $a is a closure, the pass declines $b (past the closure size
+        # limit), and the host function $h calls $a again: the chain
+        # recurses until the call stack runs out, at one depth on every
+        # tier. $h records the depth it is called at.
+        variants = _variants(self.CHAIN)
+        spec = variants[2][1]
+        assert spec.funcs[0].prepared.compiled is not None
+        assert spec.funcs[1].prepared.compiled is None
+        seen = []
+        for cls, module in variants:
+            store = Store()
+            depths = []
+
+            def h(n):
+                depths.append(interp._depth)
+                return interp.invoke(a, [n])
+
+            host = HostModule(store, "env")
+            host.func("h", sig("i", "i"), h)
+            inst = instantiate(store, module, imports=host.import_map())
+            interp = cls(store, fuel=fuel, max_call_depth=24)
+            a = inst.export_addr("a", "func")
+            with pytest.raises(ExhaustionError, match="call stack exhausted"):
+                interp.invoke(a, [0])
+            seen.append((depths, interp.instructions_executed, interp.fuel))
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[2][0] == list(range(2, 25, 2))
+
+    PROVIDER = """
+        (module
+          (memory (export "mem") 1)
+          (data (i32.const 0) "\\6f")
+          (table (export "tab") 1 funcref)
+          (elem (i32.const 0) $peek)
+          (func $peek (param i32) (result i32)
+            (i32.add (local.get 0) (i32.load8_u (i32.const 0)))))
+    """
+    CONSUMER = """
+        (module
+          (import "x" "tab" (table 1 funcref))
+          (memory 1)
+          (data (i32.const 0) "\\de")
+          (type $t (func (param i32) (result i32)))
+          (func (export "run") (param i32) (result i32)
+            (call_indirect (type $t) (local.get 0) (i32.const 0))))
+    """
+
+    @pytest.mark.parametrize("fuel", [None, 10**6])
+    def test_call_indirect_through_an_imported_table(self, fuel):
+        # The first call fills the site's cell and the second hits it;
+        # both read the provider's memory (0x6f), not the caller's (0xde).
+        seen = []
+        for (cls, provider), (_, consumer) in zip(
+            _variants(self.PROVIDER), _variants(self.CONSUMER)
+        ):
+            store = Store()
+            exports = instantiate(store, provider).exports
+            inst = instantiate(store, consumer, imports={"x": exports})
+            interp = cls(store, fuel=fuel)
+            results = [interp.invoke_export(inst, "run", [k]) for k in (1, 2)]
+            seen.append((results, interp.instructions_executed, interp.fuel))
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[2][0] == [[0x70], [0x71]]
+
+    HOST_TABLE = """
+        (module
+          (import "env" "h" (func $h (param i32) (result i32)))
+          (type $t (func (param i32) (result i32)))
+          (table 1 funcref) (elem (i32.const 0) $h)
+          (func (export "run") (param i32) (result i32)
+            (call_indirect (type $t) (local.get 0) (i32.const 0))))
+    """
+
+    @pytest.mark.parametrize("fuel", [None, 10**6])
+    def test_host_function_in_a_table(self, fuel):
+        # The site's cell keeps the host function and no closure, and
+        # each call stores the caller's depth before calling it.
+        variants = _variants(self.HOST_TABLE)
+        seen = []
+        for cls, module in variants:
+            store = Store()
+            calls = []
+
+            def h(n):
+                calls.append((n, interp._depth))
+                return [n * 3]
+
+            host = HostModule(store, "env")
+            host.func("h", sig("i", "i"), h)
+            inst = instantiate(store, module, imports=host.import_map())
+            interp = cls(store, fuel=fuel)
+            results = [interp.invoke_export(inst, "run", [k]) for k in (5, 7)]
+            seen.append((results, calls, interp.instructions_executed, interp.fuel))
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[2][:2] == ([[15], [21]], [(5, 1), (7, 1)])
+        pf = variants[2][1].funcs[0].prepared
+        closure = pf.compiled if fuel is None else pf.metered
+        (cell,) = [d for d in closure.__defaults__ if isinstance(d, list)]
+        assert cell[2].host_fn is not None and cell[3] is None
 
 
 class TestMicroserviceFuel:

@@ -7,7 +7,9 @@ emit unchecked (read from ``__specialized_source__``), the per-site
 ``call_indirect`` cache, exact instruction accounting, that the
 unmetered emission is unchanged by metering, that a metered call hands
 only the segment its fuel runs out in to the prepared code object
-itself, and which code the runs counter says a run dispatched to. The
+itself, which code the runs counter says a run dispatched to, and that a call
+from one closure to another goes through neither ``_call_wasm`` nor a
+``Frame`` and carries its call depth exactly. The
 differential suites (`tests/wasm/test_differential.py`, the hypothesis
 property) cover end-to-end equivalence against the reference
 interpreter.
@@ -21,9 +23,10 @@ from test_differential import MODULES
 from repro import obs
 from repro.engines.cache import reset_caches
 from repro.errors import ExhaustionError, WasmTrap
-from repro.wasm import assemble_wat, parse_wat, validate_module
+from repro.wasm import assemble_wat, decode_module, parse_wat, validate_module
 from repro.wasm.embed import run_wasi
 from repro.wasm.runtime import compile as flat
+from repro.wasm.runtime import interpreter
 from repro.wasm.runtime import (
     Interpreter,
     SpecializedFunction,
@@ -234,6 +237,92 @@ class TestClosureTier:
         assert spec.instructions_executed == flat.instructions_executed
 
 
+class TestCallPath:
+    """Closure-to-closure calls: the depth is an argument, no frames."""
+
+    DEPTH = """
+        (module (type $t (func (param i32) (result i32)))
+          (table 2 funcref) (elem (i32.const 0) $spin $down)
+          (func $spin (export "spin") (type $t)
+            (call_indirect (type $t) (local.get 0) (i32.const 0)))
+          (func $down (export "down") (type $t)
+            (if (result i32) (local.get 0)
+              (then (i32.add (i32.const 1)
+                (call_indirect (type $t)
+                  (i32.sub (local.get 0) (i32.const 1)) (i32.const 1))))
+              (else (i32.const 0)))))
+    """
+
+    @pytest.mark.parametrize("fuel", [None, 10**9])
+    def test_no_depth_leaks_after_call_stack_exhaustion(self, fuel):
+        # `down(n)` runs n + 1 activations deep, so n = max_call_depth - 1
+        # is the deepest call that fits — before and after `spin` has
+        # exhausted the stack on the same interpreter.
+        module, _ = _specialized(self.DEPTH)
+        store = Store()
+        inst = instantiate(store, module)
+        interp = Interpreter(store, fuel=fuel, max_call_depth=50)
+        assert interp.invoke_export(inst, "down", [49]) == [49]
+        with pytest.raises(ExhaustionError, match="call stack exhausted"):
+            interp.invoke_export(inst, "spin", [0])
+        assert interp._depth == 0
+        assert interp.invoke_export(inst, "down", [49]) == [49]
+        with pytest.raises(ExhaustionError, match="call stack exhausted"):
+            interp.invoke_export(inst, "down", [50])
+        assert interp._depth == 0
+
+    @pytest.mark.parametrize("name, args", [
+        ("fib_recursive", (12,)),
+        ("indirect", (0, 6)),
+    ])
+    def test_unmetered_run_enters_call_wasm_once(self, monkeypatch, name, args):
+        # Each run enters `_call_wasm` from the export call only: the
+        # first run fills every call cell, the second hits them.
+        module, _ = _specialized(MODULES[name])
+        entered, frames = [], []
+        call_wasm = Interpreter._call_wasm
+        frame_init = interpreter.Frame.__init__
+
+        def counting_call(interp, fi, cargs):
+            entered.append(fi)
+            return call_wasm(interp, fi, cargs)
+
+        def counting_frame(frame, *a):
+            frames.append(frame)
+            frame_init(frame, *a)
+
+        monkeypatch.setattr(Interpreter, "_call_wasm", counting_call)
+        monkeypatch.setattr(interpreter.Frame, "__init__", counting_frame)
+        store = Store()
+        inst = instantiate(store, module)
+        interp = Interpreter(store)
+        first = interp.invoke_export(inst, "run", list(args))
+        assert interp.invoke_export(inst, "run", list(args)) == first
+        assert len(entered) == 2 and frames == []
+
+    def test_unnamed_functions_compile_to_distinct_code_names(self):
+        # A decoded module carries no names: each closure is named after
+        # its index in the function index space, imports first.
+        blob = assemble_wat("""
+            (module (import "env" "h" (func))
+              (func (export "a") (result i32) (i32.const 1))
+              (func (export "b") (result i32) (i32.const 2)))
+        """)
+        module = validate_module(decode_module(blob))
+        prepare_module(module)
+        specialize_module(module).attach(module)
+        assert [f.name for f in module.funcs] == [None, None]
+        names = [
+            (f.prepared.compiled.__code__.co_filename,
+             f.prepared.metered.__code__.co_filename)
+            for f in module.funcs
+        ]
+        assert names == [
+            ("<specialized:func1>", "<metered:func1>"),
+            ("<specialized:func2>", "<metered:func2>"),
+        ]
+
+
 class TestUnmeteredEmission:
     """Metering adds a second emission; the unmetered one must not move.
 
@@ -243,19 +332,19 @@ class TestUnmeteredEmission:
     """
 
     PINNED = {
-        "br_table_dispatch": "38b6acdd0db4c1a0",
-        "branch_stack_repair": "b3568c48018dfca8",
-        "cmp_brif_stack_repair": "fc244f2c07e9218c",
-        "fib_recursive": "99dc7c59025aec50",
-        "float_mix": "7f46b4c9b09a6ba2",
-        "fused_cmp_brif": "7e05ba690865b9fc",
-        "globals": "ac3ccc58ad8e2a41",
-        "indirect": "a2c72003c201cdc1",
-        "loop_sum": "26cd16634eed400e",
-        "loop_with_result": "d7258fd821ee6e75",
-        "memory_churn": "043d5c70d3ae7ad8",
-        "multivalue_block": "2355632ec7a06fc5",
-        "narrow_memory": "064764982920be3d",
+        "br_table_dispatch": "b5e9dd80f3275f17",
+        "branch_stack_repair": "4ec39fbcaaee6864",
+        "cmp_brif_stack_repair": "a3ff72ea0f4481d6",
+        "fib_recursive": "88b84f36e3c8c8b8",
+        "float_mix": "77d7e9b322c5d89a",
+        "fused_cmp_brif": "0aae20e0cc43a4d7",
+        "globals": "fdcfdbe06b13680b",
+        "indirect": "7ecb5fbb47aafdfa",
+        "loop_sum": "d8c0a7cd5bead808",
+        "loop_with_result": "5e8c84fa4dbff970",
+        "memory_churn": "c39b0207f4cfaa3b",
+        "multivalue_block": "381f2702748e4560",
+        "narrow_memory": "c473f9d0df47d0b3",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
