@@ -6,9 +6,10 @@ series the paper plots, writes it to ``benchmarks/output/``, and asserts
 the paper's qualitative relations. Timings reported by pytest-benchmark
 measure the regeneration harness itself.
 
-Experiments are cached process-wide (`repro.measure.experiment.measure`),
-so figures sharing bars (e.g. crun-wamr appears in Figs 3-7 and 10) don't
-re-simulate identical deployments.
+Experiments are memoized process-wide by the campaign engine
+(`repro.measure.series.execute_cells`), so figures sharing bars (e.g.
+crun-wamr appears in Figs 3-7 and 10) don't re-simulate identical
+deployments.
 """
 
 from __future__ import annotations

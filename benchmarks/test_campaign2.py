@@ -21,7 +21,7 @@ from repro import obs
 from repro.measure.cache import MeasurementCache
 from repro.measure.campaign import render_campaign, run_campaign
 from repro.measure.experiment import ExperimentRunner
-from repro.measure.series import Cell, execute_cells, expand_series, run_series
+from repro.measure.series import Cell, execute_cells, series_cells
 from repro.obs.export import chrome_trace
 
 JOBS = 4
@@ -77,10 +77,11 @@ def _telemetry_matches_sequential() -> bool:
 
 def _resume_reruns_remainder_only(tmp_root) -> dict:
     """Interrupt a 4-cell series after 2 cells; resuming re-runs only 2."""
-    spec = {
-        "name": "bench-resume",
-        "matrix": {"config": ["crun-wamr", "crun-python"], "count": [10, 25]},
-    }
+    cells = [
+        Cell("bench-resume", "deploy", config, count, SEED)
+        for config in ("crun-python", "crun-wamr")
+        for count in (10, 25)
+    ]
     cache = MeasurementCache(tmp_root / "cache")
 
     class Interrupted(RuntimeError):
@@ -94,7 +95,7 @@ def _resume_reruns_remainder_only(tmp_root) -> dict:
             raise Interrupted
 
     try:
-        run_series(spec, jobs=1, cache=cache, on_cell=interrupt)
+        execute_cells(cells, cache=cache, on_cell=interrupt)
     except Interrupted:
         pass
 
@@ -104,22 +105,21 @@ def _resume_reruns_remainder_only(tmp_root) -> dict:
         reruns.append((c, n)) or original(self, c, n, **kw)
     )
     try:
-        resumed = run_series(spec, jobs=1, cache=cache)
+        _, resumed = execute_cells(cells, cache=cache)
     finally:
         ExperimentRunner.run = original
     return {
         "cells": 4,
         "interrupted_after": len(done),
         "rerun_on_resume": len(reruns),
-        "resumed_from_cache": len(resumed.resumed),
-        "ok": len(reruns) == 2 and sorted(resumed.resumed) == sorted(done),
+        "resumed_from_cache": len(resumed),
+        "ok": len(reruns) == 2 and sorted(resumed) == sorted(done),
     }
 
 
 def test_bench_campaign2_json(tmp_path):
     """Emit BENCH_campaign2.json and hold the engine's correctness contract."""
-    pairs = [(c.config, c.count) for c in expand_series("figures")]
-    assert len(pairs) == 27
+    assert len(series_cells("figures")) == 27
 
     engine, engine_s = _timed(
         lambda: run_campaign(seed=SEED, jobs=JOBS, cache=None)

@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from conftest import OUTPUT_DIR, emit
 
-from repro.wasm import assemble_wat, decode_module, encode_module, parse_wat, validate_module
+from repro.wasm import decode_module, encode_module, parse_wat, validate_module
 from repro.wasm.embed import run_wasi
 from repro.wasm.runtime import (
     Interpreter,
@@ -84,8 +84,8 @@ def _instantiate(src: str, interpreter_cls=Interpreter):
     return interpreter_cls(store), inst
 
 
-#: flat/reference window pairs timed per workload; the floor holds their
-#: median ratio
+#: window pairs timed per workload (here and in ``test_specialize``);
+#: each floor holds their median ratio
 PAIRS = 21
 #: seconds of closed-loop invocations per window
 WINDOW_S = 0.05
@@ -105,39 +105,65 @@ def _window(interp, addr, args):
     return interp.instructions_executed - instrs_before, elapsed, rounds
 
 
-def _paired_throughput(src, export, args):
-    """Per-interpreter totals over every window, and the per-pair
-    flat/reference throughput ratios."""
-    sides = []
-    for interpreter_cls in (Interpreter, ReferenceInterpreter):
-        interp, inst = _instantiate(src, interpreter_cls)
-        addr = inst.export_addr(export, "func")
-        interp.invoke(addr, args)  # warm up (triggers lazy prepare)
-        sides.append((interp, addr, []))
+def paired_windows(sides, args):
+    """Time two warmed-up ``(interpreter, export address)`` sides in
+    :data:`PAIRS` window pairs whose order alternates.
+
+    Returns each side's totals over every window and the per-pair side
+    0 / side 1 throughput ratios.
+    """
+    windows = ([], [])
     ratios = []
     for pair in range(PAIRS):
         gc.collect()  # no pair pays for an earlier pair's garbage
         order = (0, 1) if pair % 2 == 0 else (1, 0)
         rates = [0.0, 0.0]
         for side in order:
-            interp, addr, windows = sides[side]
+            interp, addr = sides[side]
             instrs, seconds, rounds = _window(interp, addr, args)
-            windows.append((instrs, seconds, rounds))
+            windows[side].append((instrs, seconds, rounds))
             rates[side] = instrs / seconds
         ratios.append(rates[0] / rates[1])
     totals = []
-    for _, _, windows in sides:
-        instrs = sum(w[0] for w in windows)
-        seconds = sum(w[1] for w in windows)
+    for side_windows in windows:
+        instrs = sum(w[0] for w in side_windows)
+        seconds = sum(w[1] for w in side_windows)
         totals.append(
             {
                 "instructions": instrs,
                 "seconds": seconds,
-                "rounds": sum(w[2] for w in windows),
+                "rounds": sum(w[2] for w in side_windows),
                 "instr_per_sec": instrs / seconds,
             }
         )
     return totals[0], totals[1], ratios
+
+
+def on_new_thread(fn, *args):
+    """``fn(*args)`` on a new thread: from the same empty stack whatever
+    depth the caller is at."""
+    with ThreadPoolExecutor(max_workers=1) as fresh_thread:
+        return fresh_thread.submit(fn, *args).result()
+
+
+def ratio_summary(ratios):
+    """The median of paired ratios (the floors hold it) and their IQR."""
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    return {
+        "speedup": round(statistics.median(ratios), 3),
+        "speedup_iqr": [round(q1, 3), round(q3, 3)],
+    }
+
+
+def _paired_throughput(src, export, args):
+    """Prepared and reference totals, and the per-pair ratios."""
+    sides = []
+    for interpreter_cls in (Interpreter, ReferenceInterpreter):
+        interp, inst = _instantiate(src, interpreter_cls)
+        addr = inst.export_addr(export, "func")
+        interp.invoke(addr, args)  # warm up (triggers lazy prepare)
+        sides.append((interp, addr))
+    return paired_windows(sides, args)
 
 
 _WORKLOADS = {
@@ -152,15 +178,11 @@ def test_bench_interpreter_vs_reference_json():
     median of paired flat/reference ratios."""
     report = {"pairs": PAIRS, "window_seconds": WINDOW_S, "workloads": {}}
     for name, (src, export, args) in _WORKLOADS.items():
-        with ThreadPoolExecutor(max_workers=1) as fresh_thread:
-            timed = fresh_thread.submit(_paired_throughput, src, export, args)
-            prepared, reference, ratios = timed.result()
-        q1, _, q3 = statistics.quantiles(ratios, n=4)
+        prepared, reference, ratios = on_new_thread(_paired_throughput, src, export, args)
         report["workloads"][name] = {
             "prepared": prepared,
             "reference": reference,
-            "speedup": round(statistics.median(ratios), 3),
-            "speedup_iqr": [round(q1, 3), round(q3, 3)],
+            **ratio_summary(ratios),
         }
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / "BENCH_interpreter.json").write_text(

@@ -11,17 +11,28 @@ workload is measured twice: unmetered (unmetered closures against the
 flat loop) and metered (metered closures against the flat loop, both
 with a fuel budget that never runs out).
 
-The ≥2× floors on fib and memory_churn, unmetered and metered, are the
-tier's acceptance criterion; the other two workloads are recorded
-without a floor. CI runs this file in the ``benchmarks`` job and uploads
-the JSON as an artifact.
+Both sides are timed as the interpreter floor times its two: on a new
+thread, in alternating specialized/flat window pairs, with the median of
+the per-pair ratios as the speedup and their IQR beside it. The ≥2×
+floors on fib and memory_churn, unmetered and metered, hold that median
+and are the tier's acceptance criterion; the other two workloads are
+recorded without a floor. CI runs this file in the ``benchmarks`` job
+and uploads the JSON as an artifact.
 """
 
 import json
-import time
 
 from conftest import OUTPUT_DIR, emit
-from test_interpreter_micro import FIB_WAT, LOOP_WAT, STORE_WAT
+from test_interpreter_micro import (
+    FIB_WAT,
+    LOOP_WAT,
+    PAIRS,
+    STORE_WAT,
+    WINDOW_S,
+    on_new_thread,
+    paired_windows,
+    ratio_summary,
+)
 
 from repro.wasm import parse_wat, validate_module
 from repro.wasm.runtime import (
@@ -82,56 +93,42 @@ def _instantiate(src: str, specialize=False, fuel=None):
     return Interpreter(store, fuel=fuel), inst
 
 
-def _throughput(src, export, args, specialize=False, fuel=None, min_seconds=0.4):
+def _side(src, export, args, specialize, fuel):
+    """A warmed-up ``(interpreter, export address)`` to time."""
     interp, inst = _instantiate(src, specialize, fuel)
     addr = inst.export_addr(export, "func")
     interp.invoke(addr, args)  # warm up (lazy prepare, IC fills)
-    rounds = 0
-    instrs_before = interp.instructions_executed
-    t0 = time.perf_counter()
-    while True:
-        interp.invoke(addr, args)
-        rounds += 1
-        elapsed = time.perf_counter() - t0
-        if elapsed >= min_seconds:
-            break
-    instrs = interp.instructions_executed - instrs_before
-    return {
-        "instructions": instrs,
-        "seconds": elapsed,
-        "rounds": rounds,
-        "instr_per_sec": instrs / elapsed,
-    }
+    return interp, addr
 
 
 def _pair(src, export, args, fuel=None):
-    flat = _throughput(src, export, args, fuel=fuel)
-    compiled = _throughput(src, export, args, specialize=True, fuel=fuel)
-    return {
-        "flat": flat,
-        "specialized": compiled,
-        "speedup": round(compiled["instr_per_sec"] / flat["instr_per_sec"], 3),
-    }
+    sides = [
+        _side(src, export, args, specialize=True, fuel=fuel),
+        _side(src, export, args, specialize=False, fuel=fuel),
+    ]
+    specialized, flat, ratios = paired_windows(sides, args)
+    return {"flat": flat, "specialized": specialized, **ratio_summary(ratios)}
 
 
 def _line(name, w):
     return (
         f"{name}: {w['specialized']['instr_per_sec'] / 1e6:.2f} "
         f"Minstr/s vs flat {w['flat']['instr_per_sec'] / 1e6:.2f} Minstr/s "
-        f"({w['speedup']:.2f}x)"
+        f"({w['speedup']:.2f}x, median of {PAIRS} pairs, IQR "
+        f"{w['speedup_iqr'][0]:.2f}-{w['speedup_iqr'][1]:.2f}x)"
     )
 
 
 def test_bench_specialized_vs_flat_json():
     """Emit BENCH_specialize.json and hold the ≥2× acceptance floors,
     unmetered and metered."""
-    report = {"workloads": {}}
+    report = {"pairs": PAIRS, "window_seconds": WINDOW_S, "workloads": {}}
     for name, (src, export, args) in _WORKLOADS.items():
         # Unmetered at the top level (the file's original shape), the
         # metered column beside it.
         report["workloads"][name] = {
-            **_pair(src, export, args),
-            "metered": _pair(src, export, args, fuel=_FUEL),
+            **on_new_thread(_pair, src, export, args),
+            "metered": on_new_thread(_pair, src, export, args, _FUEL),
         }
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / "BENCH_specialize.json").write_text(
@@ -147,7 +144,7 @@ def test_bench_specialized_vs_flat_json():
                         ("metered", report["workloads"][name]["metered"])):
             assert w["speedup"] >= floor, (
                 f"{name}: {mode} specialization tier below its ≥{floor}x "
-                f"floor (got {w['speedup']}x)"
+                f"floor (median of {PAIRS} paired ratios: {w['speedup']}x)"
             )
 
 

@@ -10,7 +10,7 @@ Subcommands mirror the tools a user of the real system would reach for:
 * ``zygote`` — the snapshot-and-clone warm-start comparison,
 * ``fleet`` — multi-node scaling sweep and snapshot-locality ablation,
 * ``figures`` — regenerate the paper's tables/figures,
-* ``series`` — list/validate/run declarative experiment series,
+* ``series`` — list/validate/run the shipped experiment series,
 * ``inspect`` — per-phase/per-layer breakdown of an exported trace file,
   plus ``--wasi`` for the eWAPA-style hostcall latency table,
 * ``monitor`` — ASCII dashboard over an exported time-series file.
@@ -353,30 +353,24 @@ def _series_cache(args: argparse.Namespace):
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    from repro.measure.series import (
-        SHIPPED_SERIES,
-        expand_series,
-        run_series,
-        validate_spec,
-    )
+    from repro.measure.series import SHIPPED_SERIES, run_series, series_cells
 
     if args.action == "list":
         for name in sorted(SHIPPED_SERIES):
-            cells = expand_series(name)
-            spec = validate_spec(name)
+            cells = series_cells(name)
             print(
-                f"{name:14s} {len(cells):3d} cells  kind={spec.get('kind', 'deploy'):8s} "
-                f"{spec.get('description', '')}"
+                f"{name:14s} {len(cells):3d} cells  kind={cells[0].kind:8s} "
+                f"{SHIPPED_SERIES[name].description}"
             )
         return 0
 
     if args.action == "validate":
         names = args.names or sorted(SHIPPED_SERIES)
         for name in names:
-            cells = expand_series(name)
+            cells = series_cells(name)
             keys = [cell.key for cell in cells]
             if len(set(keys)) != len(keys):
-                print(f"{name}: duplicate cells after expansion", file=sys.stderr)
+                print(f"{name}: duplicate cells", file=sys.stderr)
                 return 2
             print(f"{name}: ok ({len(cells)} cells)")
         return 0
@@ -668,14 +662,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "series",
-        help="declarative experiment series: list, validate, or run them",
+        help="shipped experiment series: list, validate, or run them",
     )
     p.add_argument(
         "action", choices=("list", "validate", "run"),
-        help="list shipped series, expand+validate specs, or execute",
+        help="list shipped series, check their cells, or execute",
     )
     p.add_argument("names", nargs="*", metavar="NAME", help="series names")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument(
         "-j", "--jobs", type=int, default=1,
         help="experiment worker processes (0 = auto-detect CPU count)",

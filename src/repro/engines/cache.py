@@ -19,8 +19,9 @@ entry point:
   digest. Prepared functions are instance-independent, so one prepared
   module serves every instantiation and is re-attached to fresh decodes
   of the same blob;
-* **specialize** — the optimization tier's
-  :class:`~repro.wasm.runtime.specialize.SpecializedModule` per digest.
+* **specialize** — the optimization tier's code per digest: a
+  :class:`~repro.wasm.runtime.compile.PreparedModule` of
+  :class:`~repro.wasm.runtime.specialize.SpecializedFunction`\\ s.
   The compiled closures are instance-independent like prepared code —
   they reach every instance through the executing frame and guard their
   call caches at run time — so they attach to every decode of the blob.
@@ -82,12 +83,12 @@ from repro.wasm.decoder import decode_module
 from repro.wasm.embed import RunLog
 from repro.wasm.runtime.compile import PreparedModule, prepare_module
 from repro.wasm.runtime.snapshot import InstanceSnapshot
-from repro.wasm.runtime.specialize import SpecializedModule, specialize_module
+from repro.wasm.runtime.specialize import specialize_module
 from repro.wasm.validation import validate_module
 
 _DECODE_CACHE: Dict[str, Module] = {}
 _PREPARED_CACHE: Dict[str, PreparedModule] = {}
-_SPECIALIZED_CACHE: Dict[str, SpecializedModule] = {}
+_SPECIALIZED_CACHE: Dict[str, PreparedModule] = {}
 _ZYGOTE_CACHE: Dict[str, Optional[InstanceSnapshot]] = {}
 _RUN_CACHE: Dict[Tuple, RunLog] = {}
 
@@ -339,7 +340,7 @@ def prepare_cached(module, digest: str) -> PreparedModule:
     return pm
 
 
-def specialize_cached(module, digest: str) -> Optional[SpecializedModule]:
+def specialize_cached(module, digest: str) -> Optional[PreparedModule]:
     """Memoize the specialization tier's output per digest.
 
     Runs after :func:`prepare_cached`, so the unspecialized prepared code

@@ -155,8 +155,8 @@ class AdmissionRejected(ContainerError):
 
 
 class SeriesError(ReproError):
-    """Invalid experiment-series spec, or a campaign-engine failure
-    (schema violation, inheritance cycle, dead worker pool)."""
+    """An unknown series or cell kind, a campaign on fewer than one
+    node, or a campaign-engine failure (dead worker pool)."""
 
 
 # --------------------------------------------------------------------------

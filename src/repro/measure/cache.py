@@ -127,21 +127,25 @@ class MeasurementCache:
     def _path(self, seed: int, config: str, count: int) -> pathlib.Path:
         return self.root / f"{source_tree_digest()[:16]}_{seed}_{config}_{count}.json"
 
-    def get(self, seed: int, config: str, count: int) -> Optional[DeploymentMeasurement]:
-        path = self._path(seed, config, count)
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        return measurement_from_dict(data["measurement"])
-
-    def cost_estimate(self, seed: int, config: str, count: int) -> Optional[float]:
-        """Wall-clock seconds a prior run of this cell took, if recorded."""
+    def _entry(self, seed: int, config: str, count: int) -> Dict:
+        """The entry's JSON object; ``{}`` when it is missing, unreadable
+        or not an object."""
         try:
             data = json.loads(self._path(seed, config, count).read_text())
         except (OSError, ValueError):
+            return {}
+        return data if isinstance(data, dict) else {}
+
+    def get(self, seed: int, config: str, count: int) -> Optional[DeploymentMeasurement]:
+        """The stored measurement; None for a miss or an entry that is not one."""
+        try:
+            return measurement_from_dict(self._entry(seed, config, count)["measurement"])
+        except (KeyError, TypeError, ValueError):
             return None
-        wall = data.get("wall_seconds")
+
+    def cost_estimate(self, seed: int, config: str, count: int) -> Optional[float]:
+        """Wall-clock seconds a prior run of this cell took, if recorded."""
+        wall = self._entry(seed, config, count).get("wall_seconds")
         return float(wall) if isinstance(wall, (int, float)) and wall > 0 else None
 
     def put(

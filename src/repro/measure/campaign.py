@@ -8,7 +8,7 @@ EXPERIMENTS.md quotes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 from repro.core.integration import (
@@ -18,8 +18,9 @@ from repro.core.integration import (
     RUNTIME_CONFIGS,
     RUNWASI_CONFIGS,
 )
+from repro.errors import SeriesError
 from repro.measure.experiment import DENSITIES, DeploymentMeasurement
-from repro.measure.series import DEFAULT_CACHE, run_series
+from repro.measure.series import DEFAULT_CACHE, execute_cells, series_cells
 from repro.measure.stats import percent_lower
 
 
@@ -57,7 +58,7 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute the full matrix and evaluate the §IV-F headline claims.
 
-    Runs the shipped declarative ``campaign`` series (every runtime
+    Runs the cells of the shipped ``campaign`` series (every runtime
     configuration × density) through the campaign engine: ``jobs`` > 1
     fans the 27 independent experiments out over a persistent warm-worker
     pool (0 = auto-detect); results and telemetry merge
@@ -72,26 +73,13 @@ def run_campaign(
     testbed, so fleet campaigns report claims informationally — expect
     startup claims to over-perform and memory claims to hold unchanged.
     """
-    spec = (
-        "campaign"
-        if nodes == 1
-        else {"name": "campaign", "base": "campaign", "matrix": {"nodes": [nodes]}}
+    if nodes < 1:
+        raise SeriesError(f"campaign: nodes must be a positive int, got {nodes}")
+    cells = [replace(cell, nodes=nodes) for cell in series_cells("campaign", seed)]
+    results, _ = execute_cells(cells, jobs=jobs, cache=cache)
+    result = CampaignResult(
+        measurements={(cell.config, cell.count): results[cell.key] for cell in cells}
     )
-    series = run_series(spec, seed=seed, jobs=jobs, cache=cache)
-    if nodes == 1:
-        measurements = {
-            (config, n): series.measurements[(config, n)]
-            for config in RUNTIME_CONFIGS
-            for n in DENSITIES
-        }
-    else:
-        fleet = series.fleet_measurements
-        measurements = {
-            (config, n): fleet[(config, n, nodes)]
-            for config in RUNTIME_CONFIGS
-            for n in DENSITIES
-        }
-    result = CampaignResult(measurements=measurements)
     ours = CRUN_WAMR_CONFIG
 
     def add(claim_id, description, paper, measured_value, holds):

@@ -10,7 +10,6 @@ instruction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -224,34 +223,15 @@ class ExperimentRunner:
 DENSITIES = (10, 100, 400)
 
 
-@lru_cache(maxsize=None)
-def _cached_measurement(seed: int, config: str, count: int) -> DeploymentMeasurement:
-    import time
-
-    from repro.measure.cache import default_cache  # deferred: avoids cycle
-
-    store = default_cache()
-    if store is not None:
-        hit = store.get(seed, config, count)
-        if hit is not None:
-            return hit
-    t0 = time.perf_counter()
-    m = ExperimentRunner(seed=seed).run(config, count)
-    wall = time.perf_counter() - t0
-    if store is not None:
-        store.put(seed, config, count, m, wall_seconds=wall)
-    return m
-
-
 def measure(config: str, count: int, seed: int = 1) -> DeploymentMeasurement:
-    """Module-level cached experiment (figures share bars; e.g. crun-wamr
-    appears in Figs 3–7 and 10 at the same densities).
+    """One deployment measurement, fetched through the campaign engine.
 
-    Layered over the persistent on-disk cache (:mod:`repro.measure.cache`):
-    warm invocations of figures/tests skip simulation entirely. Set
-    ``REPRO_MEASURE_CACHE=off`` to force fresh simulation."""
-    return _cached_measurement(seed, config, count)
+    Served from the in-process memo or the persistent measurement cache
+    (:mod:`repro.measure.cache`) when either holds it, as the figure
+    generators' cells are. Set ``REPRO_MEASURE_CACHE=off`` to skip the
+    on-disk cache."""
+    from repro.measure.series import Cell, execute_cells  # series imports this module
 
-
-def density_sweep(config: str, seed: int = 1) -> Dict[int, DeploymentMeasurement]:
-    return {n: measure(config, n, seed=seed) for n in DENSITIES}
+    cell = Cell("measure", "deploy", config, count, seed)
+    results, _ = execute_cells([cell])
+    return results[cell.key]

@@ -1,15 +1,17 @@
 """One generator per table/figure of the paper's evaluation.
 
-Each ``figN_*`` function runs (or reuses, via the experiment cache) the
-deployments behind that figure and returns a :class:`FigureSeries` with
-the same rows/bars the paper plots. ``repro.measure.report`` renders them
-as text tables; the benchmark suite asserts the paper's relations on the
-returned numbers.
+Each ``figN_*`` function hands the deployments behind that figure, and
+no others, to the campaign engine
+(:func:`~repro.measure.series.execute_cells`, which serves the ones this
+process or the measurement cache already holds) and returns a
+:class:`FigureSeries` with the same rows/bars the paper plots.
+``repro.measure.report`` renders them as text tables; the benchmark
+suite asserts the paper's relations on the returned numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.integration import (
@@ -20,8 +22,8 @@ from repro.core.integration import (
     RUNWASI_CONFIGS,
 )
 from repro.engines.profiles import STACK_VERSIONS
-from repro.measure.experiment import DENSITIES, measure
-from repro.sim.memory import MIB
+from repro.measure.experiment import DENSITIES, DeploymentMeasurement
+from repro.measure.series import Cell, execute_cells
 
 
 @dataclass
@@ -54,17 +56,18 @@ class FigureSeries:
         return best, others[best]
 
 
-def _prefetch(seed: int, jobs: int):
-    """Run the shipped ``figures`` series (all cells behind Figs 3-10)
-    through the campaign engine when ``jobs != 1``; returns the
-    ``(config, count) -> measurement`` map the per-figure slicers read.
-    ``jobs == 1`` returns None and figures fall back to the in-process
-    :func:`measure` memo, exactly as before."""
-    if jobs == 1:
-        return None
-    from repro.measure.series import run_series
-
-    return run_series("figures", seed=seed, jobs=jobs).measurements
+def _measurements(
+    configs: Sequence[str], densities: Sequence[int], seed: int, jobs: int
+) -> Dict[Tuple[str, int], DeploymentMeasurement]:
+    """The figure's own deploy cells, fetched through the campaign engine:
+    ``(config, count) -> measurement``."""
+    cells = [
+        Cell("figures", "deploy", config, n, seed)
+        for config in configs
+        for n in densities
+    ]
+    results, _ = execute_cells(cells, jobs=jobs)
+    return {(cell.config, cell.count): results[cell.key] for cell in cells}
 
 
 def _memory_series(
@@ -72,39 +75,29 @@ def _memory_series(
     title: str,
     configs: Sequence[str],
     channel: str,
-    densities: Tuple[int, ...] = DENSITIES,
-    seed: int = 1,
-    measurements=None,
+    seed: int,
+    jobs: int,
 ) -> FigureSeries:
     values: Dict[str, Dict[int, float]] = {}
-    for config in configs:
-        values[config] = {}
-        for n in densities:
-            if measurements is not None:
-                m = measurements[(config, n)]
-            else:
-                m = measure(config, n, seed=seed)
-            values[config][n] = m.metrics_mib if channel == "metrics" else m.free_mib
+    for (config, n), m in _measurements(configs, DENSITIES, seed, jobs).items():
+        values.setdefault(config, {})[n] = (
+            m.metrics_mib if channel == "metrics" else m.free_mib
+        )
     return FigureSeries(
         figure_id=figure_id,
         title=title,
         unit="MiB/container",
-        densities=densities,
+        densities=DENSITIES,
         values=values,
     )
 
 
 def _startup_series(
-    figure_id: str, title: str, density: int, seed: int = 1, measurements=None
+    figure_id: str, title: str, density: int, seed: int, jobs: int
 ) -> FigureSeries:
+    measured = _measurements(RUNTIME_CONFIGS, (density,), seed, jobs)
     values = {
-        config: {
-            density: (
-                measurements[(config, density)]
-                if measurements is not None
-                else measure(config, density, seed=seed)
-            ).startup_seconds
-        }
+        config: {density: measured[config, density].startup_seconds}
         for config in RUNTIME_CONFIGS
     }
     return FigureSeries(
@@ -128,7 +121,7 @@ def fig3_crun_memory_metrics(seed: int = 1, jobs: int = 1) -> FigureSeries:
         CRUN_WASM_CONFIGS,
         channel="metrics",
         seed=seed,
-        measurements=_prefetch(seed, jobs),
+        jobs=jobs,
     )
 
 
@@ -141,7 +134,7 @@ def fig4_crun_memory_free(seed: int = 1, jobs: int = 1) -> FigureSeries:
         CRUN_WASM_CONFIGS,
         channel="free",
         seed=seed,
-        measurements=_prefetch(seed, jobs),
+        jobs=jobs,
     )
 
 
@@ -154,7 +147,7 @@ def fig5_runwasi_memory_free(seed: int = 1, jobs: int = 1) -> FigureSeries:
         [CRUN_WAMR_CONFIG, *RUNWASI_CONFIGS],
         channel="free",
         seed=seed,
-        measurements=_prefetch(seed, jobs),
+        jobs=jobs,
     )
 
 
@@ -171,7 +164,7 @@ def fig6_python_memory_metrics(seed: int = 1, jobs: int = 1) -> FigureSeries:
         [CRUN_WAMR_CONFIG, "shim-wasmtime", *PYTHON_CONFIGS],
         channel="metrics",
         seed=seed,
-        measurements=_prefetch(seed, jobs),
+        jobs=jobs,
     )
 
 
@@ -184,7 +177,7 @@ def fig7_python_memory_free(seed: int = 1, jobs: int = 1) -> FigureSeries:
         [CRUN_WAMR_CONFIG, "shim-wasmtime", *PYTHON_CONFIGS],
         channel="free",
         seed=seed,
-        measurements=_prefetch(seed, jobs),
+        jobs=jobs,
     )
 
 
@@ -198,7 +191,7 @@ def fig8_startup_10(seed: int = 1, jobs: int = 1) -> FigureSeries:
         "Time to start 10 concurrent containers' workload executions",
         10,
         seed,
-        measurements=_prefetch(seed, jobs),
+        jobs,
     )
 
 
@@ -209,7 +202,7 @@ def fig9_startup_400(seed: int = 1, jobs: int = 1) -> FigureSeries:
         "Time to start 400 concurrent containers' workload executions",
         400,
         seed,
-        measurements=_prefetch(seed, jobs),
+        jobs,
     )
 
 
@@ -225,7 +218,7 @@ def fig10_overview(seed: int = 1, jobs: int = 1) -> FigureSeries:
         list(RUNTIME_CONFIGS),
         channel="free",
         seed=seed,
-        measurements=_prefetch(seed, jobs),
+        jobs=jobs,
     )
     return series
 

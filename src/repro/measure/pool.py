@@ -1,10 +1,9 @@
 """Persistent warm-worker pool for the campaign engine.
 
-The PR 3 runner pushed each cell through a throwaway
-``ProcessPoolExecutor``: every campaign spawned workers that cold-start
-the digest-keyed engine caches (decode/prepare/specialize/zygote) and
-rebuild the workload OCI images from scratch. This pool replaces it with
-**long-lived worker processes**:
+A throwaway ``ProcessPoolExecutor`` per campaign would spawn workers
+that cold-start the digest-keyed engine caches
+(decode/prepare/specialize/zygote) and rebuild the workload OCI images
+from scratch. This pool keeps **long-lived worker processes** instead:
 
 * Workers are forked (where the platform allows) *after* the parent has
   pre-warmed the process-global caches — memoized workload images and
@@ -34,7 +33,7 @@ import pickle
 import queue
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.errors import SeriesError
 
@@ -188,11 +187,11 @@ class WorkerPool:
 
     def run(
         self,
-        cells: Sequence[Tuple[int, Any]],
-        costs: Optional[Sequence[float]] = None,
-        on_outcome: Optional[Callable[[CellOutcome], None]] = None,
+        cells: Sequence[Any],
+        costs: Sequence[float],
+        on_outcome: Callable[[CellOutcome], None],
     ) -> Dict[int, CellOutcome]:
-        """Run ``(index, cell)`` tasks; returns outcomes keyed by index.
+        """Run ``cells``; returns outcomes keyed by position in ``cells``.
 
         ``costs`` aligns with ``cells``; tasks enter the shared queue in
         descending cost order (longest-expected first), and whichever
@@ -201,13 +200,8 @@ class WorkerPool:
         progress/checkpointing). The first worker error is re-raised
         after the pool is torn down.
         """
-        if not cells:
-            return {}
-        order = list(range(len(cells)))
-        if costs is not None:
-            order.sort(key=lambda i: -costs[i])
-        for i in order:
-            self._tasks.put(tuple(cells[i]))
+        for i in sorted(range(len(cells)), key=lambda i: -costs[i]):
+            self._tasks.put((i, cells[i]))
 
         outcomes: Dict[int, CellOutcome] = {}
         while len(outcomes) < len(cells):
@@ -234,8 +228,7 @@ class WorkerPool:
                 wall_seconds=wall,
             )
             outcomes[index] = outcome
-            if on_outcome is not None:
-                on_outcome(outcome)
+            on_outcome(outcome)
         return outcomes
 
     def close(self) -> None:

@@ -1,92 +1,47 @@
-"""Declarative experiment series: the campaign engine.
+"""Experiment series: the campaign engine.
 
-Campaigns used to be hand-written runner functions — one per figure, one
-per experiment family — each fanning work through a throwaway process
-pool. This module replaces that with **experiment series as data**
-(pavilion2-style): a series is a config dict with matrix expansion,
-inheritance, and seed derivation; the engine expands it into a DAG of
-:class:`Cell`\\ s (stage barriers), schedules the cells over a persistent
-warm-worker pool with longest-expected-cost-first ordering, and merges
-per-cell telemetry deterministically.
+A series is a named list of :class:`Cell`\\ s. :data:`SHIPPED_SERIES`
+maps each shipped name to its description and a ``seed → cells``
+builder; ``repro series list|validate|run`` reads it. Callers with cells
+of their own (``run_campaign(nodes=N)``, :func:`measure`, the figure
+generators) hand them to :func:`execute_cells` directly.
 
-Spec schema (every key optional unless noted)::
+:func:`execute_cells` is the one place a measurement is fetched. It
+serves a deploy cell from the in-process memo or the measurement cache
+(:mod:`repro.measure.cache`) when it can, runs the rest in the given
+order (``jobs == 1``) or over a persistent warm-worker pool with
+longest-expected-cost-first ordering (``jobs > 1``), and merges worker
+telemetry back in cell order, so results and exports are byte-identical
+at any worker count.
 
-    {
-      "name": "figures",              # required: series identifier
-      "description": "...",
-      "base": "campaign",             # inherit another spec (name or dict)
-      "kind": "deploy",               # deploy | recovery | chaos
-      "seed": 1,                      # series seed (cells inherit it)
-      "derive_seeds": False,          # per-cell seeds from sha256(seed, key)
-      "matrix": {                     # cartesian product over axes
-        "config": ["crun-wamr", ...], #   "config"/"count" are cell fields,
-        "count": [10, 100, 400],      #   other axes become cell params
-      },
-      "params": {"rate": 0.25},       # constant params for every cell
-      "include": [{...}],             # explicit extra cells
-      "exclude": [{...}],             # matrix holes (subset match)
-      "stages": [{...}, {...}],       # sub-specs run as DAG stage barriers
-    }
-
-Inheritance merges scalars (child wins), matrix axes (child axis
-replaces base axis), and params (dict merge); cycles are rejected.
-Expansion is **order-independent** — the cell set, canonical order, and
-per-cell seeds do not depend on axis listing order — and never yields
-duplicate cells. ``derive_seeds`` derives each cell's seed from a sha256
-of the series seed and the cell coordinates (stable across processes and
-expansions, unlike ``hash()``).
-
-Resume: every finished deploy cell is stored in the measurement cache
-(:mod:`repro.measure.cache`) as soon as it completes, so an interrupted
-series re-run against the same cache serves the finished cells from it
-and re-runs only the remainder; summaries are byte-identical because
-cache hits round-trip exactly. Cells outside the cache's key space
-(recovery, chaos, fleet shards) re-run; they are deterministic per seed.
+Resume: every finished deploy cell is stored in the measurement cache as
+soon as it completes, so an interrupted series re-run against the same
+cache serves the finished cells from it and re-runs only the remainder;
+summaries are byte-identical because cache hits round-trip exactly.
+Cells outside the cache's key space (recovery, chaos, fleet shards)
+re-run; they are deterministic per seed.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.integration import RUNTIME_CONFIGS
+from repro.core.integration import CRUN_WASM_CONFIGS, RUNTIME_CONFIGS
 from repro.errors import SeriesError
 from repro.measure.cache import MeasurementCache, default_cache
-from repro.measure.experiment import DENSITIES, ExperimentRunner, measure
+from repro.measure.experiment import DENSITIES, ExperimentRunner
 
 #: sentinel: "use the ambient default cache" (an explicit None disables)
 DEFAULT_CACHE = object()
 
-#: experiment kinds the engine can dispatch
-KINDS = ("deploy", "recovery", "chaos")
-
-#: params each kind accepts (deploy cells must stay param-free: the
-#: measurement cache keys on (seed, config, count) only)
-_KIND_PARAMS = {
-    "deploy": frozenset(),
-    "recovery": frozenset({"max_rounds"}),
-    "chaos": frozenset({"rate", "max_rounds"}),
-}
-
-_SPEC_KEYS = frozenset(
-    {
-        "name",
-        "description",
-        "base",
-        "kind",
-        "seed",
-        "derive_seeds",
-        "matrix",
-        "params",
-        "include",
-        "exclude",
-        "stages",
-    }
-)
+#: deploy measurements of this process, keyed ``(seed, config, count)``;
+#: only :data:`DEFAULT_CACHE` runs read and fill it, so figures sharing
+#: bars simulate each bar once
+_MEMO: Dict[Tuple[int, str, int], Any] = {}
 
 
 def auto_jobs() -> int:
@@ -101,10 +56,9 @@ def auto_jobs() -> int:
 class Cell:
     """One experiment in a series: (kind, config, count, seed, params).
 
-    ``nodes`` is the fleet-size shard axis (deploy cells only). It
-    defaults to 1 and is deliberately *absent* from the key, the seed
-    coordinates, and the sort key whenever it is 1, so every pre-fleet
-    series keeps byte-identical cell keys, derived seeds, and ordering.
+    ``kind`` is ``deploy``, ``recovery`` or ``chaos``. ``nodes`` is the
+    fleet-size shard axis (deploy cells only); it is absent from the key
+    whenever it is 1, so single-node cell keys predate the fleet axis.
     """
 
     series: str
@@ -113,7 +67,6 @@ class Cell:
     count: int
     seed: int
     params: Tuple[Tuple[str, Any], ...] = ()
-    stage: int = 0
     nodes: int = 1
 
     @property
@@ -134,323 +87,80 @@ class Cell:
         """
         return self.kind == "deploy" and not self.params and self.nodes == 1
 
-    def sort_key(self) -> Tuple:
-        return (
-            self.stage,
-            self.kind,
-            self.config,
-            self.count,
-            self.nodes,
-            self.params,
-            self.seed,
-        )
-
-
-def derive_seed(series_seed: int, coordinates: str) -> int:
-    """Deterministic per-cell seed: stable across processes and expansions."""
-    digest = hashlib.sha256(f"{series_seed}|{coordinates}".encode()).digest()
-    return int.from_bytes(digest[:4], "big") & 0x7FFFFFFF
-
-
-# -- spec validation + inheritance ---------------------------------------------
-
-
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise SeriesError(message)
-
-
-def resolve_spec(
-    spec, registry: Optional[Mapping[str, dict]] = None, _seen: Tuple[str, ...] = ()
-) -> dict:
-    """Look up by name, resolve the ``base`` inheritance chain, merge."""
-    if registry is None:
-        registry = SHIPPED_SERIES
-    if isinstance(spec, str):
-        _check(spec in registry, f"unknown series {spec!r} (have {sorted(registry)})")
-        _check(spec not in _seen, f"series inheritance cycle: {' -> '.join(_seen + (spec,))}")
-        return resolve_spec(dict(registry[spec]), registry, _seen + (spec,))
-    _check(isinstance(spec, dict), f"series spec must be a dict or name, got {type(spec).__name__}")
-    spec = dict(spec)
-    base = spec.pop("base", None)
-    if base is None:
-        return spec
-    if isinstance(base, str) and base in _seen:
-        raise SeriesError(f"series inheritance cycle: {' -> '.join(_seen + (base,))}")
-    parent = resolve_spec(base, registry, _seen)
-    merged = dict(parent)
-    merged.pop("name", None)
-    merged.pop("description", None)
-    for key, value in spec.items():
-        if key == "matrix":
-            axes = dict(parent.get("matrix", {}))
-            axes.update(value)
-            merged["matrix"] = axes
-        elif key == "params":
-            params = dict(parent.get("params", {}))
-            params.update(value)
-            merged["params"] = params
-        else:
-            merged[key] = value
-    return merged
-
-
-def validate_spec(spec, registry: Optional[Mapping[str, dict]] = None) -> dict:
-    """Resolve + schema-check a spec; returns the normalized dict."""
-    spec = resolve_spec(spec, registry)
-    unknown = set(spec) - _SPEC_KEYS
-    _check(not unknown, f"unknown spec keys: {sorted(unknown)}")
-    name = spec.get("name")
-    _check(isinstance(name, str) and bool(name), "spec needs a non-empty 'name'")
-    kind = spec.get("kind", "deploy")
-    _check(kind in KINDS, f"{name}: kind must be one of {KINDS}, got {kind!r}")
-    _check(isinstance(spec.get("seed", 1), int), f"{name}: seed must be an int")
-    _check(
-        isinstance(spec.get("derive_seeds", False), bool),
-        f"{name}: derive_seeds must be a bool",
-    )
-    stages = spec.get("stages")
-    if stages is not None:
-        _check(
-            isinstance(stages, list) and stages,
-            f"{name}: stages must be a non-empty list of sub-specs",
-        )
-        _check(
-            "matrix" not in spec and "include" not in spec,
-            f"{name}: top-level matrix/include and stages are mutually exclusive",
-        )
-        for i, stage in enumerate(stages):
-            _check(isinstance(stage, dict), f"{name}: stage {i} must be a dict")
-            _check("stages" not in stage, f"{name}: stages cannot nest")
-        return spec
-
-    matrix = spec.get("matrix", {})
-    include = spec.get("include", [])
-    _check(isinstance(matrix, dict), f"{name}: matrix must be a dict of axes")
-    _check(
-        bool(matrix) or bool(include),
-        f"{name}: a stage-less spec needs a matrix or include list",
-    )
-    for axis, values in matrix.items():
-        _check(
-            isinstance(values, (list, tuple)) and len(values) > 0,
-            f"{name}: matrix axis {axis!r} must be a non-empty list",
-        )
-        if axis == "config":
-            _check(
-                all(isinstance(v, str) for v in values),
-                f"{name}: config values must be strings",
-            )
-        elif axis == "count":
-            _check(
-                all(isinstance(v, int) and v > 0 for v in values),
-                f"{name}: count values must be positive ints",
-            )
-        elif axis == "nodes":
-            _check(
-                kind == "deploy",
-                f"{name}: the 'nodes' axis is only valid for deploy series",
-            )
-            _check(
-                all(isinstance(v, int) and v > 0 for v in values),
-                f"{name}: nodes values must be positive ints",
-            )
-        else:
-            _check(
-                all(isinstance(v, (str, int, float, bool)) for v in values),
-                f"{name}: axis {axis!r} values must be scalars",
-            )
-    allowed = _KIND_PARAMS[kind]
-    extra_axes = set(matrix) - {"config", "count", "nodes"}
-    param_keys = extra_axes | set(spec.get("params", {}))
-    _check(
-        param_keys <= allowed,
-        f"{name}: params {sorted(param_keys - allowed)} not valid for kind "
-        f"{kind!r} (allowed: {sorted(allowed)})",
-    )
-    for entries, label in ((include, "include"), (spec.get("exclude", []), "exclude")):
-        _check(isinstance(entries, list), f"{name}: {label} must be a list of dicts")
-        for entry in entries:
-            _check(isinstance(entry, dict), f"{name}: {label} entries must be dicts")
-    return spec
-
-
-# -- expansion -----------------------------------------------------------------
-
-
-def _expand_stage(
-    spec: dict, name: str, seed: int, stage: int
-) -> List[Cell]:
-    kind = spec.get("kind", "deploy")
-    derive = spec.get("derive_seeds", False)
-    base_params = dict(spec.get("params", {}))
-    matrix = {axis: list(dict.fromkeys(values)) for axis, values in spec.get("matrix", {}).items()}
-    excludes = spec.get("exclude", [])
-
-    combos: List[Dict[str, Any]] = [{}]
-    for axis in sorted(matrix):  # sorted: expansion independent of key order
-        combos = [dict(c, **{axis: v}) for c in combos for v in matrix[axis]]
-    combos += [dict(entry) for entry in spec.get("include", [])]
-
-    cells: Dict[str, Cell] = {}
-    for combo in combos:
-        if any(
-            all(combo.get(k) == v for k, v in entry.items()) and entry
-            for entry in excludes
-        ):
-            continue
-        config = combo.get("config", base_params.get("config"))
-        count = combo.get("count")
-        nodes = combo.get("nodes", 1)
-        _check(
-            isinstance(config, str) and bool(config),
-            f"{name}: every cell needs a 'config' (matrix axis or include key)",
-        )
-        _check(
-            isinstance(count, int) and count > 0,
-            f"{name}: every cell needs a positive 'count'",
-        )
-        _check(
-            isinstance(nodes, int) and nodes > 0,
-            f"{name}: 'nodes' must be a positive int",
-        )
-        _check(
-            nodes == 1 or kind == "deploy",
-            f"{name}: 'nodes' != 1 is only valid for deploy cells",
-        )
-        params = dict(base_params)
-        params.update(
-            {
-                k: v
-                for k, v in combo.items()
-                if k not in ("config", "count", "nodes")
-            }
-        )
-        params.pop("config", None)
-        param_items = tuple(sorted(params.items()))
-        coordinates = f"{kind}:{config}:n{count}:" + ",".join(
-            f"{k}={v}" for k, v in param_items
-        )
-        if nodes != 1:
-            # Appended (never inline) so every nodes=1 coordinate string —
-            # and therefore every derived seed — predates the fleet axis.
-            coordinates += f":nodes{nodes}"
-        cell_seed = derive_seed(seed, coordinates) if derive else seed
-        cell = Cell(
-            series=name,
-            kind=kind,
-            config=config,
-            count=count,
-            seed=cell_seed,
-            params=param_items,
-            stage=stage,
-            nodes=nodes,
-        )
-        cells[cell.key] = cell  # dedup: identical coordinates collapse
-    return sorted(cells.values(), key=Cell.sort_key)
-
-
-def expand_series(
-    spec,
-    seed: Optional[int] = None,
-    registry: Optional[Mapping[str, dict]] = None,
-) -> List[Cell]:
-    """Expand a spec (or shipped-series name) into its canonical cell list.
-
-    The returned order is the engine's *sequential order*: ``--jobs 1``
-    runs cells in it, and parallel runs merge results and telemetry back
-    into it — which is what makes summaries and trace exports
-    byte-identical at any worker count.
-    """
-    spec = validate_spec(spec, registry)
-    name = spec["name"]
-    if seed is None:
-        seed = spec.get("seed", 1)
-    stages = spec.get("stages")
-    if stages is None:
-        return _expand_stage(spec, name, seed, stage=0)
-    cells: List[Cell] = []
-    shared = {
-        k: v for k, v in spec.items() if k in ("kind", "derive_seeds", "params")
-    }
-    for i, stage_spec in enumerate(stages):
-        merged = dict(shared)
-        for key, value in stage_spec.items():
-            if key == "params":
-                params = dict(shared.get("params", {}))
-                params.update(value)
-                merged["params"] = params
-            else:
-                merged[key] = value
-        merged.setdefault("name", name)
-        merged = validate_spec(dict(merged, name=name), registry={})
-        cells.extend(_expand_stage(merged, name, seed, stage=i))
-    _check(bool(cells), f"{name}: expansion produced no cells")
-    return cells
-
 
 # -- shipped series ------------------------------------------------------------
 
-#: Declarative definitions of every experiment family the repo ships.
-#: ``repro series list`` renders these; CI expands and validates each.
-SHIPPED_SERIES: Dict[str, dict] = {
-    "campaign": {
-        "name": "campaign",
-        "description": "paper §IV matrix: every runtime config × density",
-        "kind": "deploy",
-        "seed": 1,
-        "matrix": {"config": list(RUNTIME_CONFIGS), "count": list(DENSITIES)},
-    },
-    "figures": {
-        "name": "figures",
-        "description": "cells behind Figs 3-10 (inherits the campaign matrix)",
-        "base": "campaign",
-    },
-    "crun-memory": {
-        "name": "crun-memory",
-        "description": "Figs 3-4 slice: Wasm runtimes embedded in crun",
-        "base": "campaign",
-        "matrix": {
-            "config": ["crun-wamr", "crun-wasmedge", "crun-wasmer", "crun-wasmtime"]
-        },
-    },
-    "zygote": {
-        "name": "zygote",
-        "description": "cold crun-wamr baseline, then snapshot-clone warm run",
-        "kind": "deploy",
-        "seed": 1,
-        "stages": [
-            {"matrix": {"config": ["crun-wamr"], "count": [400]}},
-            {"matrix": {"config": ["crun-wamr-zygote"], "count": [400]}},
-        ],
-    },
-    "recovery": {
-        "name": "recovery",
-        "description": "self-healing under ≥30% transient startup faults",
-        "kind": "recovery",
-        "seed": 1,
-        "matrix": {"config": ["crun-wamr"], "count": [100]},
-    },
-    "chaos": {
-        "name": "chaos",
-        "description": "full-lifecycle fault injection with invariant checks",
-        "kind": "chaos",
-        "seed": 1,
-        "matrix": {"config": ["crun-wamr"], "count": [400]},
-        "params": {"rate": 0.25},
-    },
-    "fleet": {
-        "name": "fleet",
-        "description": "cross-node fan-out: fixed density swept over fleet sizes",
-        "kind": "deploy",
-        "seed": 1,
-        "matrix": {
-            "config": ["crun-wamr", "crun-wamr-zygote"],
-            "count": [400],
-            "nodes": [1, 4, 8],
-        },
-    },
+
+class Series(NamedTuple):
+    """A shipped series: what ``repro series list`` prints, and its cells."""
+
+    description: str
+    cells: Callable[[int], List[Cell]]
+
+
+def _grid(
+    name: str,
+    kind: str,
+    configs: Sequence[str],
+    counts: Sequence[int],
+    nodes: Sequence[int] = (1,),
+    params: Tuple[Tuple[str, Any], ...] = (),
+) -> Callable[[int], List[Cell]]:
+    """A builder of ``configs × counts × nodes`` cells, in that order."""
+
+    def cells(seed: int) -> List[Cell]:
+        return [
+            Cell(name, kind, config, count, seed, params, n)
+            for config in configs
+            for count in counts
+            for n in nodes
+        ]
+
+    return cells
+
+
+#: Every experiment family the repo ships. Cells come in config-name
+#: order, which is the order ``--jobs 1`` runs them and the order results
+#: and telemetry merge back in.
+SHIPPED_SERIES: Dict[str, Series] = {
+    "campaign": Series(
+        "paper §IV matrix: every runtime config × density",
+        _grid("campaign", "deploy", sorted(RUNTIME_CONFIGS), DENSITIES),
+    ),
+    "figures": Series(
+        "cells behind Figs 3-10 (inherits the campaign matrix)",
+        _grid("figures", "deploy", sorted(RUNTIME_CONFIGS), DENSITIES),
+    ),
+    "crun-memory": Series(
+        "Figs 3-4 slice: Wasm runtimes embedded in crun",
+        _grid("crun-memory", "deploy", sorted(CRUN_WASM_CONFIGS), DENSITIES),
+    ),
+    "zygote": Series(
+        "cold crun-wamr baseline, then snapshot-clone warm run",
+        _grid("zygote", "deploy", ["crun-wamr", "crun-wamr-zygote"], [400]),
+    ),
+    "recovery": Series(
+        "self-healing under ≥30% transient startup faults",
+        _grid("recovery", "recovery", ["crun-wamr"], [100]),
+    ),
+    "chaos": Series(
+        "full-lifecycle fault injection with invariant checks",
+        _grid("chaos", "chaos", ["crun-wamr"], [400], params=(("rate", 0.25),)),
+    ),
+    "fleet": Series(
+        "cross-node fan-out: fixed density swept over fleet sizes",
+        _grid(
+            "fleet", "deploy", ["crun-wamr", "crun-wamr-zygote"], [400], nodes=(1, 4, 8)
+        ),
+    ),
 }
+
+
+def series_cells(name: str, seed: int = 1) -> List[Cell]:
+    """The cells of shipped series ``name`` at ``seed``."""
+    if name not in SHIPPED_SERIES:
+        raise SeriesError(f"unknown series {name!r} (have {sorted(SHIPPED_SERIES)})")
+    return SHIPPED_SERIES[name].cells(seed)
 
 
 def run_cell(cell: Cell) -> Any:
@@ -485,33 +195,8 @@ class SeriesResult:
     series: str
     cells: List[Cell]
     results: Dict[str, Any] = field(default_factory=dict)
-    #: cells served from the measurement cache (not re-run)
+    #: cells served from the memo or the measurement cache (not re-run)
     resumed: List[str] = field(default_factory=list)
-
-    def get(self, cell: Cell) -> Any:
-        return self.results[cell.key]
-
-    @property
-    def measurements(self) -> Dict[Tuple[str, int], Any]:
-        """Deploy results keyed ``(config, count)`` — the figure shape.
-
-        Fleet-sharded cells (nodes > 1) are excluded: they would collide
-        on the figure key; read them via :meth:`fleet_measurements`.
-        """
-        return {
-            (cell.config, cell.count): self.results[cell.key]
-            for cell in self.cells
-            if cell.kind == "deploy" and cell.nodes == 1 and cell.key in self.results
-        }
-
-    @property
-    def fleet_measurements(self) -> Dict[Tuple[str, int, int], Any]:
-        """Deploy results keyed ``(config, count, nodes)`` — all shards."""
-        return {
-            (cell.config, cell.count, cell.nodes): self.results[cell.key]
-            for cell in self.cells
-            if cell.kind == "deploy" and cell.key in self.results
-        }
 
 
 def _cost_estimate(store: Optional[MeasurementCache], cell: Cell) -> float:
@@ -532,77 +217,65 @@ def execute_cells(
 ) -> Tuple[Dict[str, Any], List[str]]:
     """Run cells (sequential order = the given order); returns results.
 
-    The shared engine under :func:`run_series`: cache partitioning, the
-    warm pool, LPT scheduling and deterministic telemetry merge all live
-    here. A cacheable cell found in the cache is served from it
-    (resumed); every other cell runs, and a cacheable one is stored as
-    soon as it finishes. Returns ``(results by cell key, resumed cell
-    keys)``.
+    The only reader and writer of the memo and the measurement cache. A
+    cacheable cell found in either is served from it (resumed); every
+    other cell runs, and a cacheable one is stored as soon as it
+    finishes. ``cache=DEFAULT_CACHE`` uses the memo and the ambient
+    cache; ``cache=None`` or an explicit :class:`MeasurementCache`
+    bypasses the memo. ``on_cell`` fires after each cell that ran.
+    Returns ``(results by cell key, resumed cell keys)``.
     """
     cells = list(cells)
     if jobs <= 0:
         jobs = auto_jobs()
+    # A caller that chose its own cache, or none, gets a memo of its own.
+    memo = _MEMO if cache is DEFAULT_CACHE else {}
     store: Optional[MeasurementCache] = (
         default_cache() if cache is DEFAULT_CACHE else cache
     )
-    # jobs=1 with the ambient cache rides the module-level measure()
-    # memo, sharing warm results with the figure generators in-process.
-    use_memo = cache is DEFAULT_CACHE and store is not None
 
     results: Dict[str, Any] = {}
     resumed: List[str] = []
     pending: List[Cell] = []
     for cell in cells:
-        hit = (
-            store.get(cell.seed, cell.config, cell.count)
-            if store is not None and cell.cacheable
-            else None
-        )
-        if hit is not None:
-            results[cell.key] = hit
+        hit = None
+        if cell.cacheable:
+            ident = (cell.seed, cell.config, cell.count)
+            hit = memo.get(ident)
+            if hit is None and store is not None:
+                hit = store.get(*ident)
+        if hit is None:
+            pending.append(cell)
+        else:
+            memo[ident] = results[cell.key] = hit
             resumed.append(cell.key)
-            continue
-        pending.append(cell)
 
-    if not pending:
-        return results, resumed
-
-    def finish(cell: Cell, result: Any, wall: Optional[float], cached: bool) -> None:
+    def finish(cell: Cell, result: Any, wall: float) -> None:
         results[cell.key] = result
-        if store is not None and cell.cacheable and not cached:
-            store.put(cell.seed, cell.config, cell.count, result, wall_seconds=wall)
+        if cell.cacheable:
+            memo[(cell.seed, cell.config, cell.count)] = result
+            if store is not None:
+                store.put(cell.seed, cell.config, cell.count, result, wall_seconds=wall)
         if on_cell is not None:
             on_cell(cell, result)
 
-    effective = min(jobs, len(pending))
-    if effective == 1:
+    workers = min(jobs, len(pending))
+    if workers <= 1:
         for cell in pending:
             t0 = time.perf_counter()
-            if use_memo and cell.cacheable:
-                result = measure(cell.config, cell.count, seed=cell.seed)
-                finish(cell, result, time.perf_counter() - t0, cached=True)
-            else:
-                result = run_cell(cell)
-                finish(cell, result, time.perf_counter() - t0, cached=False)
+            result = run_cell(cell)
+            finish(cell, result, time.perf_counter() - t0)
         return results, resumed
 
     from repro.measure.pool import TelemetrySettings, WorkerPool
 
     settings = TelemetrySettings.capture()
-    indexed = list(enumerate(pending))
-    costs = [_cost_estimate(store, cell) for cell in pending]
-    outcomes: Dict[int, Any] = {}
-
-    def on_outcome(outcome) -> None:
-        outcomes[outcome.index] = outcome
-        cell = pending[outcome.index]
-        finish(cell, outcome.result, outcome.wall_seconds, cached=False)
-
-    with WorkerPool(effective, telemetry=settings) as pool:
-        stages = sorted({cell.stage for cell in pending})
-        for stage in stages:
-            batch = [(i, cell) for i, cell in indexed if cell.stage == stage]
-            pool.run(batch, costs=[costs[i] for i, _ in batch], on_outcome=on_outcome)
+    with WorkerPool(workers, telemetry=settings) as pool:
+        outcomes = pool.run(
+            pending,
+            costs=[_cost_estimate(store, cell) for cell in pending],
+            on_outcome=lambda o: finish(pending[o.index], o.result, o.wall_seconds),
+        )
 
     if settings.any:
         # Merge worker telemetry in sequential cell order: counters and
@@ -615,10 +288,8 @@ def execute_cells(
         from repro.obs import profile
 
         registry = obs.default_registry()
-        for i, cell in indexed:
-            outcome = outcomes.get(i)
-            if outcome is None:
-                continue
+        for i in range(len(pending)):
+            outcome = outcomes[i]
             if outcome.registry_delta is not None:
                 registry.merge_delta(outcome.registry_delta)
             if outcome.span_groups or outcome.sample_groups:
@@ -632,39 +303,33 @@ def execute_cells(
 
 
 def run_series(
-    spec,
-    seed: Optional[int] = None,
+    name: str,
+    seed: int = 1,
     jobs: int = 1,
     cache=DEFAULT_CACHE,
     on_cell: Optional[Callable[[Cell, Any], None]] = None,
 ) -> SeriesResult:
-    """Expand and execute a series (shipped name or spec dict).
+    """Execute shipped series ``name`` at ``seed``.
 
     A re-run against the same ``cache`` resumes: deploy cells an earlier
     (possibly interrupted) run finished are served from the cache, and
-    only the rest simulate. ``on_cell`` fires after each completed cell
+    only the rest simulate. ``on_cell`` fires after each cell that ran
     (progress/interruption).
     """
-    spec = validate_spec(spec)
-    cells = expand_series(spec, seed=seed)
+    cells = series_cells(name, seed)
     results, resumed = execute_cells(cells, jobs=jobs, cache=cache, on_cell=on_cell)
-    return SeriesResult(
-        series=spec["name"], cells=cells, results=results, resumed=resumed
-    )
+    return SeriesResult(series=name, cells=cells, results=results, resumed=resumed)
 
 
 __all__ = [
     "Cell",
     "DEFAULT_CACHE",
-    "KINDS",
     "SHIPPED_SERIES",
+    "Series",
     "SeriesResult",
     "auto_jobs",
-    "derive_seed",
     "execute_cells",
-    "expand_series",
-    "resolve_spec",
     "run_cell",
     "run_series",
-    "validate_spec",
+    "series_cells",
 ]

@@ -29,7 +29,6 @@ from repro.wasm.runtime.interpreter import Interpreter
 from repro.wasm.runtime.reference import ReferenceInterpreter
 from repro.wasm.runtime.specialize import (
     SpecializedFunction,
-    SpecializedModule,
     specialize_module,
 )
 from repro.wasm.runtime.instantiate import instantiate
@@ -60,7 +59,6 @@ __all__ = [
     "prepare_function",
     "prepare_module",
     "SpecializedFunction",
-    "SpecializedModule",
     "specialize_module",
     "instantiate",
 ]

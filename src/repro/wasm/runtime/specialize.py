@@ -66,6 +66,7 @@ from repro.wasm.runtime import compile as flat
 from repro.wasm.runtime import values as V
 from repro.wasm.runtime.compile import (
     PreparedFunction,
+    PreparedModule,
     _func_signatures,
     prepare_function,
 )
@@ -135,19 +136,6 @@ class SpecializedFunction(PreparedFunction):
         self.compiled = compiled
         self.metered = metered
         self.fallback = fallback
-
-
-class SpecializedModule:
-    """Specialized code for every defined function (digest-cache entry)."""
-
-    __slots__ = ("functions",)
-
-    def __init__(self, functions: List[PreparedFunction]) -> None:
-        self.functions = functions
-
-    def attach(self, module: Module) -> None:
-        for func, pf in zip(module.funcs, self.functions):
-            func.prepared = pf
 
 
 # ---------------------------------------------------------------------------
@@ -1368,11 +1356,12 @@ class SpecializeReport:
 
 def specialize_module(
     module: Module, report: Optional[SpecializeReport] = None
-) -> SpecializedModule:
+) -> PreparedModule:
     """Specialize every defined function of ``module``.
 
-    Returns a digest-cacheable :class:`SpecializedModule`; call
-    ``.attach(module)`` to activate it (mirrors ``PreparedModule``).
+    Returns a digest-cacheable :class:`PreparedModule` of
+    :class:`SpecializedFunction`\\ s; call ``.attach(module)`` to
+    activate it.
     Already-specialized attachments are unwrapped through ``fallback``
     first, so re-specializing is idempotent, and any per-function
     failure falls back to the unspecialized prepared code (counted as
@@ -1417,7 +1406,7 @@ def specialize_module(
             _FUNCS_TOTAL.labels("bytecode").inc()
         functions.append(SpecializedFunction(pf, compiled, metered))
     _PASS_SECONDS.observe(time.perf_counter() - started)
-    return SpecializedModule(functions)
+    return PreparedModule(functions)
 
 
 def specialize_counts() -> Dict[str, int]:

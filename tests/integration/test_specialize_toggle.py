@@ -12,14 +12,15 @@ code (the fuel sweeps in ``tests/wasm/test_differential.py`` pin that
 per budget). Each flat side asserts that it attached no specialized
 code, and each specialized side that the pass stored some.
 
-The measurement caches (in-process lru + on-disk) are defeated so both
+The measurement caches (the in-process memo + on-disk) are defeated so both
 sides of every comparison run the full simulation.
 """
 
 import pytest
 
 from repro.engines.cache import cache_stats, reset_caches
-from repro.measure.experiment import ExperimentRunner, _cached_measurement, measure
+from repro.measure import series
+from repro.measure.experiment import ExperimentRunner, measure
 from repro.measure.figures import fig8_startup_10
 from repro.measure.report import render_series
 
@@ -29,20 +30,20 @@ DENSITY = 15
 @pytest.fixture(autouse=True)
 def fresh_measurements(monkeypatch):
     monkeypatch.setenv("REPRO_MEASURE_CACHE", "off")
-    _cached_measurement.cache_clear()
+    series._MEMO.clear()
     reset_caches()
     yield
-    _cached_measurement.cache_clear()
+    series._MEMO.clear()
     reset_caches()
 
 
 def _both_tiers(flat_tier, run):
     """``run()`` on the specialization tier, then on flat code."""
-    _cached_measurement.cache_clear()
+    series._MEMO.clear()
     reset_caches()
     on = run()
     assert cache_stats()["specialize"]["entries"] > 0
-    _cached_measurement.cache_clear()
+    series._MEMO.clear()
     with flat_tier() as specialized:
         off = run()
         assert specialized() == 0, "the flat side ran specialized code"
@@ -77,8 +78,9 @@ class TestFigureOutputsByteIdentical:
         assert on == off
 
     def test_measure_helper_identical_at_density(self, flat_tier):
-        # `measure` is the single entry point behind every figN_* series,
-        # so identity here extends to all figures at this density.
+        # `measure` and every figN_* series fetch measurements through
+        # `execute_cells`, so identity here extends to all figures at
+        # this density.
         on, off = _both_tiers(
             flat_tier, lambda: measure("crun-wamr", DENSITY, seed=11)
         )

@@ -105,6 +105,22 @@ class TestMeasurementCache:
             [f"{prefix}_1_crun-wamr_10.json", "notes.txt", "tmpq1w2e3r4.tmp"]
         )
 
+    @pytest.mark.parametrize(
+        "body", ["{}", "[]", "null", '{"measurement": {"config": "crun-wamr"}}']
+    )
+    def test_entry_that_is_not_a_measurement_is_a_miss(self, body, sequential, tmp_path):
+        cache = MeasurementCache(tmp_path / "cache")
+        cache.put(1, "crun-wamr", 10, sequential[("crun-wamr", 10)], wall_seconds=0.5)
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        entry.write_text(body)
+        assert cache.get(1, "crun-wamr", 10) is None
+        assert cache.cost_estimate(1, "crun-wamr", 10) is None
+        # The engine re-runs the cell and stores a readable entry over it.
+        assert measure_pairs([("crun-wamr", 10)], cache=cache) == {
+            ("crun-wamr", 10): sequential[("crun-wamr", 10)]
+        }
+        assert cache.get(1, "crun-wamr", 10) == sequential[("crun-wamr", 10)]
+
     def test_wall_seconds_recorded_for_cost_estimates(self, sequential, tmp_path):
         cache = MeasurementCache(tmp_path / "cache")
         m = sequential[("crun-wamr", 10)]

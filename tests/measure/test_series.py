@@ -1,114 +1,140 @@
-"""Campaign engine: spec validation, inheritance, expansion, resume."""
+"""Campaign engine: shipped series, cells, the memo, resume."""
 
 import json
 
 import pytest
 
-from repro.errors import SeriesError
+from repro.core.integration import RUNTIME_CONFIGS
+from repro.errors import ReproError, SeriesError
+from repro.measure import figures, series
 from repro.measure.cache import MeasurementCache, measurement_to_dict
-from repro.measure.experiment import ExperimentRunner
+from repro.measure.campaign import run_campaign
+from repro.measure.experiment import ExperimentRunner, measure
 from repro.measure.series import (
+    DEFAULT_CACHE,
     SHIPPED_SERIES,
     Cell,
-    derive_seed,
-    expand_series,
-    resolve_spec,
+    execute_cells,
+    run_cell,
     run_series,
-    validate_spec,
+    series_cells,
 )
 
-SMALL_SPEC = {
-    "name": "small",
-    "kind": "deploy",
-    "seed": 1,
-    "matrix": {"config": ["crun-wamr", "crun-python"], "count": [10, 25]},
+SMALL_CELLS = [
+    Cell("small", "deploy", config, count, 1)
+    for config in ("crun-python", "crun-wamr")
+    for count in (10, 25)
+]
+
+_CAMPAIGN_KEYS = [
+    f"deploy:{config}:n{count}:s{{s}}"
+    for config in (
+        "crun-python",
+        "crun-wamr",
+        "crun-wasmedge",
+        "crun-wasmer",
+        "crun-wasmtime",
+        "runc-python",
+        "shim-wasmedge",
+        "shim-wasmer",
+        "shim-wasmtime",
+    )
+    for count in (10, 100, 400)
+]
+
+#: every shipped series' cell keys, in order, as the declarative spec
+#: language expanded them (``{s}`` is the seed)
+PINNED_KEYS = {
+    "campaign": _CAMPAIGN_KEYS,
+    "figures": _CAMPAIGN_KEYS,
+    "crun-memory": [
+        "deploy:crun-wamr:n10:s{s}",
+        "deploy:crun-wamr:n100:s{s}",
+        "deploy:crun-wamr:n400:s{s}",
+        "deploy:crun-wasmedge:n10:s{s}",
+        "deploy:crun-wasmedge:n100:s{s}",
+        "deploy:crun-wasmedge:n400:s{s}",
+        "deploy:crun-wasmer:n10:s{s}",
+        "deploy:crun-wasmer:n100:s{s}",
+        "deploy:crun-wasmer:n400:s{s}",
+        "deploy:crun-wasmtime:n10:s{s}",
+        "deploy:crun-wasmtime:n100:s{s}",
+        "deploy:crun-wasmtime:n400:s{s}",
+    ],
+    "zygote": ["deploy:crun-wamr:n400:s{s}", "deploy:crun-wamr-zygote:n400:s{s}"],
+    "recovery": ["recovery:crun-wamr:n100:s{s}"],
+    "chaos": ["chaos:crun-wamr:n400:s{s}:rate=0.25"],
+    "fleet": [
+        "deploy:crun-wamr:n400:s{s}",
+        "deploy:crun-wamr:n400:s{s}:nodes4",
+        "deploy:crun-wamr:n400:s{s}:nodes8",
+        "deploy:crun-wamr-zygote:n400:s{s}",
+        "deploy:crun-wamr-zygote:n400:s{s}:nodes4",
+        "deploy:crun-wamr-zygote:n400:s{s}:nodes8",
+    ],
 }
+
+
+def _count_runs(monkeypatch):
+    """Record every deployment that simulates."""
+    calls = []
+    original = ExperimentRunner.run
+
+    def counting(self, config, count, **kwargs):
+        calls.append((config, count))
+        return original(self, config, count, **kwargs)
+
+    monkeypatch.setattr(ExperimentRunner, "run", counting)
+    return calls
 
 
 class TestValidation:
     def test_unknown_series_name(self):
         with pytest.raises(SeriesError, match="unknown series"):
-            validate_spec("no-such-series")
-
-    def test_unknown_spec_key(self):
-        with pytest.raises(SeriesError, match="unknown spec keys"):
-            validate_spec(dict(SMALL_SPEC, typo_key=1))
+            run_series("no-such-series")
 
     def test_bad_kind(self):
-        with pytest.raises(SeriesError, match="kind must be one of"):
-            validate_spec(dict(SMALL_SPEC, kind="bench"))
-
-    def test_spec_needs_cells(self):
-        with pytest.raises(SeriesError, match="needs a matrix or include"):
-            validate_spec({"name": "empty"})
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(SeriesError, match="non-empty list"):
-            validate_spec(dict(SMALL_SPEC, matrix={"config": []}))
+        with pytest.raises(SeriesError, match="unknown cell kind 'bench'"):
+            run_cell(Cell("s", "bench", "crun-wamr", 10, 1))
 
     def test_count_values_must_be_positive_ints(self):
-        bad = dict(SMALL_SPEC, matrix={"config": ["crun-wamr"], "count": [0]})
-        with pytest.raises(SeriesError, match="positive ints"):
-            validate_spec(bad)
+        with pytest.raises(ReproError, match="pod count must be at least 1"):
+            execute_cells([Cell("s", "deploy", "crun-wamr", 0, 1)], cache=None)
 
     def test_params_checked_against_kind(self):
-        # Deploy cells must stay param-free: the measurement cache keys
-        # on (seed, config, count) only, so extra knobs cannot be cached.
-        with pytest.raises(SeriesError, match="not valid for kind 'deploy'"):
-            validate_spec(dict(SMALL_SPEC, params={"rate": 0.5}))
-
-    def test_stages_exclude_top_level_matrix(self):
-        bad = dict(SMALL_SPEC, stages=[{"matrix": {"config": ["crun-wamr"], "count": [10]}}])
-        with pytest.raises(SeriesError, match="mutually exclusive"):
-            validate_spec(bad)
-
-    def test_stages_cannot_nest(self):
-        bad = {"name": "nested", "stages": [{"stages": []}]}
-        with pytest.raises(SeriesError, match="cannot nest"):
-            validate_spec(bad)
+        # The measurement cache keys on (seed, config, count) only, so a
+        # deploy cell with params never reads or writes it.
+        assert Cell("s", "deploy", "crun-wamr", 10, 1).cacheable
+        assert not Cell("s", "deploy", "crun-wamr", 10, 1, (("rate", 0.5),)).cacheable
 
 
 class TestInheritance:
     def test_base_matrix_is_inherited(self):
-        figures = resolve_spec("figures")
-        campaign = resolve_spec("campaign")
-        assert figures["matrix"] == campaign["matrix"]
-        assert figures["name"] == "figures"
+        def matrix(cells):
+            return [(c.kind, c.config, c.count, c.seed, c.nodes) for c in cells]
+
+        assert matrix(series_cells("figures")) == matrix(series_cells("campaign"))
+        assert {c.series for c in series_cells("figures")} == {"figures"}
 
     def test_child_axis_replaces_base_axis(self):
-        crun = resolve_spec("crun-memory")
-        campaign = resolve_spec("campaign")
-        assert crun["matrix"]["count"] == campaign["matrix"]["count"]
-        assert crun["matrix"]["config"] == [
+        crun = series_cells("crun-memory")
+        campaign = series_cells("campaign")
+        assert sorted({c.count for c in crun}) == sorted({c.count for c in campaign})
+        assert sorted({c.config for c in crun}) == [
             "crun-wamr",
             "crun-wasmedge",
             "crun-wasmer",
             "crun-wasmtime",
         ]
 
-    def test_params_dict_merge(self):
-        registry = {
-            "parent": {
-                "name": "parent",
-                "kind": "chaos",
-                "matrix": {"config": ["crun-wamr"], "count": [10]},
-                "params": {"rate": 0.25, "max_rounds": 5},
-            }
-        }
-        child = {"name": "child", "base": "parent", "params": {"rate": 0.5}}
-        merged = resolve_spec(child, registry=registry)
-        assert merged["params"] == {"rate": 0.5, "max_rounds": 5}
-
-    def test_inheritance_cycle_detected(self):
-        registry = {
-            "a": {"name": "a", "base": "b"},
-            "b": {"name": "b", "base": "a"},
-        }
-        with pytest.raises(SeriesError, match="cycle"):
-            resolve_spec("a", registry=registry)
-
 
 class TestExpansion:
+    @pytest.mark.parametrize("seed", [1, 11])
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_cell_keys_pinned(self, name, seed):
+        expected = [key.format(s=seed) for key in PINNED_KEYS[name]]
+        assert [cell.key for cell in series_cells(name, seed)] == expected
+
     def test_shipped_series_expand_cleanly(self):
         expected_cells = {
             "campaign": 27,
@@ -119,144 +145,56 @@ class TestExpansion:
             "chaos": 1,
             "fleet": 6,
         }
-        for name, spec in SHIPPED_SERIES.items():
-            cells = expand_series(spec)
+        assert set(SHIPPED_SERIES) == set(expected_cells)
+        for name in SHIPPED_SERIES:
+            cells = series_cells(name)
             assert len(cells) == expected_cells[name], name
             keys = [cell.key for cell in cells]
             assert len(keys) == len(set(keys)), f"{name}: duplicate cells"
 
-    def test_expansion_is_axis_order_independent(self):
-        shuffled = dict(
-            SMALL_SPEC,
-            matrix={"count": [25, 10], "config": ["crun-python", "crun-wamr"]},
-        )
-        assert expand_series(shuffled) == expand_series(SMALL_SPEC)
-
-    def test_duplicate_axis_values_collapse(self):
-        doubled = dict(
-            SMALL_SPEC,
-            matrix={"config": ["crun-wamr", "crun-wamr"], "count": [10]},
-        )
-        assert len(expand_series(doubled)) == 1
-
-    def test_exclude_punches_matrix_holes(self):
-        spec = dict(SMALL_SPEC, exclude=[{"config": "crun-python", "count": 25}])
-        cells = expand_series(spec)
-        assert len(cells) == 3
-        assert all(
-            not (c.config == "crun-python" and c.count == 25) for c in cells
-        )
-
-    def test_include_adds_explicit_cells(self):
-        spec = dict(SMALL_SPEC, include=[{"config": "runc-python", "count": 50}])
-        cells = expand_series(spec)
-        assert ("runc-python", 50) in {(c.config, c.count) for c in cells}
-        assert len(cells) == 5
-
-    def test_stage_barriers_preserve_stage_order(self):
-        cells = expand_series("zygote")
-        assert [c.stage for c in cells] == [0, 1]
+    def test_zygote_runs_cold_before_warm(self):
+        cells = series_cells("zygote")
         assert [c.config for c in cells] == ["crun-wamr", "crun-wamr-zygote"]
 
-    def test_derived_seeds_are_stable_and_distinct(self):
-        spec = dict(SMALL_SPEC, derive_seeds=True)
-        first = expand_series(spec)
-        second = expand_series(spec)
-        assert [c.seed for c in first] == [c.seed for c in second]
-        assert len({c.seed for c in first}) == len(first)
-        # sha256-based, not hash()-based: pin one value so a change to
-        # the derivation would surface as a failure, not silent reseeding.
-        assert derive_seed(1, "deploy:crun-wamr:n10:") == derive_seed(
-            1, "deploy:crun-wamr:n10:"
-        )
-        assert derive_seed(1, "x") != derive_seed(2, "x")
-
     def test_seed_override_reaches_cells(self):
-        cells = expand_series(SMALL_SPEC, seed=7)
-        assert {c.seed for c in cells} == {7}
+        for name in SHIPPED_SERIES:
+            assert {c.seed for c in series_cells(name, 7)} == {7}, name
 
 
 class TestNodesAxis:
-    FLEET_SPEC = {
-        "name": "mini-fleet",
-        "kind": "deploy",
-        "seed": 1,
-        "matrix": {"config": ["crun-wamr"], "count": [10], "nodes": [1, 4]},
-    }
-
     def test_single_node_cells_keep_prefleet_keys(self):
-        # Byte-compat: a nodes=1 cell's key/identity must be exactly what
-        # pre-fleet expansions produced.
-        cells = expand_series(self.FLEET_SPEC)
-        assert [c.key for c in cells] == [
-            "deploy:crun-wamr:n10:s1",
-            "deploy:crun-wamr:n10:s1:nodes4",
-        ]
+        # A nodes=1 cell's key/identity is exactly what pre-fleet
+        # series produced.
+        cells = series_cells("fleet")
+        assert cells[0].key == "deploy:crun-wamr:n400:s1"
+        assert cells[1].key == "deploy:crun-wamr:n400:s1:nodes4"
         assert cells[0] == Cell(
-            series="mini-fleet",
+            series="fleet",
             kind="deploy",
             config="crun-wamr",
-            count=10,
+            count=400,
             seed=1,
         )
 
-    def test_derived_seeds_ignore_nodes_one(self):
-        spec = dict(self.FLEET_SPEC, derive_seeds=True)
-        baseline = dict(spec, matrix={"config": ["crun-wamr"], "count": [10]})
-        with_axis, without_axis = expand_series(spec), expand_series(baseline)
-        assert with_axis[0].seed == without_axis[0].seed
-        assert with_axis[1].seed != with_axis[0].seed
-
     def test_only_single_node_cells_are_cacheable(self):
-        cells = expand_series(self.FLEET_SPEC)
+        cells = series_cells("fleet")
         assert cells[0].cacheable and not cells[1].cacheable
 
-    def test_nodes_axis_requires_deploy_kind(self):
-        bad = {
-            "name": "bad",
-            "kind": "chaos",
-            "matrix": {"config": ["crun-wamr"], "count": [10], "nodes": [2]},
-        }
-        with pytest.raises(SeriesError, match="only valid for deploy"):
-            validate_spec(bad)
-
     def test_nodes_values_must_be_positive_ints(self):
-        bad = dict(
-            self.FLEET_SPEC,
-            matrix={"config": ["crun-wamr"], "count": [10], "nodes": [0]},
-        )
-        with pytest.raises(SeriesError, match="positive ints"):
-            validate_spec(bad)
+        with pytest.raises(SeriesError, match="nodes must be a positive int, got 0"):
+            run_campaign(nodes=0)
 
     def test_run_series_shards_fleet_cells(self):
-        result = run_series(
-            dict(
-                self.FLEET_SPEC,
-                matrix={"config": ["crun-wamr"], "count": [8], "nodes": [1, 2]},
-            ),
-            cache=None,
-        )
-        fleet = result.fleet_measurements
-        assert fleet[("crun-wamr", 8, 1)].nodes == 1
-        assert fleet[("crun-wamr", 8, 2)].nodes == 2
-        assert len(fleet[("crun-wamr", 8, 2)].per_node) == 2
-        # measurements (the pre-fleet view) only exposes single-node cells.
-        assert set(result.measurements) == {("crun-wamr", 8)}
+        cells = [Cell("mini-fleet", "deploy", "crun-wamr", 8, 1, nodes=n) for n in (1, 2)]
+        results, _ = execute_cells(cells, cache=None)
+        one, two = (results[cell.key] for cell in cells)
+        assert one.nodes == 1
+        assert two.nodes == 2
+        assert len(two.per_node) == 2
 
 
 class TestManifestResume:
     """An interrupted series resumes from the measurement cache alone."""
-
-    def _run_counting(self, monkeypatch):
-        calls = []
-        original = ExperimentRunner.run
-
-        def counting(self, config, count, **kwargs):
-            calls.append((config, count))
-            return original(self, config, count, **kwargs)
-
-        monkeypatch.setattr(ExperimentRunner, "run", counting)
-        return calls
 
     def test_interrupted_series_resumes_remainder_only(self, tmp_path, monkeypatch):
         cache = MeasurementCache(tmp_path / "cache")
@@ -271,45 +209,83 @@ class TestManifestResume:
                 raise Interrupted
 
         with pytest.raises(Interrupted):
-            run_series(SMALL_SPEC, jobs=1, cache=cache, on_cell=interrupt_after_two)
+            execute_cells(SMALL_CELLS, cache=cache, on_cell=interrupt_after_two)
         # Each finished cell was stored as it completed.
         assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
-        calls = self._run_counting(monkeypatch)
-        resumed = run_series(SMALL_SPEC, jobs=1, cache=cache)
+        calls = _count_runs(monkeypatch)
+        results, resumed = execute_cells(SMALL_CELLS, cache=cache)
         # Only the N - K unfinished cells simulate again.
         assert len(calls) == 2
-        assert set(resumed.resumed) == set(seen)
-        assert len(resumed.results) == 4
+        assert set(resumed) == set(seen)
+        assert len(results) == 4
 
         # Summaries are byte-identical to an uninterrupted run.
-        fresh = run_series(SMALL_SPEC, jobs=1, cache=None)
-        for key in fresh.results:
-            assert json.dumps(measurement_to_dict(resumed.results[key])) == json.dumps(
-                measurement_to_dict(fresh.results[key])
+        fresh, _ = execute_cells(SMALL_CELLS, cache=None)
+        for key in fresh:
+            assert json.dumps(measurement_to_dict(results[key])) == json.dumps(
+                measurement_to_dict(fresh[key])
             )
 
     def test_completed_series_reruns_nothing(self, tmp_path, monkeypatch):
         cache = MeasurementCache(tmp_path / "cache")
-        run_series(SMALL_SPEC, jobs=1, cache=cache)
-        calls = self._run_counting(monkeypatch)
-        again = run_series(SMALL_SPEC, jobs=1, cache=cache)
+        execute_cells(SMALL_CELLS, cache=cache)
+        calls = _count_runs(monkeypatch)
+        _, resumed = execute_cells(SMALL_CELLS, cache=cache)
         assert calls == []
-        assert len(again.resumed) == 4
+        assert len(resumed) == 4
+
+
+class TestMemo:
+    """``execute_cells`` alone reads and fills the in-process memo."""
+
+    CELL = Cell("memo", "deploy", "crun-wamr", 10, 3)
+
+    @pytest.fixture()
+    def fresh_memo(self, monkeypatch):
+        # With the on-disk cache off, the memo is the only thing that
+        # can serve a DEFAULT_CACHE run.
+        monkeypatch.setenv("REPRO_MEASURE_CACHE", "off")
+        monkeypatch.setattr(series, "_MEMO", {})
+
+    def test_default_cache_after_measure_simulates_nothing(self, fresh_memo, monkeypatch):
+        calls = _count_runs(monkeypatch)
+        m = measure("crun-wamr", 10, seed=3)
+        assert calls == [("crun-wamr", 10)]
+        results, resumed = execute_cells([self.CELL], cache=DEFAULT_CACHE)
+        assert calls == [("crun-wamr", 10)]
+        assert resumed == [self.CELL.key]
+        assert results[self.CELL.key] is m
+        assert measure("crun-wamr", 10, seed=3) is m
+
+    def test_no_cache_always_simulates(self, fresh_memo, monkeypatch):
+        measure("crun-wamr", 10, seed=3)
+        calls = _count_runs(monkeypatch)
+        for _ in range(2):
+            _, resumed = execute_cells([self.CELL], cache=None)
+            assert resumed == []
+        assert calls == [("crun-wamr", 10)] * 2
+
+    def test_explicit_cache_bypasses_memo(self, fresh_memo, monkeypatch, tmp_path):
+        measure("crun-wamr", 10, seed=3)
+        calls = _count_runs(monkeypatch)
+        execute_cells([self.CELL], cache=MeasurementCache(tmp_path / "cache"))
+        assert calls == [("crun-wamr", 10)]
+
+    def test_figure_asks_for_its_own_cells_only(self, monkeypatch):
+        asked = []
+
+        def spy(cells, jobs=1, cache=DEFAULT_CACHE, on_cell=None):
+            asked.append(([cell.key for cell in cells], jobs))
+            # Run in-process: the spy checks the request, not the pool.
+            return execute_cells(cells, jobs=1, cache=cache)
+
+        monkeypatch.setattr(figures, "execute_cells", spy)
+        figures.fig8_startup_10(seed=1, jobs=2)
+        assert asked == [([f"deploy:{c}:n10:s1" for c in RUNTIME_CONFIGS], 2)]
 
 
 class TestRunSeries:
-    def test_inline_spec_roundtrip(self, tmp_path):
-        spec = {
-            "name": "tiny",
-            "matrix": {"config": ["crun-wamr"], "count": [10]},
-        }
-        result = run_series(spec, jobs=1, cache=MeasurementCache(tmp_path / "c"))
-        assert result.series == "tiny"
-        assert ("crun-wamr", 10) in result.measurements
-        m = result.measurements[("crun-wamr", 10)]
-        assert m == ExperimentRunner(seed=1).run("crun-wamr", 10)
-
     def test_cell_key_is_stable(self):
         cell = Cell(
             series="s",

@@ -1,80 +1,25 @@
-"""Property tests: series expansion is canonical, deduped, and seed-stable."""
+"""Property tests: every shipped series' cells are deduped and seed-stable."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.measure.series import derive_seed, expand_series
+from repro.measure.series import SHIPPED_SERIES, series_cells
 
-CONFIGS = ["crun-wamr", "crun-wasmtime", "crun-python", "shim-wasmer", "runc-python"]
-
-
-def spec_strategy():
-    configs = st.lists(st.sampled_from(CONFIGS), min_size=1, max_size=5)
-    counts = st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=4)
-    return st.builds(
-        lambda cfgs, ns, seed, derive: {
-            "name": "prop",
-            "kind": "deploy",
-            "seed": seed,
-            "derive_seeds": derive,
-            "matrix": {"config": cfgs, "count": ns},
-        },
-        configs,
-        counts,
-        st.integers(min_value=0, max_value=2**31 - 1),
-        st.booleans(),
-    )
+NAMES = st.sampled_from(sorted(SHIPPED_SERIES))
+SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(spec_strategy(), st.randoms(use_true_random=False))
-def test_expansion_independent_of_listing_order(spec, rng):
-    canonical = expand_series(spec)
-    shuffled_matrix = {}
-    for axis in rng.sample(list(spec["matrix"]), k=len(spec["matrix"])):
-        values = list(spec["matrix"][axis])
-        rng.shuffle(values)
-        shuffled_matrix[axis] = values
-    shuffled = dict(spec, matrix=shuffled_matrix)
-    assert expand_series(shuffled) == canonical
-
-
-@settings(max_examples=60, deadline=None)
-@given(spec_strategy())
-def test_expansion_never_duplicates_cells(spec):
-    cells = expand_series(spec)
+@given(NAMES, SEEDS)
+def test_expansion_never_duplicates_cells(name, seed):
+    cells = series_cells(name, seed)
     keys = [cell.key for cell in cells]
     assert len(keys) == len(set(keys))
-    # Deduped axes: cell count is the product of distinct axis values.
-    expected = len(set(spec["matrix"]["config"])) * len(set(spec["matrix"]["count"]))
-    assert len(cells) == expected
+    assert len(cells) == len(series_cells(name))
 
 
 @settings(max_examples=60, deadline=None)
-@given(spec_strategy())
-def test_expansion_is_deterministic(spec):
-    first = expand_series(spec)
-    second = expand_series(spec)
-    assert first == second
-    assert [c.seed for c in first] == [c.seed for c in second]
-
-
-@settings(max_examples=60, deadline=None)
-@given(spec_strategy())
-def test_derived_seeds_depend_only_on_coordinates(spec):
-    spec = dict(spec, derive_seeds=True)
-    cells = expand_series(spec)
-    for cell in cells:
-        coordinates = f"{cell.kind}:{cell.config}:n{cell.count}:"
-        assert cell.seed == derive_seed(spec["seed"], coordinates)
-        assert 0 <= cell.seed < 2**31
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**31 - 1),
-    st.text(min_size=0, max_size=40),
-)
-def test_derive_seed_is_stable_and_bounded(seed, coordinates):
-    first = derive_seed(seed, coordinates)
-    assert first == derive_seed(seed, coordinates)
-    assert 0 <= first < 2**31
+@given(NAMES, SEEDS)
+def test_expansion_is_deterministic(name, seed):
+    first = series_cells(name, seed)
+    assert first == series_cells(name, seed)
+    assert {cell.seed for cell in first} == {seed}

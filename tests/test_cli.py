@@ -141,6 +141,8 @@ class TestFailureContract:
             (["fleet", "--fleets", "2", "4", "-n", "8"], "must include 1"),
             (["chaos", "-n", "2", "--seed", "-3"], "seed must be non-negative, got -3"),
             (["fleet", "--fleets", "1", "1", "-n", "8"], "repeat [1]"),
+            (["campaign", "--nodes", "0"], "nodes must be a positive int, got 0"),
+            (["series", "run", "no-such"], "unknown series 'no-such'"),
         ],
     )
     def test_bad_input_reports_error(self, argv, err, capsys):
