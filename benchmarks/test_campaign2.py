@@ -23,6 +23,7 @@ from repro.measure.campaign import render_campaign, run_campaign
 from repro.measure.experiment import ExperimentRunner
 from repro.measure.series import Cell, execute_cells, series_cells
 from repro.obs.export import chrome_trace
+from repro.obs.timeseries import WALLCLOCK_FAMILIES
 
 JOBS = 4
 
@@ -39,17 +40,23 @@ def _timed(fn):
     return result, time.perf_counter() - t0
 
 
-def _deterministic_counters():
+def _deterministic_families():
+    """Every family's values but process warmth and host wall-clock time."""
     out = {}
     for family in obs.default_registry().collect():
-        if family.kind != "counter" or family.name.startswith(_WARMTH_PREFIXES):
+        if family.name.startswith(_WARMTH_PREFIXES) or family.name in WALLCLOCK_FAMILIES:
             continue
-        out[family.name] = {k: c.value for k, c in family.samples()}
+        out[family.name] = {
+            k: (tuple(c.bucket_counts), c.count, c.sum)
+            if family.kind == "histogram"
+            else c.value
+            for k, c in family.samples()
+        }
     return out
 
 
 def _telemetry_matches_sequential() -> bool:
-    """Merged --jobs 4 counters + trace == a --jobs 1 run's, exactly."""
+    """Merged --jobs 4 metrics + trace == a --jobs 1 run's, exactly."""
     cells = [
         Cell(series="matrix", kind="deploy", config=config, count=10, seed=SEED)
         for config in ("crun-wamr", "crun-python")
@@ -59,17 +66,17 @@ def _telemetry_matches_sequential() -> bool:
     try:
         obs.reset()
         seq, _ = execute_cells(cells, jobs=1, cache=None)
-        seq_counters = _deterministic_counters()
+        seq_families = _deterministic_families()
         seq_trace = json.dumps(
             chrome_trace(obs.tagged_spans(), obs.context_labels()), sort_keys=True
         )
         obs.reset()
         par, _ = execute_cells(cells, jobs=JOBS, cache=None)
-        par_counters = _deterministic_counters()
+        par_families = _deterministic_families()
         par_trace = json.dumps(
             chrome_trace(obs.tagged_spans(), obs.context_labels()), sort_keys=True
         )
-        return par == seq and par_counters == seq_counters and par_trace == seq_trace
+        return par == seq and par_families == seq_families and par_trace == seq_trace
     finally:
         obs.reset()
         obs.set_enabled(was)

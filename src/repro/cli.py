@@ -756,10 +756,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ReproError, OSError, UnicodeDecodeError) as exc:
+        # OSError: a path that is missing, a directory, unreadable or
+        # unwritable; UnicodeDecodeError: a binary file read as text.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -423,8 +423,9 @@ def clear_cache_state() -> None:
     The per-cell determinism primitive: telemetry-enabled experiments
     clear state at cell start so every cell does the same cold-cache
     work regardless of process history, while the counters stay
-    cumulative — the delta/merge protocol in :mod:`repro.measure.pool`
-    and the time-series sampler both assume counters never decrease.
+    cumulative — the worker hand-off (``repro.obs.delta_since`` /
+    ``merge_delta``) and the time-series sampler both assume counters
+    never decrease.
     """
     _DECODE_CACHE.clear()
     _PREPARED_CACHE.clear()

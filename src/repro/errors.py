@@ -160,6 +160,17 @@ class SeriesError(ReproError):
 
 
 # --------------------------------------------------------------------------
+# Telemetry files
+# --------------------------------------------------------------------------
+
+
+class FormatError(ReproError, ValueError):
+    """A file read back by ``repro inspect`` or ``repro monitor`` is not
+    the format its reader expects (a trace, Prometheus exposition text,
+    a time-series stream)."""
+
+
+# --------------------------------------------------------------------------
 # Kubernetes
 # --------------------------------------------------------------------------
 

@@ -136,23 +136,19 @@ def _fingerprint(timeline: Tuple[Tuple[str, float], ...]) -> str:
     return h.hexdigest()[:16]
 
 
-def _counter_total(name: str) -> float:
-    """Sum of one counter family's series in the default registry."""
-    family = obs.default_registry().get(name)
-    if family is None:
-        return 0.0
-    return sum(child.value for _, child in family.samples())
-
-
-def _counter_by_label(name: str, index: int = 0) -> Dict[str, float]:
-    family = obs.default_registry().get(name)
-    if family is None:
-        return {}
+def _delta_by_label(delta: dict, name: str, index: int = 0) -> Dict[str, float]:
+    """One counter family's increase in a registry delta, by one label."""
+    children = delta["families"].get(name, {}).get("children", {})
     out: Dict[str, float] = {}
-    for labels, child in family.samples():
+    for labels, value in sorted(children.items()):
         key = labels[index] if labels else ""
-        out[key] = out.get(key, 0.0) + child.value
+        out[key] = out.get(key, 0.0) + value
     return out
+
+
+def _delta_total(delta: dict, name: str) -> int:
+    """One counter family's increase in a registry delta, over all series."""
+    return int(sum(_delta_by_label(delta, name).values()))
 
 
 def run_chaos(
@@ -184,18 +180,9 @@ def run_chaos(
             admission_shedding=True,
         )
         node = cluster.node
-        base_backoffs = _counter_total("repro_kubelet_backoffs_total")
-        base_fired = _counter_total("repro_faults_fired_total")
-        base_fallbacks = _counter_total("repro_zygote_fallbacks_total")
-        base_lost = _counter_total("repro_metrics_server_scrapes_lost_total")
-        base_shed = _counter_total("repro_kubelet_admission_rejections_total")
-        base_probe_restarts = _counter_by_label(
-            "repro_kubelet_probe_restarts_total"
-        )
+        registry = obs.default_registry()
+        base = registry.state()
         base_fired_log = len(plan.fired)
-        base_terminal = _counter_by_label("repro_kubelet_pod_syncs_total").get(
-            "failed", 0.0
-        )
         base_procs = node.env.memory.process_count()
         base_working_set = node.env.memory.node_working_set()
 
@@ -203,11 +190,12 @@ def run_chaos(
         rounds, status, replicas = cluster.converge(
             deployment_name, cluster.pod_template(config), count, max_rounds
         )
+        # Teardown runs no simulation, so these counters end here.
+        delta = registry.delta_since(base)
         running = [p for p in replicas if p.phase is PodPhase.RUNNING]
         ready = [p for p in running if p.ready]
         terminal_pods = int(
-            _counter_by_label("repro_kubelet_pod_syncs_total").get("failed", 0.0)
-            - base_terminal
+            _delta_by_label(delta, "repro_kubelet_pod_syncs_total").get("failed", 0.0)
         )
         converged = status["ready"] >= count
 
@@ -271,34 +259,32 @@ def run_chaos(
         except SimulationError as exc:
             checks.append(InvariantCheck("accounting_verifies", False, str(exc)))
 
-        d_backoffs = _counter_total("repro_kubelet_backoffs_total") - base_backoffs
+        d_backoffs = _delta_total(delta, "repro_kubelet_backoffs_total")
         checks.append(
             InvariantCheck(
                 "backoff_counter_balances",
-                int(d_backoffs) == len(backoff_spans),
-                f"counter Δ{int(d_backoffs)} == {len(backoff_spans)} "
+                d_backoffs == len(backoff_spans),
+                f"counter Δ{d_backoffs} == {len(backoff_spans)} "
                 "recovery.backoff spans",
             )
         )
-        d_fired = _counter_total("repro_faults_fired_total") - base_fired
+        d_fired = _delta_total(delta, "repro_faults_fired_total")
         fired_log = len(plan.fired) - base_fired_log
         checks.append(
             InvariantCheck(
                 "fault_counter_balances",
-                int(d_fired) == fired_log,
-                f"repro_faults_fired_total Δ{int(d_fired)} == "
+                d_fired == fired_log,
+                f"repro_faults_fired_total Δ{d_fired} == "
                 f"{fired_log} entries in the plan's fired log",
             )
         )
-        d_fallbacks = (
-            _counter_total("repro_zygote_fallbacks_total") - base_fallbacks
-        )
+        d_fallbacks = _delta_total(delta, "repro_zygote_fallbacks_total")
         corrupt_fired = plan.count(FaultPoint.ZYGOTE_CORRUPT)
         checks.append(
             InvariantCheck(
                 "zygote_fallbacks_balance",
-                int(d_fallbacks) == corrupt_fired,
-                f"fallback counter Δ{int(d_fallbacks)} == "
+                d_fallbacks == corrupt_fired,
+                f"fallback counter Δ{d_fallbacks} == "
                 f"{corrupt_fired} zygote.corrupt firings",
             )
         )
@@ -341,22 +327,20 @@ def run_chaos(
             faults_by_point=plan.summary(),
             recovery_percentiles=percentiles,
             recovery_histogram=histogram_pairs,
-            zygote_fallbacks=int(d_fallbacks),
+            zygote_fallbacks=d_fallbacks,
             cache_rebuilds=_rebuilds_by_layer(),
-            scrapes_lost=int(
-                _counter_total("repro_metrics_server_scrapes_lost_total")
-                - base_lost
+            scrapes_lost=_delta_total(
+                delta, "repro_metrics_server_scrapes_lost_total"
             ),
             probe_restarts={
-                k: int(v - base_probe_restarts.get(k, 0.0))
-                for k, v in _counter_by_label(
-                    "repro_kubelet_probe_restarts_total"
+                k: int(v)
+                for k, v in _delta_by_label(
+                    delta, "repro_kubelet_probe_restarts_total"
                 ).items()
-                if v - base_probe_restarts.get(k, 0.0) > 0
+                if v > 0
             },
-            admissions_shed=int(
-                _counter_total("repro_kubelet_admission_rejections_total")
-                - base_shed
+            admissions_shed=_delta_total(
+                delta, "repro_kubelet_admission_rejections_total"
             ),
             invariants=tuple(checks),
             timeline=timeline,

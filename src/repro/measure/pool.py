@@ -16,11 +16,12 @@ from scratch. This pool keeps **long-lived worker processes** instead:
   heuristic) and idle workers pull from the front — the classic LPT
   heuristic that keeps the makespan near the optimum without static
   sharding.
-* Each completed cell travels back with its **telemetry delta**: the
-  worker's span groups (:func:`repro.obs.span_groups_since`) and
-  registry delta (:meth:`~repro.obs.registry.MetricsRegistry.delta_since`)
-  for just that cell, so the parent can merge cells in sequential order
-  and reproduce the exact ``--jobs 1`` telemetry at any worker count.
+* With telemetry on, each completed cell travels back with what it
+  recorded, as one :class:`repro.obs.TelemetryDelta`, so the parent
+  can merge cells in sequential order and reproduce the exact
+  ``--jobs 1`` telemetry at any worker count. Workers record what the
+  parent's switches (:class:`repro.obs.TelemetrySettings`) say, as they
+  stood when the pool started.
 
 The pool is deliberately ignorant of *what* a cell is: it ships opaque
 picklable tasks to :func:`repro.measure.series.run_cell`.
@@ -35,6 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence
 
+from repro import obs
 from repro.errors import SeriesError
 
 
@@ -67,69 +69,22 @@ def prewarm_process_caches() -> None:
         pass  # pre-warming is an optimization, never a hard requirement
 
 
-@dataclass(frozen=True)
-class TelemetrySettings:
-    """Which telemetry layers a worker (or the parent) collects.
-
-    ``capture()`` snapshots the parent's ambient toggles so forked
-    workers reproduce them exactly.
-    """
-
-    metrics: bool = False
-    sampling: bool = False
-    sampling_period: float = 1.0  # timeseries.DEFAULT_PERIOD
-    profiling: bool = False
-
-    @property
-    def any(self) -> bool:
-        return self.metrics or self.sampling or self.profiling
-
-    @classmethod
-    def capture(cls) -> "TelemetrySettings":
-        from repro import obs
-        from repro.obs import profile, timeseries
-
-        return cls(
-            metrics=obs.enabled(),
-            sampling=timeseries.sampling_enabled(),
-            sampling_period=timeseries.sampling_period(),
-            profiling=profile.profiling_enabled(),
-        )
-
-    def apply(self) -> None:
-        from repro import obs
-        from repro.obs import profile, timeseries
-
-        if self.metrics:
-            obs.set_enabled(True)
-        timeseries.set_sampling(self.sampling, self.sampling_period)
-        profile.set_profiling(self.profiling)
-
-
 @dataclass
 class CellOutcome:
     """What one cell execution sends back from a worker."""
 
     index: int
     result: Any
-    span_groups: Optional[list]
-    registry_delta: Optional[dict]
-    sample_groups: Optional[list]
-    profile_delta: Optional[dict]
+    #: what the cell recorded; None with every telemetry switch off
+    telemetry: Optional[obs.TelemetryDelta]
     wall_seconds: float
 
 
-def _worker_main(
-    tasks, results, settings: TelemetrySettings = TelemetrySettings()
-) -> None:
+def _worker_main(tasks, results, settings: obs.TelemetrySettings) -> None:
     """Worker loop: pull the longest remaining task, run it, ship results."""
-    from repro import obs
-    from repro.obs import profile, timeseries
-
     settings.apply()
     from repro.measure.series import run_cell  # deferred: cheap under fork
 
-    collect = settings.any
     while True:
         item = tasks.get()
         if item is None:
@@ -137,47 +92,35 @@ def _worker_main(
         index, cell = item
         t0 = time.perf_counter()
         try:
-            if collect:
-                span_mark = obs.span_watermark()
-                registry_base = obs.default_registry().state()
-                ts_mark = timeseries.watermark()
-                prof_base = profile.state()
+            base = obs.state() if settings.any else None
             result = run_cell(cell)
             wall = time.perf_counter() - t0
-            groups = delta = ts_groups = prof_delta = None
-            if collect:
-                groups = obs.span_groups_since(span_mark)
-                delta = obs.default_registry().delta_since(registry_base)
-                ts_groups = timeseries.sample_groups_since(ts_mark)
-                prof_delta = profile.delta_since(prof_base)
-            results.put(
-                ("ok", index, result, groups, delta, ts_groups, prof_delta, wall)
-            )
+            telemetry = None if base is None else obs.delta_since(base)
+            results.put(CellOutcome(index, result, telemetry, wall))
         except BaseException as exc:  # ship the failure, keep the loop alive
             try:
                 pickle.dumps(exc)
                 payload: BaseException = exc
             except Exception:
                 payload = SeriesError(f"{type(exc).__name__}: {exc}")
-            results.put(("err", index, payload, None, None, None, None, 0.0))
+            results.put(payload)
 
 
 class WorkerPool:
     """Long-lived worker processes fed through one LPT-ordered queue."""
 
-    def __init__(
-        self, jobs: int, telemetry: TelemetrySettings = TelemetrySettings()
-    ) -> None:
+    def __init__(self, jobs: int) -> None:
         if jobs < 1:
             raise SeriesError(f"worker pool needs jobs >= 1, got {jobs}")
         prewarm_process_caches()
         ctx = _pool_context()
         self._tasks = ctx.Queue()
         self._results = ctx.Queue()
+        settings = obs.TelemetrySettings.capture()
         self._procs = [
             ctx.Process(
                 target=_worker_main,
-                args=(self._tasks, self._results, telemetry),
+                args=(self._tasks, self._results, settings),
                 daemon=True,
             )
             for _ in range(jobs)
@@ -214,21 +157,11 @@ class WorkerPool:
                         "worker pool died before completing the series"
                     )
                 continue
-            kind, index, payload, groups, delta, ts_groups, prof_delta, wall = msg
-            if kind == "err":
+            if isinstance(msg, BaseException):
                 self.close()
-                raise payload
-            outcome = CellOutcome(
-                index=index,
-                result=payload,
-                span_groups=groups,
-                registry_delta=delta,
-                sample_groups=ts_groups,
-                profile_delta=prof_delta,
-                wall_seconds=wall,
-            )
-            outcomes[index] = outcome
-            on_outcome(outcome)
+                raise msg
+            outcomes[msg.index] = msg
+            on_outcome(msg)
         return outcomes
 
     def close(self) -> None:
@@ -254,7 +187,6 @@ class WorkerPool:
 
 __all__ = [
     "CellOutcome",
-    "TelemetrySettings",
     "WorkerPool",
     "prewarm_process_caches",
 ]

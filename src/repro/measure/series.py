@@ -267,37 +267,18 @@ def execute_cells(
             finish(cell, result, time.perf_counter() - t0)
         return results, resumed
 
-    from repro.measure.pool import TelemetrySettings, WorkerPool
+    from repro.measure.pool import WorkerPool
 
-    settings = TelemetrySettings.capture()
-    with WorkerPool(workers, telemetry=settings) as pool:
+    with WorkerPool(workers) as pool:
         outcomes = pool.run(
             pending,
             costs=[_cost_estimate(store, cell) for cell in pending],
             on_outcome=lambda o: finish(pending[o.index], o.result, o.wall_seconds),
         )
-
-    if settings.any:
-        # Merge worker telemetry in sequential cell order: counters and
-        # histograms add, gauges apply last-writer-wins, span groups and
-        # time-series samples replay through fresh parent contexts (one
-        # shared context per cell label keeps counter tracks aligned with
-        # span tracks), and profiler stacks add — reproducing the exact
-        # registry, trace, TSDB, and collapsed stacks a --jobs 1 run
-        # would have built.
-        from repro.obs import profile
-
-        registry = obs.default_registry()
-        for i in range(len(pending)):
-            outcome = outcomes[i]
-            if outcome.registry_delta is not None:
-                registry.merge_delta(outcome.registry_delta)
-            if outcome.span_groups or outcome.sample_groups:
-                obs.adopt_telemetry_groups(
-                    outcome.span_groups or [], outcome.sample_groups or []
-                )
-            if outcome.profile_delta:
-                profile.merge_delta(outcome.profile_delta)
+    # Worker telemetry merges in sequential cell order, which rebuilds
+    # exactly what a --jobs 1 run records.
+    for i in range(len(pending)):
+        obs.merge_delta(outcomes[i].telemetry)
 
     return results, resumed
 

@@ -22,12 +22,22 @@ telemetry is enabled gets a sink tagging its spans with the **current
 trace context** (one per experiment/cluster, labelled by
 :func:`new_context`), so a 27-experiment campaign exports as 27 separate
 tracks instead of one interleaved soup.
+
+Hand-off: :func:`state` before a unit of work and :func:`delta_since`
+after it capture everything the work recorded (registry, trace contexts
+with their spans and time-series entries, profile stacks) as one
+picklable :class:`TelemetryDelta`; :func:`merge_delta` folds it into
+another process's telemetry. A campaign worker ships one per cell and
+the parent merges them in cell order, which rebuilds exactly what a
+``--jobs 1`` run records.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.obs import profile, timeseries
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     MetricFamily,
@@ -53,9 +63,12 @@ __all__ = [
     "context_labels",
     "span_sink",
     "tagged_spans",
-    "span_watermark",
-    "span_groups_since",
-    "adopt_telemetry_groups",
+    "TelemetrySettings",
+    "TelemetryState",
+    "TelemetryDelta",
+    "state",
+    "delta_since",
+    "merge_delta",
     "reset",
 ]
 
@@ -152,63 +165,125 @@ def tagged_spans() -> List[Tuple[int, "object"]]:
     return list(_spans)
 
 
-# -- cross-process trace merge (campaign-engine worker pools) ------------------
-#
-# A pool worker cannot share the parent's context-id counter, so worker
-# spans travel back *grouped by context label* and the parent re-numbers
-# them with its own :func:`new_context`. Replaying groups in sequential
-# cell order reproduces the exact context ids and span order a
-# ``--jobs 1`` run would have assigned, making trace exports byte-stable
-# across ``--jobs N``.
+# -- switches -------------------------------------------------------------------
 
 
-def span_watermark() -> int:
-    """Marker into the global span log (pair with :func:`span_groups_since`)."""
-    return len(_spans)
+@dataclass(frozen=True)
+class TelemetrySettings:
+    """The telemetry switches: what components built from now on record.
 
-
-def span_groups_since(mark: int) -> List[Tuple[str, List[object]]]:
-    """Spans recorded after ``mark``, grouped by context label.
-
-    Groups are ordered by first appearance, spans within a group in
-    record order — the shape :func:`adopt_telemetry_groups` replays.
+    :meth:`capture` reads this process's switches and :meth:`apply` sets
+    them in another, so a pool worker records what its parent would.
     """
-    groups: List[Tuple[str, List[object]]] = []
-    index: Dict[int, int] = {}
-    for cid, span in _spans[mark:]:
-        pos = index.get(cid)
-        if pos is None:
-            index[cid] = len(groups)
-            groups.append((_contexts.get(cid, "default"), [span]))
-        else:
-            groups[pos][1].append(span)
-    return groups
+
+    metrics: bool = False
+    sampling: bool = False
+    sampling_period: float = timeseries.DEFAULT_PERIOD
+    profiling: bool = False
+
+    @property
+    def any(self) -> bool:
+        return self.metrics or self.sampling or self.profiling
+
+    @classmethod
+    def capture(cls) -> "TelemetrySettings":
+        return cls(
+            metrics=_enabled,
+            sampling=timeseries.sampling_enabled(),
+            sampling_period=timeseries.sampling_period(),
+            profiling=profile.profiling_enabled(),
+        )
+
+    def apply(self) -> None:
+        if self.metrics:
+            set_enabled(True)
+        timeseries.set_sampling(self.sampling, self.sampling_period)
+        profile.set_profiling(self.profiling)
 
 
-def adopt_telemetry_groups(
-    span_groups: Sequence[Tuple[str, Sequence[object]]],
-    sample_groups: Sequence[Tuple[str, Sequence[object]]] = (),
-) -> None:
-    """Replay a worker cell's spans *and* time-series entries jointly.
+# -- hand-off between processes (campaign-engine worker pools) ------------------
 
-    Context ids must line up across both logs (a Chrome counter track's
-    pid is its span process track), so labels open one context each —
-    in first-appearance order across span groups, then sample groups —
-    and both logs adopt under the shared numbering.
+
+class TelemetryState(NamedTuple):
+    """Where every telemetry log stood before a unit of work (:func:`state`)."""
+
+    registry: dict
+    contexts: int
+    spans: int
+    entries: int
+    stacks: profile.Stacks
+
+
+class TelemetryDelta(NamedTuple):
+    """What a unit of work recorded (:func:`delta_since`).
+
+    ``contexts`` holds the labels of the trace contexts the work opened,
+    in opening order. ``spans`` and ``entries`` (time-series log entries)
+    are in record order, each tagged with the 1-based position of its
+    context in ``contexts``, or 0 for a context that was open before the
+    work: :func:`merge_delta` tags those with the context current where
+    it merges, which is the one a sequential run had current.
     """
-    from repro.obs import timeseries
 
-    cids: Dict[str, int] = {}
-    for label, _ in list(span_groups) + list(sample_groups):
-        if label not in cids:
-            cids[label] = new_context(label)
-    for label, spans in span_groups:
-        cid = cids[label]
-        for span in spans:
-            _spans.append((cid, span))
+    registry: dict
+    contexts: List[str]
+    spans: List[Tuple[int, object]]
+    entries: List[Tuple[int, timeseries.Entry]]
+    stacks: profile.Stacks
+
+
+def state() -> TelemetryState:
+    """Snapshot every telemetry log; pair with :func:`delta_since`."""
+    return TelemetryState(
+        _registry.state(),
+        len(_contexts),
+        len(_spans),
+        len(timeseries.default_db()._log),
+        dict(profile._profiler.stacks),
+    )
+
+
+def delta_since(base: TelemetryState) -> TelemetryDelta:
+    """Everything recorded since ``base``, as one picklable object."""
+    opened = base.contexts
+
+    def local(cid: int) -> int:
+        return cid - opened if cid > opened else 0
+
+    stacks = profile._profiler.stacks
+    return TelemetryDelta(
+        _registry.delta_since(base.registry),
+        [_contexts[cid] for cid in range(opened + 1, len(_contexts) + 1)],
+        [(local(cid), span) for cid, span in _spans[base.spans:]],
+        [
+            (local(cid), entry)
+            for cid, entry in timeseries.default_db()._log[base.entries:]
+        ],
+        {
+            key: n - base.stacks.get(key, 0)
+            for key, n in stacks.items()
+            if n != base.stacks.get(key, 0)
+        },
+    )
+
+
+def merge_delta(delta: Optional[TelemetryDelta]) -> None:
+    """Fold a :func:`delta_since` result into this process's telemetry.
+
+    The delta's contexts open here, in their order, so merging the
+    deltas of a campaign's cells in cell order numbers contexts, and
+    orders spans, entries and registry values, exactly as one process
+    running the cells in that order would. ``None`` is a no-op.
+    """
+    if delta is None:
+        return
+    _registry.merge_delta(delta.registry)
+    cids = [_current_context] + [new_context(label) for label in delta.contexts]
+    _spans.extend((cids[k], span) for k, span in delta.spans)
     db = timeseries.default_db()
-    for label, entries in sample_groups:
-        db.adopt(cids[label], entries)
+    for k, (kind, name, labels, ts, value) in delta.entries:
+        db.append(kind, name, labels, ts, value, cid=cids[k])
+    profile._profiler.merge(delta.stacks)
 
 
 def reset() -> None:
@@ -220,8 +295,6 @@ def reset() -> None:
     samples and profile stacks clear along with the spans they tag.
     """
     global _current_context
-    from repro.obs import profile, timeseries
-
     _registry.reset()
     _contexts.clear()
     _spans.clear()

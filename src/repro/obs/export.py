@@ -28,6 +28,7 @@ import re
 from collections import defaultdict
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.errors import FormatError
 from repro.obs.registry import (
     CounterChild,
     GaugeChild,
@@ -108,8 +109,8 @@ def parse_prometheus_text(text: str) -> Dict[str, dict]:
 
     Returns ``{family: {"help": str, "type": str, "samples":
     {(sample_name, ((label, value), ...)): float}}}`` and raises
-    :class:`ValueError` on any malformed line, duplicate sample, or
-    sample without a preceding ``# TYPE``.
+    :class:`~repro.errors.FormatError` on any malformed line, duplicate
+    sample, or sample without a preceding ``# TYPE``.
     """
     families: Dict[str, dict] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -124,7 +125,7 @@ def parse_prometheus_text(text: str) -> Dict[str, dict]:
         if line.startswith("# TYPE "):
             parts = line[len("# TYPE ") :].split(" ", 1)
             if len(parts) != 2 or parts[1] not in ("counter", "gauge", "histogram"):
-                raise ValueError(f"line {lineno}: bad TYPE line {line!r}")
+                raise FormatError(f"line {lineno}: bad TYPE line {line!r}")
             families.setdefault(parts[0], {"help": "", "type": None, "samples": {}})[
                 "type"
             ] = parts[1]
@@ -133,23 +134,23 @@ def parse_prometheus_text(text: str) -> Dict[str, dict]:
             continue
         m = _SAMPLE_RE.match(line)
         if m is None:
-            raise ValueError(f"line {lineno}: malformed sample {line!r}")
+            raise FormatError(f"line {lineno}: malformed sample {line!r}")
         sample_name = m.group("name")
         family_name = re.sub(r"_(bucket|sum|count)$", "", sample_name)
         family = families.get(sample_name) or families.get(family_name)
         if family is None or family["type"] is None:
-            raise ValueError(f"line {lineno}: sample {sample_name!r} has no # TYPE")
+            raise FormatError(f"line {lineno}: sample {sample_name!r} has no # TYPE")
         raw_labels = m.group("labels") or ""
         labels = tuple(
             (name, _unescape_label(value)) for name, value in _LABEL_RE.findall(raw_labels)
         )
         if raw_labels and not labels and raw_labels.strip():
-            raise ValueError(f"line {lineno}: malformed labels {raw_labels!r}")
+            raise FormatError(f"line {lineno}: malformed labels {raw_labels!r}")
         value_str = m.group("value")
         value = float("nan") if value_str == "NaN" else float(value_str.replace("Inf", "inf"))
         key = (sample_name, labels)
         if key in family["samples"]:
-            raise ValueError(f"line {lineno}: duplicate sample {key!r}")
+            raise FormatError(f"line {lineno}: duplicate sample {key!r}")
         family["samples"][key] = value
     return families
 
@@ -345,49 +346,57 @@ def validate_chrome_trace(obj: object) -> int:
     """Assert trace-event schema; returns the number of complete events.
 
     Checks what Perfetto/``chrome://tracing`` require to load the file:
-    a ``traceEvents`` list whose entries carry a phase, and whose "X"
-    events have numeric ``ts``/``dur`` and integer ``pid``/``tid``.
+    a ``traceEvents`` list whose entries carry a phase, whose "X"
+    events have numeric ``ts``/``dur`` and integer ``pid``/``tid``, and
+    whose "M" events have a name, an integer ``pid`` and ``args``.
+    Raises :class:`~repro.errors.FormatError` otherwise.
     """
     if not isinstance(obj, dict) or not isinstance(obj.get("traceEvents"), list):
-        raise ValueError("not a Chrome trace: missing traceEvents list")
+        raise FormatError("not a Chrome trace: missing traceEvents list")
     complete = 0
     for i, event in enumerate(obj["traceEvents"]):
         if not isinstance(event, dict) or "ph" not in event:
-            raise ValueError(f"traceEvents[{i}]: not an event object")
+            raise FormatError(f"traceEvents[{i}]: not an event object")
         ph = event["ph"]
         if ph == "X":
             for field in ("name", "cat"):
                 if not isinstance(event.get(field), str):
-                    raise ValueError(f"traceEvents[{i}]: missing {field!r}")
+                    raise FormatError(f"traceEvents[{i}]: missing {field!r}")
             for field in ("ts", "dur"):
                 value = event.get(field)
                 if not isinstance(value, (int, float)) or not math.isfinite(value):
-                    raise ValueError(f"traceEvents[{i}]: bad {field!r}: {value!r}")
+                    raise FormatError(f"traceEvents[{i}]: bad {field!r}: {value!r}")
             if event["dur"] < 0:
-                raise ValueError(f"traceEvents[{i}]: negative dur")
+                raise FormatError(f"traceEvents[{i}]: negative dur")
             for field in ("pid", "tid"):
                 if not isinstance(event.get(field), int):
-                    raise ValueError(f"traceEvents[{i}]: bad {field!r}")
+                    raise FormatError(f"traceEvents[{i}]: bad {field!r}")
             complete += 1
         elif ph == "M":
-            if not isinstance(event.get("args"), dict):
-                raise ValueError(f"traceEvents[{i}]: metadata event without args")
+            if not (
+                isinstance(event.get("name"), str)
+                and isinstance(event.get("pid"), int)
+                and isinstance(event.get("args"), dict)
+            ):
+                raise FormatError(
+                    f"traceEvents[{i}]: metadata event without name, pid or args"
+                )
         elif ph == "C":
             ts = event.get("ts")
             if not isinstance(ts, (int, float)) or not math.isfinite(ts):
-                raise ValueError(f"traceEvents[{i}]: bad counter ts: {ts!r}")
+                raise FormatError(f"traceEvents[{i}]: bad counter ts: {ts!r}")
             if not isinstance(event.get("pid"), int):
-                raise ValueError(f"traceEvents[{i}]: bad counter pid")
+                raise FormatError(f"traceEvents[{i}]: bad counter pid")
             args = event.get("args")
             if not isinstance(args, dict) or not args:
-                raise ValueError(f"traceEvents[{i}]: counter event without args")
+                raise FormatError(f"traceEvents[{i}]: counter event without args")
             for key, value in args.items():
                 if not isinstance(value, (int, float)) or not math.isfinite(value):
-                    raise ValueError(
+                    raise FormatError(
                         f"traceEvents[{i}]: non-numeric counter value {key}={value!r}"
                     )
         else:
-            raise ValueError(f"traceEvents[{i}]: unexpected phase {ph!r}")
+            raise FormatError(f"traceEvents[{i}]: unexpected phase {ph!r}")
     return complete
 
 
@@ -427,7 +436,8 @@ def jsonl_events(
 def load_trace_events(path: pathlib.Path) -> List[dict]:
     """Read a Chrome trace JSON or JSONL file into normalized records.
 
-    Records: ``{"category", "name", "ctx", "ts_s", "dur_s"}``.
+    Records: ``{"category", "name", "ctx", "ts_s", "dur_s"}``. A file
+    that is neither format raises :class:`~repro.errors.FormatError`.
     """
     text = pathlib.Path(path).read_text()
     records: List[dict] = []
@@ -462,7 +472,19 @@ def load_trace_events(path: pathlib.Path) -> List[dict]:
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        row = json.loads(line)
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"line {lineno}: not JSON: {exc}") from None
+        if not (
+            isinstance(row, dict)
+            and all(isinstance(row.get(f), str) for f in ("category", "name"))
+            and all(isinstance(row.get(f), (int, float)) for f in ("ts", "dur"))
+        ):
+            raise FormatError(
+                f"line {lineno}: not a trace event "
+                "(needs string category and name, numeric ts and dur)"
+            )
         records.append(
             {
                 "category": row["category"],
@@ -585,9 +607,9 @@ def timeseries_jsonl(
 def parse_timeseries_jsonl(text: str) -> List[dict]:
     """Strict checker for the ``--timeseries-out`` JSONL stream.
 
-    Raises :class:`ValueError` on malformed lines, missing fields,
-    non-finite numbers, unknown kinds, or per-context timestamp
-    regressions (samples must be monotonic within a context).
+    Raises :class:`~repro.errors.FormatError` on malformed lines,
+    missing fields, non-finite numbers, unknown kinds, or per-context
+    timestamp regressions (samples must be monotonic within a context).
     """
     records: List[dict] = []
     last_ts: Dict[str, float] = {}
@@ -597,27 +619,27 @@ def parse_timeseries_jsonl(text: str) -> List[dict]:
         try:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: not JSON: {exc}") from None
+            raise FormatError(f"line {lineno}: not JSON: {exc}") from None
         if not isinstance(row, dict):
-            raise ValueError(f"line {lineno}: not an object")
+            raise FormatError(f"line {lineno}: not an object")
         kind = row.get("kind")
         if kind == "sample":
             required = ("name", "labels", "ts", "value", "ctx")
         elif kind == "alert":
             required = ("alert", "from", "to", "severity", "ts", "value", "ctx")
         else:
-            raise ValueError(f"line {lineno}: unknown kind {kind!r}")
+            raise FormatError(f"line {lineno}: unknown kind {kind!r}")
         for field in required:
             if field not in row:
-                raise ValueError(f"line {lineno}: missing {field!r}")
+                raise FormatError(f"line {lineno}: missing {field!r}")
         for field in ("ts", "value"):
             if not isinstance(row[field], (int, float)) or not math.isfinite(row[field]):
-                raise ValueError(f"line {lineno}: bad {field!r}: {row[field]!r}")
+                raise FormatError(f"line {lineno}: bad {field!r}: {row[field]!r}")
         if kind == "sample" and not isinstance(row["labels"], dict):
-            raise ValueError(f"line {lineno}: labels must be an object")
+            raise FormatError(f"line {lineno}: labels must be an object")
         ctx = row["ctx"]
         if row["ts"] < last_ts.get(ctx, float("-inf")):
-            raise ValueError(
+            raise FormatError(
                 f"line {lineno}: timestamp regression in context {ctx!r}"
             )
         last_ts[ctx] = row["ts"]

@@ -73,24 +73,6 @@ def active_profiler() -> Optional[FunctionProfiler]:
     return _profiler if _profiling else None
 
 
-def state() -> Stacks:
-    """Picklable snapshot (worker-pool baseline)."""
-    return dict(_profiler.stacks)
-
-
-def delta_since(base: Stacks) -> Stacks:
-    return {
-        key: n - base.get(key, 0)
-        for key, n in _profiler.stacks.items()
-        if n != base.get(key, 0)
-    }
-
-
-def merge_delta(delta: Optional[Stacks]) -> None:
-    if delta:
-        _profiler.merge(delta)
-
-
 def collapsed() -> str:
     """Flamegraph/speedscope collapsed-stack text, sorted, one per line."""
     lines = [
@@ -180,9 +162,6 @@ __all__ = [
     "set_profiling",
     "profiling_enabled",
     "active_profiler",
-    "state",
-    "delta_since",
-    "merge_delta",
     "collapsed",
     "reset",
     "WASI_BASE_COST_NS",

@@ -91,39 +91,45 @@ class CounterChild(_Child):
 
 
 class GaugeChild(_Child):
-    __slots__ = ("value",)
+    __slots__ = ("value", "writes")
 
     def __init__(self, family: "MetricFamily") -> None:
         super().__init__(family)
         self.value = 0.0
+        #: sets and increments so far: a delta carries the gauge when
+        #: the work wrote it, even back to the value it had before
+        self.writes = 0
 
     def set(self, value: float) -> None:
         self.value = value
+        self.writes += 1
         self._family.registry.events += 1
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
+        self.writes += 1
         self._family.registry.events += 1
 
     def reset(self) -> None:
         self.value = 0.0
+        self.writes = 0
 
 
-#: Fixed-point grid (nano-units) for the histogram's exact shadow sum.
-#: Integer accumulation is associative, so a baseline subtraction over
-#: ``sum_units`` is independent of whatever the child accumulated
-#: before — which the time-series sampler needs for ``--jobs N``
-#: byte-identity (float ``sum`` drifts by ulps per accumulation order).
+#: Fixed-point grid (nano-units) a histogram child sums observations
+#: on. Integer addition is associative, so a sum is independent of the
+#: order it was accumulated in: a baseline subtraction (the time-series
+#: sampler's per-cell ``_sum``) or a worker delta merged in cell order
+#: (``--jobs N``) gives the exact total a sequential run holds, where a
+#: float sum would drift by ulps with the accumulation order.
 SUM_UNITS_PER = 10**9
 
 
 class HistogramChild(_Child):
-    __slots__ = ("bucket_counts", "sum", "count", "sum_units")
+    __slots__ = ("bucket_counts", "count", "sum_units")
 
     def __init__(self, family: "MetricFamily") -> None:
         super().__init__(family)
         self.bucket_counts = [0] * len(family.buckets)
-        self.sum = 0.0
         self.count = 0
         self.sum_units = 0
 
@@ -133,10 +139,14 @@ class HistogramChild(_Child):
             if value <= upper:
                 self.bucket_counts[i] += 1
                 break
-        self.sum += value
         self.sum_units += int(round(value * SUM_UNITS_PER))
         self.count += 1
         self._family.registry.events += 1
+
+    @property
+    def sum(self) -> float:
+        """Sum of the observations (each rounded to a nano-unit)."""
+        return self.sum_units / SUM_UNITS_PER
 
     def cumulative_buckets(self) -> List[int]:
         """Cumulative per-``le`` counts, Prometheus exposition style."""
@@ -148,7 +158,6 @@ class HistogramChild(_Child):
 
     def reset(self) -> None:
         self.bucket_counts = [0] * len(self._family.buckets)
-        self.sum = 0.0
         self.count = 0
         self.sum_units = 0
 
@@ -317,93 +326,77 @@ class MetricsRegistry:
     # -- mergeable state (campaign-engine worker pools) --------------------
 
     def state(self) -> dict:
-        """Picklable snapshot of every family's values.
+        """Picklable snapshot of every family's children.
 
-        The shape round-trips through :meth:`delta_since` /
-        :meth:`merge_delta`: a worker snapshots before running a cell,
-        computes the delta after, and ships the delta back; the parent
-        merges deltas in caller cell order, which reproduces the exact
-        totals a sequential (``--jobs 1``) run would have produced.
+        A counter child snapshots its value, a gauge ``(value, writes)``
+        and a histogram ``(bucket counts, count, sum_units)``. The shape
+        round-trips through :meth:`delta_since` / :meth:`merge_delta`:
+        snapshot before a unit of work, take the delta after it, and
+        merge the deltas of several units in their sequential order to
+        get the registry one process running them in that order holds.
+        :func:`repro.obs.state` takes this snapshot with the rest of the
+        telemetry.
         """
         families = {}
         for name, family in self._families.items():
-            children = {}
-            for key, child in family._children.items():
-                if family.kind == "histogram":
-                    children[key] = (
-                        tuple(child.bucket_counts),  # type: ignore[union-attr]
-                        child.sum,  # type: ignore[union-attr]
-                        child.count,  # type: ignore[union-attr]
-                        child.sum_units,  # type: ignore[union-attr]
-                    )
-                else:
-                    children[key] = child.value  # type: ignore[union-attr]
-            families[name] = {
-                "kind": family.kind,
-                "help": family.help,
-                "labelnames": family.labelnames,
-                "buckets": family.buckets,
-                "children": children,
+            children = {
+                key: _child_state(family.kind, child)
+                for key, child in family._children.items()
             }
+            families[name] = _family_spec(family, children)
         return {"events": self.events, "families": families}
 
     def delta_since(self, base: dict) -> dict:
-        """Difference between the current state and a prior :meth:`state`.
+        """What the registry recorded since a prior :meth:`state`.
 
-        Counters and histograms subtract (they only grow); gauges carry
-        their final value plus a *touched* marker so a merge applies
-        last-writer-wins set semantics. Families and children that did
-        not change are included anyway when newly registered, so merging
-        a delta also propagates registrations (a family a worker created
-        must exist in the parent's export even if every value is zero).
+        Counters and histograms subtract (they only grow); a gauge the
+        work wrote carries its final value and write count, whatever
+        that value is. Families and children that did not change are
+        included anyway when newly registered, so merging a delta also
+        propagates registrations (a family a worker created must exist
+        in the parent's export even if every value is zero).
         """
         base_families = base.get("families", {})
         families = {}
         for name, family in self._families.items():
             base_children = base_families.get(name, {}).get("children", {})
-            is_new_family = name not in base_families
             children = {}
             for key, child in family._children.items():
-                if family.kind == "histogram":
-                    prev = base_children.get(
-                        key, ((0,) * len(family.buckets), 0.0, 0, 0)
-                    )
-                    dbuckets = tuple(
-                        n - p
-                        for n, p in zip(child.bucket_counts, prev[0])  # type: ignore[union-attr]
-                    )
-                    dsum = child.sum - prev[1]  # type: ignore[union-attr]
-                    dcount = child.count - prev[2]  # type: ignore[union-attr]
-                    dunits = child.sum_units - prev[3]  # type: ignore[union-attr]
-                    if dcount or dsum or key not in base_children:
-                        children[key] = (dbuckets, dsum, dcount, dunits)
-                elif family.kind == "counter":
+                new = key not in base_children
+                if family.kind == "counter":
                     dv = child.value - base_children.get(key, 0.0)  # type: ignore[union-attr]
-                    if dv or key not in base_children:
+                    if dv or new:
                         children[key] = dv
-                else:  # gauge: final value + touched marker
-                    value = child.value  # type: ignore[union-attr]
-                    if key not in base_children or value != base_children[key]:
-                        children[key] = value
-            if children or is_new_family:
-                families[name] = {
-                    "kind": family.kind,
-                    "help": family.help,
-                    "labelnames": family.labelnames,
-                    "buckets": family.buckets,
-                    "children": children,
-                }
+                elif family.kind == "gauge":
+                    prev_writes = 0 if new else base_children[key][1]
+                    dwrites = child.writes - prev_writes  # type: ignore[union-attr]
+                    if dwrites or new:
+                        children[key] = (child.value, dwrites)  # type: ignore[union-attr]
+                else:
+                    b0, c0, u0 = base_children.get(
+                        key, ((0,) * len(family.buckets), 0, 0)
+                    )
+                    dcount = child.count - c0  # type: ignore[union-attr]
+                    if dcount or new:
+                        children[key] = (
+                            tuple(
+                                n - p
+                                for n, p in zip(child.bucket_counts, b0)  # type: ignore[union-attr]
+                            ),
+                            dcount,
+                            child.sum_units - u0,  # type: ignore[union-attr]
+                        )
+            if children or name not in base_families:
+                families[name] = _family_spec(family, children)
         return {"events": self.events - base.get("events", 0), "families": families}
 
     def merge_delta(self, delta: dict) -> None:
         """Fold a :meth:`delta_since` result into this registry.
 
-        Counter/histogram deltas add; gauge entries set. Applying the
-        per-cell deltas of a run in the sequential cell order yields the
-        exact registry a ``--jobs 1`` run would have built.
-
-        ``None``/empty deltas are no-ops: a pool worker ships ``None``
-        for any telemetry channel that is off.
+        Counter and histogram deltas add; a gauge the work wrote takes
+        its final value. Applying the per-cell deltas of a run in the
+        sequential cell order yields the exact registry a ``--jobs 1``
+        run would have built. ``None`` and empty deltas are no-ops.
         """
         if not delta:
             return
@@ -417,15 +410,35 @@ class MetricsRegistry:
                 )
             for key, payload in spec["children"].items():
                 child = family.labels(*key)
-                if spec["kind"] == "histogram":
-                    dbuckets, dsum, dcount, dunits = payload
+                if spec["kind"] == "counter":
+                    child.value += payload  # type: ignore[union-attr]
+                elif spec["kind"] == "gauge":
+                    value, writes = payload
+                    if writes:
+                        child.value = value  # type: ignore[union-attr]
+                        child.writes += writes  # type: ignore[union-attr]
+                else:
+                    dbuckets, dcount, dunits = payload
                     for i, n in enumerate(dbuckets):
                         child.bucket_counts[i] += n  # type: ignore[union-attr]
-                    child.sum += dsum  # type: ignore[union-attr]
                     child.count += dcount  # type: ignore[union-attr]
                     child.sum_units += dunits  # type: ignore[union-attr]
-                elif spec["kind"] == "counter":
-                    child.value += payload  # type: ignore[union-attr]
-                else:
-                    child.value = payload  # type: ignore[union-attr]
         self.events += delta.get("events", 0)
+
+
+def _child_state(kind: str, child: _Child):
+    if kind == "counter":
+        return child.value  # type: ignore[union-attr]
+    if kind == "gauge":
+        return (child.value, child.writes)  # type: ignore[union-attr]
+    return (tuple(child.bucket_counts), child.count, child.sum_units)  # type: ignore[union-attr]
+
+
+def _family_spec(family: MetricFamily, children: dict) -> dict:
+    return {
+        "kind": family.kind,
+        "help": family.help,
+        "labelnames": family.labelnames,
+        "buckets": family.buckets,
+        "children": children,
+    }

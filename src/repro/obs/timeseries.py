@@ -20,10 +20,11 @@ not on how dense the events are.
 
 Everything here runs on *simulated* time, so a campaign's series are
 deterministic: the same seed produces the same samples at the same
-timestamps, byte for byte, at any ``--jobs N``.  The worker-pool merge
-protocol mirrors the span one in ``repro.obs`` — workers ship
-``sample_groups_since(mark)`` and the parent folds them with
-:func:`adopt` in sequential cell order.
+timestamps, byte for byte, at any ``--jobs N``.  A worker's entries
+reach the parent with the rest of its telemetry: ``repro.obs.delta_since``
+takes the entries a cell appended, tagged by the trace context they
+belong to, and ``repro.obs.merge_delta`` appends them to the parent's
+log in cell order.
 
 Determinism contract
 --------------------
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
 )
 
 from repro.errors import SimulationError
@@ -220,29 +221,6 @@ class TimeSeriesDB:
             return None
         return stats.histogram_quantile(uppers, counts, total, q)
 
-    # -- merge protocol (mirrors obs span groups) -----------------------------
-
-    def watermark(self) -> int:
-        return len(self._log)
-
-    def sample_groups_since(self, mark: int) -> List[Tuple[str, List[Entry]]]:
-        """New entries grouped by context label, first-appearance order."""
-        from repro import obs
-
-        groups: Dict[int, List[Entry]] = {}
-        order: List[int] = []
-        for cid, entry in self._log[mark:]:
-            if cid not in groups:
-                groups[cid] = []
-                order.append(cid)
-            groups[cid].append(entry)
-        labels = dict(obs.context_labels())
-        return [(labels.get(cid, "default"), groups[cid]) for cid in order]
-
-    def adopt(self, cid: int, entries: Iterable[Entry]) -> None:
-        for entry in entries:
-            self.append(entry[0], entry[1], entry[2], entry[3], entry[4], cid=cid)
-
     # -- export views ---------------------------------------------------------
 
     def tagged_entries(self) -> List[Tuple[int, Entry]]:
@@ -359,12 +337,9 @@ class Sampler:
                         le = "+Inf" if upper == math.inf else _fmt(upper)
                         rows.append((family.name + "_bucket",
                                      key + (("le", le),), value - base))
-                    # The float ``sum`` accumulation drifts by ulps with
-                    # the order of prior observations, so a float delta
-                    # would depend on what the child accumulated before
-                    # this cell. The fixed-point shadow ``sum_units``
-                    # subtracts exactly — the emitted value is a pure
-                    # function of this cell's own observations.
+                    # ``sum_units`` is fixed-point, so the difference is
+                    # exact: a pure function of this cell's observations,
+                    # whatever the child accumulated before it.
                     rows.append((
                         family.name + "_sum", key,
                         float(f"{(child.sum_units - u0) / SUM_UNITS_PER:.12g}"),
@@ -421,14 +396,6 @@ def default_db() -> TimeSeriesDB:
     return _db
 
 
-def watermark() -> int:
-    return _db.watermark()
-
-
-def sample_groups_since(mark: int):
-    return _db.sample_groups_since(mark)
-
-
 def clear() -> None:
     _db.clear()
 
@@ -454,8 +421,6 @@ __all__ = [
     "sampling_enabled",
     "sampling_period",
     "default_db",
-    "watermark",
-    "sample_groups_since",
     "clear",
     "counter_track_samples",
 ]

@@ -141,11 +141,6 @@ class FaultPlan:
             "repro_faults_checks_total",
             "armed injection-point checks performed",
         )
-        self._m_injected = obs.counter(
-            "repro_faults_injected_total",
-            "faults actually fired, by injection point",
-            ("point",),
-        )
         # Registered always=True: the chaos campaign's counter-balance
         # invariants consume these functionally, telemetry on or off.
         self._m_fired = obs.counter(
@@ -213,7 +208,6 @@ class FaultPlan:
         )
         self._fired_per_point[point] = used + 1
         self._fired.append(fault)
-        self._m_injected.labels(point.value).inc()
         self._m_fired.labels(
             point.value, "transient" if spec.transient else "permanent"
         ).inc()

@@ -142,14 +142,15 @@ class TestMeasurementCache:
 
 
 class TestTelemetryMerge:
-    """--trace-out/--metrics-out work at any --jobs N (satellite fix).
+    """--trace-out/--metrics-out work at any --jobs N.
 
-    Workers ship per-cell registry deltas and span groups; the parent
-    merges them in sequential cell order. Simulation-driven counters and
-    the trace export must be byte-identical to a --jobs 1 run. Families
-    that track *process* state — engine-cache hit/miss stats,
-    specialization/zygote warmth counters — are excluded: they differ
-    even between two successive --jobs 1 runs in one process.
+    Workers ship one telemetry delta per cell; the parent merges them in
+    sequential cell order. Every simulation-driven family (counters,
+    gauges and histograms) and the trace export must be identical to a
+    --jobs 1 run. Families that track *process* state — engine-cache
+    hit/miss stats, specialization/zygote warmth counters — are
+    excluded: they differ even between two successive --jobs 1 runs in
+    one process. So are the families that time the host's wall clock.
     """
 
     WARMTH_PREFIXES = ("repro_engine_cache", "repro_specialize", "repro_zygote")
@@ -165,15 +166,22 @@ class TestTelemetryMerge:
         obs.reset()
         obs.set_enabled(was)
 
-    def _deterministic_counters(self, obs):
+    def _deterministic_families(self, obs):
+        from repro.obs.timeseries import WALLCLOCK_FAMILIES
+
         out = {}
         for family in obs.default_registry().collect():
-            if family.kind != "counter":
-                continue
             if family.name.startswith(self.WARMTH_PREFIXES):
                 continue
+            if family.name in WALLCLOCK_FAMILIES:
+                continue
             out[family.name] = {
-                labels: child.value for labels, child in family.samples()
+                labels: (
+                    (tuple(child.bucket_counts), child.count, child.sum)
+                    if family.kind == "histogram"
+                    else child.value
+                )
+                for labels, child in family.samples()
             }
         return out
 
@@ -184,23 +192,23 @@ class TestTelemetryMerge:
 
         obs = telemetry
         seq = measure_pairs(PAIRS, seed=1, jobs=1, cache=None)
-        seq_counters = self._deterministic_counters(obs)
+        seq_families = self._deterministic_families(obs)
         seq_trace = json.dumps(
             chrome_trace(obs.tagged_spans(), obs.context_labels()), sort_keys=True
         )
         seq_contexts = obs.context_labels()
-        assert seq_counters, "sequential run recorded no counters"
+        assert seq_families, "sequential run recorded no metrics"
 
         obs.reset()
         par = measure_pairs(PAIRS, seed=1, jobs=2, cache=None)
-        par_counters = self._deterministic_counters(obs)
+        par_families = self._deterministic_families(obs)
         par_trace = json.dumps(
             chrome_trace(obs.tagged_spans(), obs.context_labels()), sort_keys=True
         )
 
         assert par == seq
         assert obs.context_labels() == seq_contexts
-        assert par_counters == seq_counters
+        assert par_families == seq_families
         assert par_trace == seq_trace
 
     def test_registry_families_survive_merge(self, telemetry):

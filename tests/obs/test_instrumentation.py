@@ -73,7 +73,7 @@ class TestMetricsCoverage:
             "repro_wasm_instructions_total",
             "repro_wasi_calls_total",
             "repro_faults_checks_total",
-            "repro_faults_injected_total",
+            "repro_faults_fired_total",
         ):
             assert reg.get(name) is not None, name
 

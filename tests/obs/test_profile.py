@@ -54,20 +54,19 @@ class TestFunctionProfiler:
         p2.merge(left)
         assert p1.stacks == p2.stacks == {("a",): 6, ("a", "b"): 2, ("c",): 4}
 
-    def test_delta_since_skips_unchanged_stacks(self):
-        profile.reset()
+    def test_delta_since_skips_unchanged_stacks(self, telemetry):
         prof = profile._profiler
         prof.merge({("warm",): 5})
-        base = profile.state()
+        base = telemetry.state()
         prof.merge({("warm",): 0, ("fresh",): 3})
-        try:
-            assert profile.delta_since(base) == {("fresh",): 3}
-        finally:
-            profile.reset()
+        delta = telemetry.delta_since(base)
+        assert delta.stacks == {("fresh",): 3}
+        telemetry.merge_delta(delta)
+        assert prof.stacks == {("warm",): 5, ("fresh",): 6}
 
     def test_collapsed_sorted_with_zero_suppression(self):
         profile.reset()
-        profile.merge_delta({("b",): 2, ("a", "x"): 1, ("zero",): 0})
+        profile._profiler.merge({("b",): 2, ("a", "x"): 1, ("zero",): 0})
         try:
             assert profile.collapsed() == "a;x 1\nb 2\n"
         finally:

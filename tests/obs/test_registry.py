@@ -220,3 +220,23 @@ class TestModuleApi:
         telemetry.reset()
         assert telemetry.current_context() == 0
         assert telemetry.context_labels() == {}
+
+    def test_delta_contexts_open_where_it_merges(self, telemetry):
+        telemetry.new_context("before")
+        before = telemetry.span_sink()
+        base = telemetry.state()
+        before("stray")
+        telemetry.new_context("cell a")
+        telemetry.span_sink()("a1")
+        telemetry.new_context("cell b")
+        telemetry.span_sink()("b1")
+        delta = telemetry.delta_since(base)
+        assert delta.contexts == ["cell a", "cell b"]
+        assert delta.spans == [(0, "stray"), (1, "a1"), (2, "b1")]
+
+        telemetry.reset()
+        telemetry.new_context("parent")
+        telemetry.merge_delta(delta)
+        assert telemetry.context_labels() == {1: "parent", 2: "cell a", 3: "cell b"}
+        assert telemetry.tagged_spans() == [(1, "stray"), (2, "a1"), (3, "b1")]
+        assert telemetry.current_context() == 3

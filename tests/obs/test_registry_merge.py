@@ -7,12 +7,18 @@ These tests pin the protocol's algebra without running any simulation.
 """
 
 import pickle
+import random
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.obs.export import prometheus_text
 from repro.obs.registry import MetricsRegistry
+
+
+_rng = random.Random(1)
+#: the observations the persistent-worker cells split between them
+VALUES = [_rng.random() for _ in range(900)]
 
 
 def _workload_a(reg):
@@ -46,8 +52,8 @@ class TestDeltaAlgebra:
         children = delta["families"]["tasks_total"]["children"]
         assert children[("deploy",)] == 2  # 5 total minus 3 at snapshot
         assert children[("chaos",)] == 1
-        buckets, dsum, dcount, dunits = delta["families"]["lat_seconds"]["children"][()]
-        assert dcount == 1 and dsum == 5.0 and dunits == 5_000_000_000
+        buckets, dcount, dunits = delta["families"]["lat_seconds"]["children"][()]
+        assert dcount == 1 and dunits == 5_000_000_000
         assert buckets == (0, 0)  # 5.0 overflows every finite bucket
 
     def test_new_family_registration_propagates_even_when_zero(self):
@@ -128,6 +134,54 @@ class TestMergeEquivalence:
         assert parent.events == events > 0
 
 
+class TestPersistentWorkers:
+    """Two long-lived worker registries, as a pool keeps them: one runs
+    cells A and C, the other B, and the parent merges A, B, C."""
+
+    #: cell → (gauge value it sets, values it observes)
+    CELLS = {"A": (400, VALUES[:300]), "B": (10, VALUES[300:600]), "C": (400, VALUES[600:])}
+
+    def _run(self, reg, cell):
+        pods, values = self.CELLS[cell]
+        reg.gauge("pods", "pods by phase", ("phase",)).labels("Running").set(pods)
+        hist = reg.histogram("sync_seconds", "pod sync time")
+        for value in values:
+            hist.observe(value)
+
+    def _sequential_and_merged(self):
+        seq = MetricsRegistry()
+        for cell in "ABC":
+            self._run(seq, cell)
+        deltas = {}
+        for worker, cells in ((MetricsRegistry(), "AC"), (MetricsRegistry(), "B")):
+            for cell in cells:
+                base = worker.state()
+                self._run(worker, cell)
+                deltas[cell] = worker.delta_since(base)
+        parent = MetricsRegistry()
+        for cell in "ABC":
+            parent.merge_delta(deltas[cell])
+        return seq, parent
+
+    def test_gauge_written_back_to_an_earlier_value_merges(self):
+        seq, parent = self._sequential_and_merged()
+        running = parent.get("pods").labels("Running").value
+        assert running == seq.get("pods").labels("Running").value == 400
+
+    def test_histogram_sum_merges_exactly(self):
+        seq, parent = self._sequential_and_merged()
+
+        def sum_line(reg):
+            (line,) = [
+                line for line in prometheus_text(reg).splitlines()
+                if line.startswith("sync_seconds_sum ")
+            ]
+            return line
+
+        assert sum_line(parent) == sum_line(seq)
+        assert parent.get("sync_seconds").labels().count == 900
+
+
 class TestMergeEdgeCases:
     """S3: the algebra's corners — the cases the pool never hits until
     it does (empty cells, children one side has never seen, repeated
@@ -163,6 +217,17 @@ class TestMergeEdgeCases:
         assert labels == ("crun-wamr",)
         assert merged.count == 2 and merged.sum == pytest.approx(0.55)
         assert tuple(merged.cumulative_buckets()) == (1, 2)
+
+    def test_unwritten_gauge_child_keeps_the_parents_value(self):
+        # A child the work created but never set registers in the parent
+        # and leaves its value alone, as a sequential run would.
+        parent = MetricsRegistry()
+        parent.gauge("inflight", labelnames=("node",)).labels("n1").set(7)
+        worker = MetricsRegistry()
+        base = worker.state()
+        worker.gauge("inflight", labelnames=("node",)).labels("n1")
+        parent.merge_delta(worker.delta_since(base))
+        assert parent.gauge("inflight", labelnames=("node",)).labels("n1").value == 7
 
     def test_merge_is_additive_not_idempotent(self):
         # The protocol applies each delta exactly once (sequential cell

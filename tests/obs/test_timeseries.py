@@ -225,30 +225,36 @@ class TestSampler:
 
 
 class TestMergeProtocol:
-    def test_adopt_reproduces_sequential_log(self):
-        from repro import obs
+    def test_merge_delta_reproduces_sequential_log(self, telemetry):
+        db = timeseries.default_db()
 
-        seq = TimeSeriesDB()
-        for i in range(4):
-            seq.append("sample", "m", (), float(i), float(i * i), cid=7)
-        seq.append("alert", "A", (("to", "firing"),), 4.0, 2.0, cid=7)
+        def cell():
+            telemetry.new_context("cell")
+            for i in range(4):
+                db.append("sample", "m", (), float(i), float(i * i))
+            db.append("alert", "A", (("to", "firing"),), 4.0, 2.0)
 
-        mark = 0
-        groups = seq.sample_groups_since(mark)
-        assert len(groups) == 1
-        _, entries = groups[0]
+        cell()
+        seq, seq_labels = db.tagged_entries(), telemetry.context_labels()
+        telemetry.reset()
+        base = telemetry.state()
+        cell()
+        delta = telemetry.delta_since(base)
+        telemetry.reset()
 
-        merged = TimeSeriesDB()
-        merged.adopt(7, entries)
-        assert merged.tagged_entries() == seq.tagged_entries()
-        # Queries see the adopted points too.
-        assert merged.instant("m", cid=7) == 9.0
-        assert obs is not None  # keep the import form shared with prod code
+        telemetry.merge_delta(delta)
+        assert db.tagged_entries() == seq
+        assert telemetry.context_labels() == seq_labels
+        # Queries see the merged points too.
+        assert db.instant("m", cid=1) == 9.0
 
-    def test_watermark_slices_new_entries_only(self):
-        db = TimeSeriesDB()
-        db.append("sample", "m", (), 0.0, 1.0, cid=1)
-        mark = db.watermark()
-        db.append("sample", "m", (), 1.0, 2.0, cid=1)
-        groups = db.sample_groups_since(mark)
-        assert [e[4] for _, entries in groups for e in entries] == [2.0]
+    def test_delta_holds_new_entries_only(self, telemetry):
+        db = timeseries.default_db()
+        telemetry.new_context("before")
+        db.append("sample", "m", (), 0.0, 1.0)
+        base = telemetry.state()
+        db.append("sample", "m", (), 1.0, 2.0)
+        delta = telemetry.delta_since(base)
+        # The entry's context was open before the work: tagged 0.
+        assert delta.contexts == []
+        assert delta.entries == [(0, ("sample", "m", (), 1.0, 2.0))]

@@ -130,6 +130,19 @@ class TestDeployCommand:
         assert main(["deploy", "--config", "docker-v8", "-n", "2"]) == 1
 
 
+#: files the failure cases below read, written as ``{tmp}/<name>``
+BAD_FILES = {
+    "text.json": b"not json at all\n",
+    "list.json": b"[]\n",
+    "object.json": b"{}\n",
+    "bare-metadata.json": b'{"traceEvents": [{"ph": "M", "args": {}}]}\n',
+    "no-category.jsonl": b'{"name": "x", "ts": 0, "dur": 1}\n',
+    "binary.json": b"\x89PNG\r\n\x1a\n\xff\xfe",
+    "text.prom": b"not an exposition\n",
+    "text.jsonl": b"not json at all\n",
+}
+
+
 class TestFailureContract:
     """Bad inputs exit 1 with a typed error instead of a traceback."""
 
@@ -143,10 +156,34 @@ class TestFailureContract:
             (["fleet", "--fleets", "1", "1", "-n", "8"], "repeat [1]"),
             (["campaign", "--nodes", "0"], "nodes must be a positive int, got 0"),
             (["series", "run", "no-such"], "unknown series 'no-such'"),
+            (["inspect", "{tmp}/text.json"], "line 1: not JSON"),
+            (["inspect", "{tmp}/list.json"], "line 1: not a trace event"),
+            (["inspect", "{tmp}/object.json"], "not a Chrome trace"),
+            (["inspect", "{tmp}/bare-metadata.json"], "metadata event without name"),
+            (["inspect", "{tmp}/no-category.jsonl"], "line 1: not a trace event"),
+            (["inspect", "{tmp}/binary.json"], "can't decode"),
+            (["inspect", "--nodes", "--metrics", "{tmp}/text.prom"], "malformed sample"),
+            (["inspect", "--wasi", "--metrics", "{tmp}/text.prom"], "malformed sample"),
+            (["monitor", "{tmp}/text.jsonl"], "line 1: not JSON"),
+            (["validate", "{tmp}"], "Is a directory"),
+            (["run", "{tmp}"], "Is a directory"),
+            (["inspect", "{tmp}"], "Is a directory"),
+            (["monitor", "{tmp}"], "Is a directory"),
+            (["deploy", "-n", "1", "--metrics-out", "{tmp}"], "Is a directory"),
         ],
     )
-    def test_bad_input_reports_error(self, argv, err, capsys):
-        assert main(argv) == 1
+    def test_bad_input_reports_error(self, argv, err, capsys, tmp_path):
+        from repro import obs
+
+        for name, body in BAD_FILES.items():
+            (tmp_path / name).write_bytes(body)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        was = obs.enabled()
+        try:
+            assert main(argv) == 1
+        finally:
+            obs.reset()
+            obs.set_enabled(was)
         stderr = capsys.readouterr().err
         assert stderr.startswith("error: ")
         assert err in stderr
