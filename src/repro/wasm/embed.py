@@ -46,7 +46,7 @@ from repro.wasm.runtime.snapshot import (
     restore_instance,
     verify_snapshot,
 )
-from repro.wasm.runtime.specialize import DEOPT_COUNTERS
+from repro.wasm.runtime.closures import DEOPT_COUNTERS
 from repro.wasm.validation import validate_module
 from repro.wasm.wasi import InMemoryFilesystem, WasiEnv
 from repro.wasm.wasi.preview1 import calls_counter

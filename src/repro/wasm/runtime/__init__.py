@@ -4,8 +4,9 @@ Two interpreters share one store model: the production
 :class:`Interpreter` runs flat pre-compiled code (see ``compile.py``),
 while :class:`ReferenceInterpreter` walks the AST and serves as the
 executable specification for differential testing. A third tier
-(``specialize.py``) compiles prepared code to Python closures per module
-digest, dropping the bounds checks a static proof shows are redundant:
+(``specialize.py``, its compiler in ``closures.py``) compiles prepared
+code to straight-line Python closures per module digest, dropping the
+bounds checks a static proof shows are redundant:
 an unmetered and a metered closure per function, the metered one
 handing only the segment where its fuel runs out back to the prepared
 code.

@@ -25,7 +25,9 @@ so the unmetered configuration pays no per-instruction conditional.
 With the specialization tier on, ``_call_wasm`` runs a function's
 compiled closure instead: the unmetered one when ``fuel`` is ``None``,
 the metered one otherwise, with the arguments as positional parameters
-and the call depth as one more. A closure calls another closure
+and the call depth as one more. A closure returns ``None``, its one
+result or a list of several, and ``_call_wasm`` turns that back into the
+result list it always returns. A closure calls another closure
 directly, so a guest run enters ``_call_wasm`` once, from the export
 call, and builds no :class:`Frame`; ``_depth`` holds the depth only
 where an activation leaves the closures (a flat activation, a host
@@ -137,22 +139,27 @@ class Interpreter:
             # Specialization tier: the exec'd closure of the run's kind
             # takes the parameters as positional arguments, flushes its
             # own retired-instruction count (and fuel, when metered) and
-            # raises the same traps as the flat code; results come back
-            # as the final list.
+            # raises the same traps as the flat code. It returns None,
+            # its one result or a list of several; this returns the list.
             if prof is None:
                 try:
-                    return compiled(self, inst, mem, depth + 1, *args)
+                    result = compiled(self, inst, mem, depth + 1, *args)
                 finally:
                     self._depth = depth
-            # Inner activations flush their counts in their own
-            # finally first, so the delta seen here is inclusive.
-            prof.enter(fi.name or "<anonymous>")
-            base = self.instructions_executed
-            try:
-                return compiled(self, inst, mem, depth + 1, *args)
-            finally:
-                self._depth = depth
-                prof.exit(self.instructions_executed - base)
+            else:
+                # Inner activations flush their counts before they
+                # return, so the delta seen here is inclusive.
+                prof.enter(fi.name or "<anonymous>")
+                base = self.instructions_executed
+                try:
+                    result = compiled(self, inst, mem, depth + 1, *args)
+                finally:
+                    self._depth = depth
+                    prof.exit(self.instructions_executed - base)
+            n = prepared.n_results
+            if n == 1:
+                return [result]
+            return result if n else []
         if prepared.local_defaults:
             args.extend(prepared.local_defaults)  # `args` is a fresh list
         frame = Frame(args, inst, mem)

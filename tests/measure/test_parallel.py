@@ -155,14 +155,23 @@ class TestTelemetryMerge:
 
     WARMTH_PREFIXES = ("repro_engine_cache", "repro_specialize", "repro_zygote")
 
+    #: More cells than workers, so one worker runs a second cell. Longest
+    #: expected first, the 200-pod cell goes to one worker and both 10-pod
+    #: cells to the other; the sampler's gauges end each 10-pod cell where
+    #: the other left them, so a worker's second cell must still ship
+    #: gauges it wrote back to their earlier values.
+    CROSS = [("crun-wamr", 10), ("crun-python", 200), ("crun-wasmtime", 10)]
+
     @pytest.fixture()
     def telemetry(self):
         from repro import obs
+        from repro.obs import timeseries
 
         was = obs.enabled()
         obs.set_enabled(True)
         obs.reset()
         yield obs
+        timeseries.set_sampling(False)
         obs.reset()
         obs.set_enabled(was)
 
@@ -188,10 +197,12 @@ class TestTelemetryMerge:
     def test_parallel_merge_equals_sequential_totals(self, telemetry):
         import json
 
+        from repro.obs import timeseries
         from repro.obs.export import chrome_trace
 
         obs = telemetry
-        seq = measure_pairs(PAIRS, seed=1, jobs=1, cache=None)
+        timeseries.set_sampling(True, timeseries.DEFAULT_PERIOD)
+        seq = measure_pairs(self.CROSS, seed=1, jobs=1, cache=None)
         seq_families = self._deterministic_families(obs)
         seq_trace = json.dumps(
             chrome_trace(obs.tagged_spans(), obs.context_labels()), sort_keys=True
@@ -199,8 +210,10 @@ class TestTelemetryMerge:
         seq_contexts = obs.context_labels()
         assert seq_families, "sequential run recorded no metrics"
 
+        assert seq_families["repro_monitor_pods"][("Running",)] == 10
+
         obs.reset()
-        par = measure_pairs(PAIRS, seed=1, jobs=2, cache=None)
+        par = measure_pairs(self.CROSS, seed=1, jobs=2, cache=None)
         par_families = self._deterministic_families(obs)
         par_trace = json.dumps(
             chrome_trace(obs.tagged_spans(), obs.context_labels()), sort_keys=True

@@ -203,3 +203,94 @@ def test_differential_random_programs(ops, n, seed, fuel):
     assert flat == ref
     spec = _observe(Interpreter, src, (n, seed), fuel, specialize=True)
     assert spec == ref, f"specialized: {spec} != {ref}"
+
+
+# -- differential: folded stack programs ---------------------------------------
+
+#: name -> (operands popped, WAT lines); ``{k}`` is the draw's integer.
+#: Local 2 is a scratch local; local 3 holds a store's value while its
+#: address is pushed.
+_STACK_OPS = {
+    "const": (0, ["(i32.const {k})"]),
+    "local.get": (0, ["(local.get {local})"]),
+    "local.set": (1, ["(local.set {local})"]),
+    "local.tee": (1, ["(local.tee {local})"]),
+    "global.get": (0, ["(global.get $g)"]),
+    "global.set": (1, ["(global.set $g)"]),
+    "binop": (2, ["({binop})"]),
+    "trap": (2, ["({trapop})"]),
+    "cmp": (2, ["({cmp})"]),
+    "eqz": (1, ["(i32.eqz)"]),
+    "select": (3, ["(select)"]),
+    "drop": (1, ["(drop)"]),
+    "load.masked": (1, ["(i32.and (i32.const 0x3ffc))", "(i32.load offset={offset})"]),
+    "load": (1, ["(i32.load8_u)"]),
+    "store.masked": (1, [
+        "(local.set 3)",
+        "(i32.and (local.get {local}) (i32.const 0x3ffc))",
+        "(local.get 3)",
+        "(i32.store offset={offset})",
+    ]),
+    "store": (2, ["(i32.store16)"]),
+    "call": (1, ["(call $w)"]),
+}
+_STACK_OP_NAMES = sorted(_STACK_OPS)
+_PUSHES = {"const", "local.get", "global.get", "binop", "trap", "cmp", "eqz",
+           "select", "load.masked", "load", "call", "local.tee"}
+
+
+def _gen_stack_module(draws):
+    """A straight-line i32 program from ``(op, k)`` draws; an op the stack
+    cannot feed is skipped. The stack left over is xor-folded into the
+    result."""
+    body, h = [], 0
+    for name, k in draws:
+        pops, lines = _STACK_OPS[name]
+        if h < pops:
+            continue
+        fields = {
+            "k": k,
+            "local": k % 3,
+            "offset": (k >> 4) % 16 * 4,
+            "binop": ("i32.add", "i32.sub", "i32.mul", "i32.xor", "i32.and",
+                      "i32.shl", "i32.shr_u")[k % 7],
+            "trapop": ("i32.div_u", "i32.rem_s", "i32.div_s", "i32.rem_u")[k % 4],
+            "cmp": ("i32.lt_u", "i32.ge_s", "i32.eq")[k % 3],
+        }
+        body += [line.format(**fields) for line in lines]
+        h += (name in _PUSHES) - pops
+    if h == 0:
+        body.append("(i32.const 0)")
+        h = 1
+    body += ["(i32.xor)"] * (h - 1)
+    return """
+    (module (memory 1) (global $g (mut i32) (i32.const 17))
+      (func $w (param i32) (result i32)
+        (i32.store (i32.and (local.get 0) (i32.const 0x3ffc)) (local.get 0))
+        (global.set $g (i32.add (global.get $g) (local.get 0)))
+        (i32.mul (local.get 0) (i32.const 3)))
+      (func (export "run") (param i32 i32) (result i32)
+        (local i32 i32)
+        %s))
+    """ % "\n        ".join(body)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_STACK_OP_NAMES), st.integers(0, 2**32 - 1)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.tuples(u32s, u32s),
+    st.integers(min_value=0, max_value=80),
+    st.integers(min_value=0, max_value=80),
+)
+def test_differential_folded_stack_programs(draws, args, fuel_a, fuel_b):
+    src = _gen_stack_module(draws)
+    for fuel in (None, fuel_a, fuel_b):
+        ref = _observe(ReferenceInterpreter, src, args, fuel)
+        flat = _observe(Interpreter, src, args, fuel)
+        assert flat == ref, f"flat: {flat} != {ref}\n{src}"
+        spec = _observe(Interpreter, src, args, fuel, specialize=True)
+        assert spec == ref, f"specialized: {spec} != {ref}\n{src}"

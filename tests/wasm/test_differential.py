@@ -193,6 +193,75 @@ MODULES = {
                        (i32.shr_u (i32.const -1)
                                   (i32.add (local.get 0) (i32.const 30))))))))
     """,
+    # One program per place a folded closure must assign a slot before a
+    # later instruction changes what its expression reads.
+    "load_across_store": """
+        (module (memory 1)
+          (func (export "run") (param i32) (result i32)
+            (i32.store (i32.const 8) (local.get 0))
+            (i32.load (i32.const 8))
+            (i32.store (i32.const 8) (i32.add (local.get 0) (i32.const 5)))
+            (i32.load (i32.const 8))
+            (i32.sub)))
+    """,
+    "local_across_set_and_tee": """
+        (module (func (export "run") (param i32) (result i32)
+          (local $x i32)
+          (local.set $x (local.get 0))
+          (local.get $x)
+          (local.set $x (i32.add (local.get $x) (i32.const 3)))
+          (local.get $x)
+          (local.tee $x (i32.mul (local.get $x) (i32.const 2)))
+          (drop)
+          (i32.sub)
+          (local.get $x)
+          (i32.add)))
+    """,
+    "across_a_writing_call": """
+        (module (memory 1) (global $g (mut i32) (i32.const 5))
+          (func $w (param i32) (result i32)
+            (i32.store (i32.const 16) (local.get 0))
+            (global.set $g (local.get 0))
+            (i32.const 1))
+          (func (export "run") (param i32) (result i32)
+            (i32.store (i32.const 16) (i32.const 7))
+            (i32.load (i32.const 16))
+            (global.get $g)
+            (call $w (local.get 0))
+            (i32.add)
+            (i32.mul (i32.const 100))
+            (i32.add)
+            (i32.load (i32.const 16))
+            (i32.add)
+            (global.get $g)
+            (i32.add)))
+    """,
+    "global_across_set": """
+        (module (global $g (mut i32) (i32.const 11))
+          (func (export "run") (param i32) (result i32)
+            (global.get $g)
+            (global.set $g (i32.add (global.get $g) (local.get 0)))
+            (global.get $g)
+            (i32.sub)))
+    """,
+    "size_across_grow": """
+        (module (memory 1 4)
+          (func (export "run") (param i32) (result i32)
+            (memory.size)
+            (drop (memory.grow (i32.and (local.get 0) (i32.const 1))))
+            (memory.size)
+            (i32.mul (i32.const 100))
+            (i32.add)))
+    """,
+    "trap_after_store": """
+        (module (memory 1)
+          (func (export "run") (param i32) (result i32)
+            (i32.store (i32.const 0) (i32.const 9))
+            (i32.div_u (i32.const 100) (i32.and (local.get 0) (i32.const 1)))
+            (i32.store (i32.const 4) (i32.const 10))
+            (i32.rem_s (i32.const 7) (i32.sub (local.get 0) (i32.const 1)))
+            (i32.add)))
+    """,
 }
 
 
@@ -584,6 +653,104 @@ class TestCallsLeavingTheClosureTier:
         closure = pf.compiled if fuel is None else pf.metered
         (cell,) = [d for d in closure.__defaults__ if isinstance(d, list)]
         assert cell[2].host_fn is not None and cell[3] is None
+
+
+class TestResultsAcrossTheTierBoundary:
+    """Zero, one and two results crossing between closures and the rest.
+
+    A closure returns ``None``, its bare result or a list; everything
+    else (``invoke``, ``_call_wasm``, flat code, host functions and every
+    call of a profiled run) hands over result lists. Each case runs the
+    reference, flat and specialized builds and compares what they return,
+    retire and leave in memory.
+    """
+
+    SRC = """
+        (module
+          (import "env" "h0" (func $h0 (param i32)))
+          (import "env" "h1" (func $h1 (param i32) (result i32)))
+          (import "env" "h2" (func $h2 (param i32) (result i32 i32)))
+          (memory 1)
+          (func $c0 (export "c0") (param i32)
+            (i32.store (i32.const 0) (local.get 0)))
+          (func $c1 (export "c1") (param i32) (result i32)
+            (i32.add (local.get 0) (i32.const 1)))
+          (func $c2 (export "c2") (param i32) (result i32 i32)
+            (local.get 0) (i32.mul (local.get 0) (i32.const 3)))
+          (func $f0 (param i32)
+            NOPS (i32.store (i32.const 4) (local.get 0)))
+          (func $f1 (param i32) (result i32)
+            NOPS (i32.sub (local.get 0) (i32.const 1)))
+          (func $f2 (param i32) (result i32 i32)
+            NOPS (i32.const 7) (local.get 0))
+          (func (export "from_flat") (param i32) (result i32)
+            NOPS
+            (call $c0 (local.get 0))
+            (call $c2 (local.get 0)) (i32.sub)
+            (call $c1 (local.get 0)) (i32.add))
+          (func (export "from_closure") (param i32) (result i32)
+            (call $f0 (local.get 0))
+            (call $h0 (local.get 0))
+            (call $f2 (local.get 0)) (i32.sub)
+            (call $f1 (local.get 0)) (i32.add)
+            (call $h2 (local.get 0)) (i32.xor) (i32.add)
+            (call $h1 (local.get 0)) (i32.add)))
+    """.replace("NOPS", "nop " * 4001)
+
+    @pytest.fixture(scope="class")
+    def variants(self):
+        return _variants(self.SRC)
+
+    @pytest.fixture()
+    def runs(self, variants):
+        return lambda *a, **k: self._runs(variants, *a, **k)
+
+    def _runs(self, variants, func, args, fuel, profiled=False):
+        from repro.obs.profile import FunctionProfiler
+
+        spec = variants[2][1]
+        compiled = [f.prepared.compiled is not None for f in spec.funcs]
+        assert compiled == [True, True, True, False, False, False, False, True]
+        seen = []
+        for cls, module in variants:
+            store = Store()
+            host = HostModule(store, "env")
+            host.func("h0", sig("i"), lambda n: store.mems[0].data.__setitem__(8, n & 0xFF))
+            host.func("h1", sig("i", "i"), lambda n: [n * 5])
+            host.func("h2", sig("i", "ii"), lambda n: [n + 2, n ^ 6])
+            inst = instantiate(store, module, imports=host.import_map())
+            interp = cls(store, fuel=fuel)
+            if profiled and cls is Interpreter:
+                interp.profiler = FunctionProfiler()
+            result = interp.invoke_export(inst, func, list(args))
+            mem = bytes(store.mems[inst.mem_addrs[0]].data[:16])
+            seen.append((result, interp.instructions_executed, interp.fuel, mem))
+        assert seen[1] == seen[0], f"\nflat: {seen[1]}\nref : {seen[0]}"
+        assert seen[2] == seen[0], f"\nspec: {seen[2]}\nref : {seen[0]}"
+        return seen[0][0]
+
+    @pytest.mark.parametrize("fuel", [None, 10**6])
+    def test_invoke_returns_result_lists(self, runs, fuel):
+        assert runs("c0", (9,), fuel) == []
+        assert runs("c1", (9,), fuel) == [10]
+        assert runs("c2", (9,), fuel) == [9, 27]
+
+    @pytest.mark.parametrize("fuel", [None, 10**6])
+    def test_flat_code_calling_closures(self, runs, fuel):
+        # 9 - 27 + 10, wrapped
+        assert runs("from_flat", (9,), fuel) == [(9 - 27 + 10) & 0xFFFFFFFF]
+
+    @pytest.mark.parametrize("fuel", [None, 10**6])
+    def test_closure_calling_flat_code_and_host_functions(self, runs, fuel):
+        assert runs("from_closure", (9,), fuel) == [
+            (7 - 9 + 8 + (11 ^ 15) + 45) & 0xFFFFFFFF
+        ]
+
+    @pytest.mark.parametrize("fuel", [None, 10**6])
+    @pytest.mark.parametrize("func", ["c1", "c2", "from_flat", "from_closure"])
+    def test_under_a_profiler(self, runs, func, fuel):
+        # A profiled run takes the generic call path at every call site.
+        runs(func, (9,), fuel, profiled=True)
 
 
 class TestMicroserviceFuel:

@@ -18,7 +18,7 @@ interpreter.
 import hashlib
 
 import pytest
-from test_differential import MODULES
+from test_differential import MODULES, check
 
 from repro import obs
 from repro.engines.cache import reset_caches
@@ -223,6 +223,41 @@ class TestClosureTier:
         assert ran == [(prepared, body)] and ran[0][0] is prepared
         assert METERED_DEOPT.value == before + 1
 
+    @staticmethod
+    def _nested(levels):
+        """``levels`` nested ifs, each then arm returning below its child."""
+        body = "(return (i32.const 1000))"
+        for i in reversed(range(levels)):
+            body = (
+                f"(if (i32.gt_u (local.get 0) (i32.const {i})) (then {body}"
+                f" (return (i32.const {i}))))"
+            )
+        return f'(module (func (export "run") (param i32) (result i32) {body} (i32.const 7)))'
+
+    def test_single_entry_blocks_in_place_until_the_indent_limit(self):
+        # Each then arm has one entry, so each nests one level deeper;
+        # past the limit the rest become dispatch arms of a loop, and the
+        # source stays within CPython's 100 indentation levels.
+        shallow, _ = _specialized(self._nested(10))
+        assert "while True:" not in _source(shallow)
+        src = self._nested(120)
+        module, report = _specialized(src)
+        source = _source(module)
+        assert report.compiled == 1 and "while True:" in source
+        deepest = max(len(line) - len(line.lstrip()) for line in source.splitlines())
+        assert 90 * 4 <= deepest < 100 * 4
+        for arg in (0, 1, 50, 95, 119, 120, 500):
+            check(src, args=(arg,))
+
+    def test_a_long_expression_is_assigned_in_pieces(self):
+        # 200 chained adds fold into one slot; past the nesting limit the
+        # slot is assigned and folding goes on from its variable.
+        adds = "(i32.add (i32.const 3))" * 200
+        src = f'(module (func (export "run") (param i32) (result i32) (local.get 0) {adds}))'
+        module, report = _specialized(src)
+        assert report.compiled == 1 and "s0 = " in _source(module)
+        check(src, args=(5,))
+
     def test_unmetered_counts_exact_instructions(self):
         module, _ = _specialized(self.LOOP)
         flat_module = validate_module(parse_wat(self.LOOP))
@@ -332,19 +367,19 @@ class TestUnmeteredEmission:
     """
 
     PINNED = {
-        "br_table_dispatch": "b5e9dd80f3275f17",
-        "branch_stack_repair": "4ec39fbcaaee6864",
-        "cmp_brif_stack_repair": "a3ff72ea0f4481d6",
-        "fib_recursive": "88b84f36e3c8c8b8",
-        "float_mix": "77d7e9b322c5d89a",
-        "fused_cmp_brif": "0aae20e0cc43a4d7",
-        "globals": "fdcfdbe06b13680b",
-        "indirect": "7ecb5fbb47aafdfa",
-        "loop_sum": "d8c0a7cd5bead808",
-        "loop_with_result": "5e8c84fa4dbff970",
-        "memory_churn": "c39b0207f4cfaa3b",
-        "multivalue_block": "381f2702748e4560",
-        "narrow_memory": "c473f9d0df47d0b3",
+        "br_table_dispatch": "53b5da533704a292",
+        "branch_stack_repair": "6a378b5b64a3c0d7",
+        "cmp_brif_stack_repair": "7bc0ba8ff45d2579",
+        "fib_recursive": "b99bf87dc563aa91",
+        "float_mix": "81bec4568bb81ef2",
+        "fused_cmp_brif": "db06207c611c12ac",
+        "globals": "e3f7cbf1b87a40df",
+        "indirect": "0e8e417e76b9d94b",
+        "loop_sum": "452ce8c5f9b8ca9e",
+        "loop_with_result": "cb8c04a2c7817f4f",
+        "memory_churn": "75db7863ae90fb6d",
+        "multivalue_block": "85072dcc8912e8f4",
+        "narrow_memory": "07129de1a421996e",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -354,6 +389,15 @@ class TestUnmeteredEmission:
         for func in module.funcs:
             digest.update(func.prepared.compiled.__specialized_source__.encode())
         assert digest.hexdigest()[:16] == self.PINNED[name]
+
+    def test_a_leaf_that_cannot_trap_is_straight_line(self):
+        # No loop, no try, no `_n`: the count is added once and the
+        # result returned bare.
+        module, _ = _specialized(MODULES["indirect"])
+        assert _source(module, fi=0).splitlines()[1:] == [
+            "    interp.instructions_executed += 3",
+            "    return (l0 * l0) & 0xFFFFFFFF",
+        ]
 
     @pytest.mark.parametrize("name", sorted(MODULES))
     def test_only_the_metered_source_touches_fuel(self, name):
