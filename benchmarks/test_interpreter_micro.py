@@ -8,13 +8,16 @@ time; they assert functional correctness, not latency.
 The interpreter benchmarks also write ``benchmarks/output/BENCH_interpreter.json``
 — machine-readable instructions/second for the prepared flat interpreter
 vs the reference tree-walker on fib and memory-churn, so the throughput
-trajectory is tracked across PRs (CI uploads it as an artifact). One
+trajectory is tracked across changes (CI uploads it as an artifact). One
 window per interpreter is too short to compare alone on a busy host, so
 flat and reference windows are timed in pairs whose order alternates,
-and the ≥2× floor holds the median of the per-pair ratios. The reference
-tree-walker recurses in Python, and its speed depends on where its frames
-fall in CPython's frame stack, so every workload is timed on a new thread,
-from the same empty stack whatever depth the test is called at.
+and the record gives the median of the per-pair ratios. It asserts no
+floor: the flat loop is the exact fallback under the compiled closures,
+which run every function of every shipped module, so its speed against
+the reference is recorded, not held. The reference tree-walker recurses
+in Python, and its speed depends on where its frames fall in CPython's
+frame stack, so every workload is timed on a new thread, from the same
+empty stack whatever depth the test is called at.
 """
 
 import gc
@@ -174,8 +177,8 @@ _WORKLOADS = {
 
 
 def test_bench_interpreter_vs_reference_json():
-    """Emit BENCH_interpreter.json and hold the ≥2× speedup floor on the
-    median of paired flat/reference ratios."""
+    """Emit BENCH_interpreter.json: the median of paired flat/reference
+    ratios per workload, recorded without a floor."""
     report = {"pairs": PAIRS, "window_seconds": WINDOW_S, "workloads": {}}
     for name, (src, export, args) in _WORKLOADS.items():
         prepared, reference, ratios = on_new_thread(_paired_throughput, src, export, args)
@@ -196,12 +199,6 @@ def test_bench_interpreter_vs_reference_json():
         for name, w in report["workloads"].items()
     ]
     emit("interp_throughput", "\n".join(lines))
-    below = {
-        name: w["speedup"] for name, w in report["workloads"].items() if w["speedup"] < 2.0
-    }
-    assert not below, (
-        f"flat interpreter lost its ≥2x edge (median of {PAIRS} paired ratios): {below}"
-    )
 
 
 def test_bench_interpreter_fib(benchmark):

@@ -11,7 +11,7 @@ workload is measured twice: unmetered (unmetered closures against the
 flat loop) and metered (metered closures against the flat loop, both
 with a fuel budget that never runs out).
 
-Both sides are timed as the interpreter floor times its two: on a new
+Both sides are timed as the interpreter record times its two: on a new
 thread, in alternating specialized/flat window pairs, with the median of
 the per-pair ratios as the speedup and their IQR beside it. The ≥2×
 floors on fib and memory_churn, unmetered and metered, hold that median

@@ -156,7 +156,7 @@ class Containerd:
         # instantiation then collapse into a restore. The first containers
         # through the lock race the pioneer's dispatch and start cold.
         warm = config.zygote and env.zygote_warm(config_id, image_ref)
-        if warm and profile.warm is not None:
+        if warm:
             profile = profile.warm
         if config.zygote:
             container.facts["zygote_warm"] = warm

@@ -45,12 +45,13 @@ signals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
+from repro.core.integration import CONFIGS
 from repro.errors import SchedulingError
 from repro.k8s.apiserver import APIServer
 from repro.k8s.objects import NodeInfo, Pod
@@ -62,22 +63,6 @@ _DECISION_BUCKETS = (
 
 #: a notice: called with no arguments when a node's state changed
 Notice = Callable[[], None]
-
-
-@lru_cache(maxsize=None)
-def _has_warm_profile(handler: str) -> bool:
-    """Whether a runtime handler's startup profile has a warm variant.
-
-    Only zygote-capable configurations can ever benefit from snapshot
-    locality; for everything else the locality term is skipped without
-    querying the node at all.
-    """
-    try:
-        from repro.container.startup import startup_profile
-
-        return startup_profile(handler).warm is not None
-    except KeyError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -117,7 +102,10 @@ class _Ranking:
         self.nodes: Dict[str, NodeInfo] = {n.name: n for n in nodes}
         self.handler = handler
         self.image = image
-        self.warm_capable = handler is not None and _has_warm_profile(handler)
+        # Only a zygote config can start warm; for every other handler
+        # the locality term is skipped without querying the node at all.
+        config = CONFIGS.get(handler)
+        self.warm_capable = config is not None and config.zygote
         #: (-score, name) entries; one is current per node, the rest are
         #: stale and dropped when they reach the top
         self.heap: List[Tuple[float, str]] = []

@@ -1,4 +1,4 @@
-"""SLO recording rules and a pending→firing→resolved alert engine.
+"""SLO alert rules and their pending→firing→resolved engine.
 
 Evaluated by the :class:`~repro.obs.timeseries.Sampler` after every
 scrape: at each k·period boundary of simulated time, quiet ones
@@ -71,14 +71,6 @@ class Expr:
         raise ValueError(f"unknown expr fn {self.fn!r}")
 
 
-@dataclass(frozen=True)
-class RecordingRule:
-    """Evaluate an expression each tick and record it as a new series."""
-
-    record: str
-    expr: Expr
-
-
 @dataclass
 class AlertRule:
     name: str
@@ -103,12 +95,10 @@ class RuleEngine:
     """Owns the shipped rules; ticked by the sampler after each scrape."""
 
     def __init__(self, db: TimeSeriesDB, registry, tracer=None,
-                 alerts: Optional[List[AlertRule]] = None,
-                 recordings: Optional[List[RecordingRule]] = None) -> None:
+                 alerts: Optional[List[AlertRule]] = None) -> None:
         self.db = db
         self.tracer = tracer
         self.alerts = list(shipped_alerts() if alerts is None else alerts)
-        self.recordings = list(recordings or [])
         self._m_transitions = registry.counter(
             "repro_alert_transitions_total",
             "alert state-machine transitions",
@@ -120,10 +110,6 @@ class RuleEngine:
         return self
 
     def evaluate(self, now: float) -> None:
-        for rule in self.recordings:
-            value = rule.expr.evaluate(self.db, now)
-            if value is not None:
-                self.db.append("sample", rule.record, (), now, value)
         for alert in self.alerts:
             self._step(alert, alert.expr.evaluate(self.db, now), now)
             self.db.append("sample", "repro_alert_state",
@@ -211,5 +197,5 @@ def shipped_alerts() -> List[AlertRule]:
 
 __all__ = [
     "INACTIVE", "PENDING", "FIRING",
-    "Expr", "RecordingRule", "AlertRule", "RuleEngine", "shipped_alerts",
+    "Expr", "AlertRule", "RuleEngine", "shipped_alerts",
 ]

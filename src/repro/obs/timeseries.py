@@ -401,7 +401,6 @@ def clear() -> None:
 
 
 def counter_track_samples(prefixes: Sequence[str] = ("repro_monitor_",
-                                                     "repro_rule_",
                                                      "repro_alert_state")):
     """(cid, name, labels, ts, value) sample tuples for Chrome counter
     tracks, limited to the dashboard-grade prefixes."""

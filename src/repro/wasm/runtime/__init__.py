@@ -1,15 +1,17 @@
 """Execution engine: store, instances, interpreter, instantiation.
 
 Two interpreters share one store model: the production
-:class:`Interpreter` runs flat pre-compiled code (see ``compile.py``),
-while :class:`ReferenceInterpreter` walks the AST and serves as the
-executable specification for differential testing. A third tier
-(``specialize.py``, its compiler in ``closures.py``) compiles prepared
-code to straight-line Python closures per module digest, dropping the
-bounds checks a static proof shows are redundant:
-an unmetered and a metered closure per function, the metered one
-handing only the segment where its fuel runs out back to the prepared
-code.
+:class:`Interpreter`, and :class:`ReferenceInterpreter`, which walks the
+AST and serves as the executable specification for differential
+testing. The production interpreter runs compiled closures: the
+specialization tier (``specialize.py``, its compiler in ``closures.py``)
+compiles each function's prepared flat code (``compile.py``) to
+straight-line Python per module digest, an unmetered and a metered
+closure per function, dropping the bounds checks a static proof shows
+are redundant. The flat loop over the prepared code, one plain entry
+per Wasm instruction, is the exact fallback: it runs the functions the
+closure compiler declines, modules outside the engine caches, and the
+segment of a metered run in which the fuel runs out.
 """
 
 from repro.wasm.runtime.store import (

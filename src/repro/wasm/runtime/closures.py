@@ -77,12 +77,6 @@ _SIMPLE_DELTAS = {
     flat.h_unop: 0,
     flat.h_global_get: 1,
     flat.h_global_set: -1,
-    flat.h_lgg_binop: 1,
-    flat.h_lgg_cmp: 1,
-    flat.h_const_binop: 0,
-    flat.h_const_cmp: 0,
-    flat.h_lg_i32_load: 1,
-    flat.h_lg_load: 1,
     flat.h_i32_load: 0,
     flat.h_i64_load: 0,
     flat.h_f32_load: 0,
@@ -108,7 +102,6 @@ _CONTROL = frozenset(
         flat.h_br_if,
         flat.h_br_adjust,
         flat.h_br_if_adjust,
-        flat.h_cmp_br_if,
         flat.h_br_table,
         flat.h_end,
         flat.h_return,
@@ -118,8 +111,6 @@ _CONTROL = frozenset(
 
 _MEMORY_HANDLERS = frozenset(_LOADS) | frozenset(_STORES) | frozenset(
     (
-        flat.h_lg_i32_load,
-        flat.h_lg_load,
         flat.h_loadn,
         flat.h_storen,
         flat.h_memory_size,
@@ -213,8 +204,6 @@ _ALWAYS_TRAPS = frozenset(
         flat.h_call,
         flat.h_call_indirect,
         flat.h_global_set,  # immutable globals
-        flat.h_lg_i32_load,
-        flat.h_lg_load,
         flat.h_memory_fill,
         flat.h_memory_copy,
         flat.h_memory_init,
@@ -559,8 +548,6 @@ class _ClosureCompiler:
             return [(args[0], args[1])]
         if handler is flat.h_br_if_adjust:
             return [(args[0], args[1]), (pc + 1, h - 1)]
-        if handler is flat.h_cmp_br_if:
-            return [(args[1], h - 2), (pc + 1, h - 2)]
         if handler is flat.h_br_table:
             table, default = args
             out = []
@@ -583,15 +570,9 @@ class _ClosureCompiler:
         if handler is flat.h_unop:
             name = _UNOP_NAMES.get(args)
             return name not in _INLINE_UNOPS and _trapping_unop(name)
-        if handler is flat.h_binop:
-            f = args
-        elif handler is flat.h_const_binop:
-            f = args[1]
-        elif handler is flat.h_lgg_binop:
-            f = args[2]
-        else:
+        if handler is not flat.h_binop:
             return False
-        name = _BINOP_NAMES.get(f)
+        name = _BINOP_NAMES.get(args)
         return name not in _INLINE_BINOPS and (
             name is None or name in _TRAPPING_BINOPS
         )
@@ -1030,29 +1011,6 @@ class _ClosureCompiler:
                 f"store.globals[inst.global_addrs[{args}]].set({value.text})",
                 indent,
             )
-        elif handler is flat.h_lgg_binop:
-            i, j, f = args
-            self._push(self._binop(f, _var(f"l{i}"), _var(f"l{j}")), indent,
-                       self._can_trap(pc))
-        elif handler is flat.h_lgg_cmp:
-            i, j, f = args
-            self._push(self._cmp(f, _var(f"l{i}"), _var(f"l{j}")), indent)
-        elif handler is flat.h_const_binop:
-            c, f = args
-            a = self._pop()
-            self._push(self._binop(f, a, self._lit(c)), indent, self._can_trap(pc))
-        elif handler is flat.h_const_cmp:
-            c, f = args
-            a = self._pop()
-            self._push(self._cmp(f, a, self._lit(c)), indent)
-        elif handler is flat.h_lg_i32_load:
-            i, off = args
-            self._load(_var(f"l{i}"), off, 4, "LD32", False, 32, True, indent)
-        elif handler is flat.h_lg_load:
-            i, off, width, signed, bits, isfloat = args
-            packer = ("LF32" if bits == 32 else "LF64") if isfloat else None
-            self._load(_var(f"l{i}"), off, width, packer, signed, bits,
-                       True, indent)
         elif handler in _LOADS or handler is flat.h_loadn:
             if handler is flat.h_loadn:
                 off, width, signed, bits = args
@@ -1227,12 +1185,6 @@ class _ClosureCompiler:
             self._settle(indent)
             self._moves(want, arity, indent)
             return self._goto(target, indent)
-        if handler is flat.h_cmp_br_if:
-            f, target = args
-            b = self._pop()
-            a = self._pop()
-            self._settle(indent)
-            return self._branch(self._cmp(f, a, b).cond, target, pc + 1, indent)
         if handler is flat.h_br_table:
             table, default = args
             index = self._pop()

@@ -8,21 +8,25 @@ path with a one-time *prepare* pass per function:
 * ``block``/``loop``/``if`` disappear into computed jump offsets — every
   branch becomes a pc assignment with a precomputed stack-height repair
   (no exceptions, no label search);
-* every instruction is pre-bound to a ``(handler, args, weight)`` triple,
-  so per-step dispatch is one tuple unpack and one call instead of a
-  40-arm string-comparison ladder;
-* dominant instruction pairs are fused into superinstructions
-  (``local.get local.get <binop>``, ``<const> <binop>``, ``<cmp> br_if``,
-  ``local.get <load>``), cutting dispatches on the workloads' inner loops
-  by ~30%.
+* every other instruction becomes one ``(handler, args, weight)``
+  triple, so per-step dispatch is one tuple unpack and one call instead
+  of a 40-arm string-comparison ladder.
+
+This code is the exact baseline under the closure tier
+(``specialize.py``): the flat loop runs it for functions the closure
+compiler declines, for modules that never pass through the engine
+caches, and for the segment of a metered run in which the fuel runs
+out. It fuses nothing; the closure compiler folds instruction sequences
+into expressions itself.
 
 ``weight`` is the number of source AST instructions a flat entry stands
-for. The interpreter adds weights to ``instructions_executed`` and debits
-fuel by them, which keeps fuel accounting and metering *exactly* equal to
-the reference tree-walker: ``block``/``loop`` headers still cost one
-instruction on entry (they lower to a weight-1 no-op that backward
-branches skip), the jump over an ``else`` arm costs zero, and a fused
-pair costs the sum of its parts.
+for: 1, or 0 for the jump over an ``else`` arm and the terminal ``end``,
+which the reference walker does not count. The interpreter adds weights
+to ``instructions_executed`` and debits fuel by them, which keeps fuel
+accounting and metering *exactly* equal to the reference tree-walker:
+``block``/``loop`` headers still cost one instruction on entry (they
+lower to a weight-1 no-op that backward branches skip). No entry weighs
+more than one, so fuel always runs out between two entries.
 
 Prepared code is instance-independent: immediates are module-level
 (function indices, types, offsets) and all store access goes through the
@@ -218,68 +222,6 @@ def h_global_get(interp, frame, stack, args, pc):
 
 def h_global_set(interp, frame, stack, args, pc):
     interp.store.globals[frame.instance.global_addrs[args]].set(stack.pop())
-    return pc + 1
-
-
-# -- fused superinstructions ------------------------------------------------
-
-
-def h_lgg_binop(interp, frame, stack, args, pc):
-    i, j, f = args
-    loc = frame.locals
-    stack.append(f(loc[i], loc[j]))
-    return pc + 1
-
-
-def h_lgg_cmp(interp, frame, stack, args, pc):
-    i, j, f = args
-    loc = frame.locals
-    stack.append(1 if f(loc[i], loc[j]) else 0)
-    return pc + 1
-
-
-def h_const_binop(interp, frame, stack, args, pc):
-    c, f = args
-    stack[-1] = f(stack[-1], c)
-    return pc + 1
-
-
-def h_const_cmp(interp, frame, stack, args, pc):
-    c, f = args
-    stack[-1] = 1 if f(stack[-1], c) else 0
-    return pc + 1
-
-
-def h_cmp_br_if(interp, frame, stack, args, pc):
-    f, target = args
-    b = stack.pop()
-    a = stack.pop()
-    return target if f(a, b) else pc + 1
-
-
-def h_lg_i32_load(interp, frame, stack, args, pc):
-    i, off = args
-    data = frame.mem.data
-    addr = frame.locals[i] + off
-    if addr < 0 or addr + 4 > len(data):
-        raise WasmTrap("out of bounds memory access")
-    stack.append(_U32.unpack_from(data, addr)[0])
-    return pc + 1
-
-
-def h_lg_load(interp, frame, stack, args, pc):
-    i, off, width, signed, bits, isfloat = args
-    data = frame.mem.data
-    addr = frame.locals[i] + off
-    if addr < 0 or addr + width > len(data):
-        raise WasmTrap("out of bounds memory access")
-    if isfloat:
-        value = (_F32 if bits == 32 else _F64).unpack_from(data, addr)[0]
-    else:
-        value = int.from_bytes(data[addr : addr + width], "little")
-        if signed:
-            value = V.sign_extend(value, width * 8, bits)
-    stack.append(value)
     return pc + 1
 
 
@@ -537,17 +479,6 @@ def h_data_drop(interp, frame, stack, args, pc):
 _PATCH_SIMPLE = (h_goto, h_if, h_br_if)
 _PATCH_ADJUST = (h_br_adjust, h_br_if_adjust)
 
-#: The fused superinstruction handlers (introspection / tests).
-SUPERINSTRUCTIONS = (
-    h_lgg_binop,
-    h_lgg_cmp,
-    h_const_binop,
-    h_const_cmp,
-    h_cmp_br_if,
-    h_lg_i32_load,
-    h_lg_load,
-)
-
 _CONST_OPS = {
     "i32.const": _MASK32,
     "i64.const": _MASK64,
@@ -642,9 +573,6 @@ class _Lowering:
             elif hd in _PATCH_ADJUST:
                 t, want, a = e[1]
                 e[1] = (L[t], want, a)
-            elif hd is h_cmp_br_if:
-                f, t = e[1]
-                e[1] = (f, L[t])
             elif hd is h_br_table:
                 targets, default = e[1]
                 e[1] = (
@@ -655,84 +583,8 @@ class _Lowering:
     # -- instruction sequences ----------------------------------------------
 
     def lower(self, body: List[Instr]) -> None:
-        i = 0
-        n = len(body)
-        while i < n:
-            ins = body[i]
-            op = ins.op
-
-            # -- superinstruction fusion (windows never span a branch
-            # target: targets only exist at block boundaries, and the
-            # window stays inside one structured body list) --------------
-            if op == "local.get":
-                if i + 2 < n and body[i + 1].op == "local.get":
-                    f = BINOPS.get(body[i + 2].op)
-                    if f is not None:
-                        self.emit(
-                            h_lgg_binop, (ins.args[0], body[i + 1].args[0], f), 3
-                        )
-                        self.bump(1)
-                        i += 3
-                        continue
-                    f = CMPOPS.get(body[i + 2].op)
-                    if f is not None:
-                        self.emit(h_lgg_cmp, (ins.args[0], body[i + 1].args[0], f), 3)
-                        self.bump(1)
-                        i += 3
-                        continue
-                if i + 1 < n:
-                    spec = LOADS.get(body[i + 1].op)
-                    if spec is not None:
-                        width, signed, kind, bits = spec
-                        off = body[i + 1].args[1]
-                        if body[i + 1].op == "i32.load":
-                            self.emit(h_lg_i32_load, (ins.args[0], off), 2)
-                        else:
-                            self.emit(
-                                h_lg_load,
-                                (ins.args[0], off, width, signed, bits, kind == "f"),
-                                2,
-                            )
-                        self.bump(1)
-                        i += 2
-                        continue
-                self.emit(h_local_get, ins.args[0], 1)
-                self.bump(1)
-                i += 1
-                continue
-            if op in _CONST_OPS:
-                mask = _CONST_OPS[op]
-                value = ins.args[0] & mask if mask is not None else ins.args[0]
-                if i + 1 < n:
-                    f = BINOPS.get(body[i + 1].op)
-                    if f is not None:
-                        self.emit(h_const_binop, (value, f), 2)
-                        self.bump(0)
-                        i += 2
-                        continue
-                    f = CMPOPS.get(body[i + 1].op)
-                    if f is not None:
-                        self.emit(h_const_cmp, (value, f), 2)
-                        self.bump(0)
-                        i += 2
-                        continue
-                self.emit(h_const, value, 1)
-                self.bump(1)
-                i += 1
-                continue
-            f = CMPOPS.get(op)
-            if f is not None and i + 1 < n and body[i + 1].op == "br_if":
-                c = self.ctrl[-1 - body[i + 1].args[0]]
-                th = c.target_height
-                # Fuse only when the taken branch needs no stack repair.
-                if th is None or self.h is None or self.h - 2 == th:
-                    self.emit(h_cmp_br_if, (f, c.label), 2)
-                    self.bump(-2)
-                    i += 2
-                    continue
-
+        for ins in body:
             self._one(ins)
-            i += 1
 
     def _one(self, ins: Instr) -> None:
         op = ins.op
@@ -750,7 +602,15 @@ class _Lowering:
         if f is not None:
             self.emit(h_unop, f, 1)
             return
-        if op == "local.set":
+        if op == "local.get":
+            self.emit(h_local_get, ins.args[0], 1)
+            self.bump(1)
+        elif op in _CONST_OPS:
+            mask = _CONST_OPS[op]
+            value = ins.args[0] & mask if mask is not None else ins.args[0]
+            self.emit(h_const, value, 1)
+            self.bump(1)
+        elif op == "local.set":
             self.emit(h_local_set, ins.args[0], 1)
             self.bump(-1)
         elif op == "local.tee":

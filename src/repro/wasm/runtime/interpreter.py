@@ -13,21 +13,23 @@ The public API is byte-compatible with the original tree-walker (kept as
 / ``invoke_export`` signatures, fuel semantics (debited per source
 instruction *before* it executes; ``ExhaustionError("fuel exhausted")``
 with the exhausting instruction not counted), ``instructions_executed``
-(counts source AST instructions, not flat entries — fused
-superinstructions carry the summed weight of their parts), and all trap
-messages.
+(counts source AST instructions: a flat entry weighs 1, or 0 for a jump
+the reference does not count), and all trap messages.
 
 Fuel bookkeeping is hoisted out of the common path: when ``fuel`` is
 ``None`` the loop accumulates the count in a local and flushes it once
 per activation (a ``try/finally`` keeps the count exact across traps),
 so the unmetered configuration pays no per-instruction conditional.
 
-With the specialization tier on, ``_call_wasm`` runs a function's
-compiled closure instead: the unmetered one when ``fuel`` is ``None``,
-the metered one otherwise, with the arguments as positional parameters
-and the call depth as one more. A closure returns ``None``, its one
-result or a list of several, and ``_call_wasm`` turns that back into the
-result list it always returns. A closure calls another closure
+Most guest code never reaches this loop: ``_call_wasm`` runs a
+function's compiled closure (``specialize.py``) instead, the unmetered
+one when ``fuel`` is ``None`` and the metered one otherwise, with the
+arguments as positional parameters and the call depth as one more. The
+loop is the exact fallback for functions the closure compiler declines,
+modules that never pass through the engine caches, and the segment of a
+metered run in which the fuel runs out. A closure returns ``None``, its
+one result or a list of several, and ``_call_wasm`` turns that back
+into the result list it always returns. A closure calls another closure
 directly, so a guest run enters ``_call_wasm`` once, from the export
 call, and builds no :class:`Frame`; ``_depth`` holds the depth only
 where an activation leaves the closures (a flat activation, a host
@@ -129,63 +131,43 @@ class Interpreter:
         mem = inst.mem0
         if mem is None and inst.mem_addrs:
             mem = inst.mem0 = self.store.mems[inst.mem_addrs[0]]
-        prof = self.profiler
         compiled = prepared.compiled if self.fuel is None else prepared.metered
-        # Each finally restores the depth saved on entry rather than
+        prof = self.profiler
+        if prof is not None:
+            # Inner activations flush their counts before they return,
+            # so the delta seen here is inclusive.
+            prof.enter(fi.name or "<anonymous>")
+            base = self.instructions_executed
+        # The finally restores the depth saved on entry rather than
         # decrementing: a closure carries its depth as an argument and
         # stores it here only before leaving the closure tier, so what an
         # activation leaves behind is not its entry depth.
-        if compiled is not None:
-            # Specialization tier: the exec'd closure of the run's kind
-            # takes the parameters as positional arguments, flushes its
-            # own retired-instruction count (and fuel, when metered) and
-            # raises the same traps as the flat code. It returns None,
-            # its one result or a list of several; this returns the list.
-            if prof is None:
-                try:
-                    result = compiled(self, inst, mem, depth + 1, *args)
-                finally:
-                    self._depth = depth
+        try:
+            if compiled is not None:
+                # The exec'd closure of the run's kind takes the
+                # parameters as positional arguments, flushes its own
+                # retired-instruction count (and fuel, when metered) and
+                # raises the same traps as the flat code.
+                result = compiled(self, inst, mem, depth + 1, *args)
             else:
-                # Inner activations flush their counts before they
-                # return, so the delta seen here is inclusive.
-                prof.enter(fi.name or "<anonymous>")
-                base = self.instructions_executed
-                try:
-                    result = compiled(self, inst, mem, depth + 1, *args)
-                finally:
-                    self._depth = depth
-                    prof.exit(self.instructions_executed - base)
-            n = prepared.n_results
-            if n == 1:
-                return [result]
-            return result if n else []
-        if prepared.local_defaults:
-            args.extend(prepared.local_defaults)  # `args` is a fresh list
-        frame = Frame(args, inst, mem)
-        stack: List[object] = []
-        self._depth = depth + 1
-        if prof is None:
-            try:
-                self._run(prepared.code, frame, stack)
-            finally:
-                self._depth = depth
-        else:
-            prof.enter(fi.name or "<anonymous>")
-            base = self.instructions_executed
-            try:
-                self._run(prepared.code, frame, stack)
-            finally:
-                self._depth = depth
+                if prepared.local_defaults:
+                    args.extend(prepared.local_defaults)  # `args` is a fresh list
+                stack: List[object] = []
+                self._depth = depth + 1
+                self._run(prepared.code, Frame(args, inst, mem), stack)
+        finally:
+            self._depth = depth
+            if prof is not None:
                 prof.exit(self.instructions_executed - base)
         n = prepared.n_results
-        if n == 0:
-            return []
-        if len(stack) != n:
+        if compiled is None:
             # A branch to the function label leaves garbage below its
             # carried values; the epilogue discards it (spec return).
-            return stack[-n:]
-        return stack
+            return stack if len(stack) == n else stack[len(stack) - n:]
+        # A closure returns None, its one result or a list of several.
+        if n == 1:
+            return [result]
+        return result if n else []
 
     # -- dispatch loop ---------------------------------------------------------
 
@@ -213,13 +195,8 @@ class Interpreter:
                 handler, args, weight = code[pc]
                 left = self.fuel - weight
                 if left < 0:
-                    # Partial credit for a fused pair straddling the
-                    # limit: the reference charges each component before
-                    # executing it, so `fuel` whole instructions complete
-                    # and the one that exhausts is not counted. Fusion
-                    # candidates are side-effect-free before their last
-                    # component, so stopping the whole entry is exact.
-                    self.instructions_executed += self.fuel
+                    # Entries weigh 0 or 1: the one that exhausts is not
+                    # counted, as in the reference.
                     self.fuel = -1
                     raise ExhaustionError("fuel exhausted")
                 self.fuel = left

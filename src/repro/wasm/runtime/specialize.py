@@ -173,8 +173,6 @@ def _branch_targets(code) -> Set[int]:
             targets.add(args)
         elif handler is flat.h_br_adjust or handler is flat.h_br_if_adjust:
             targets.add(args[0])
-        elif handler is flat.h_cmp_br_if:
-            targets.add(args[1])
         elif handler is flat.h_br_table:
             table, default = args
             for t, _want, _arity in table:
@@ -243,22 +241,6 @@ def _proven_in_bounds(module: Module, code, mem_min: Optional[int]) -> Set[int]:
         elif handler is flat.h_unop:
             pop()
             st.append(1 if (args is _EQZ32 or args is _EQZ64) else None)
-        elif handler is flat.h_lgg_binop:
-            st.append(None)
-        elif handler is flat.h_lgg_cmp:
-            st.append(1)
-        elif handler is flat.h_const_binop:
-            c, f = args
-            a = pop()
-            if (f is _AND32 or f is _AND64) and isinstance(c, int):
-                st.append(c if a is None else min(a, c))
-            else:
-                st.append(None)
-        elif handler is flat.h_const_cmp:
-            pop()
-            st.append(1)
-        elif handler is flat.h_lg_i32_load or handler is flat.h_lg_load:
-            st.append(None)
         elif handler in _LOADS or handler is flat.h_loadn:
             off, width = (args, _LOADS[handler][0]) if handler in _LOADS else args[:2]
             bound = st[-1] if st else None
@@ -302,9 +284,6 @@ def _proven_in_bounds(module: Module, code, mem_min: Optional[int]) -> Set[int]:
             or handler is flat.h_br_if_adjust
         ):
             pop()  # condition; fallthrough keeps the rest untouched
-        elif handler is flat.h_cmp_br_if:
-            pop()
-            pop()
         elif handler in _BLOCK_ENDERS:
             st.clear()
         else:  # pragma: no cover - future handlers: be conservative

@@ -16,17 +16,14 @@ from repro.obs.rules import (
     PENDING,
     AlertRule,
     Expr,
-    RecordingRule,
     RuleEngine,
     shipped_alerts,
 )
 from repro.obs.timeseries import TimeSeriesDB
 
 
-def _engine(db, alerts=None, recordings=None, tracer=None):
-    return RuleEngine(
-        db, MetricsRegistry(), tracer=tracer, alerts=alerts, recordings=recordings
-    )
+def _engine(db, alerts=None, tracer=None):
+    return RuleEngine(db, MetricsRegistry(), tracer=tracer, alerts=alerts)
 
 
 class TestExpr:
@@ -175,17 +172,6 @@ class TestStateMachine:
         assert "alert.firing" in names and "alert.resolved" in names
         incident = next(s for s in incidents if s.name == "alert.incident")
         assert incident.start == 1.0 and incident.duration == pytest.approx(2.0)
-
-    def test_recording_rule_materializes_series(self):
-        db = TimeSeriesDB()
-        rec = RecordingRule(
-            "repro_rule_err_rate", Expr("rate", "errs", window=10.0)
-        )
-        engine = _engine(db, alerts=[], recordings=[rec])
-        db.append("sample", "errs", (), 0.0, 0.0, cid=1)
-        db.append("sample", "errs", (), 10.0, 5.0, cid=1)
-        engine.evaluate(10.0)
-        assert db.instant("repro_rule_err_rate") == pytest.approx(0.5)
 
 
 class TestShippedAlerts:

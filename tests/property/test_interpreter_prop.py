@@ -143,7 +143,7 @@ _FOLD_OPS = ("i32.add", "i32.sub", "i32.mul", "i32.and", "i32.or", "i32.xor",
 def _gen_module(ops):
     """A loop that folds `ops` (op, constant) pairs over both params each
     iteration, storing intermediate state through memory — shaped to hit
-    the fused superinstruction patterns and branch repairs."""
+    the expressions the closure compiler folds and the branch repairs."""
     folds = "\n".join(
         f"(local.set $acc ({op} (local.get $acc) (i32.const {k})))"
         for op, k in ops

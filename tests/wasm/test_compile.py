@@ -22,6 +22,17 @@ def handlers(pf):
     return [entry[0] for entry in pf.code]
 
 
+def count_instrs(body):
+    """AST instructions in ``body``, counted as the reference walker
+    counts them."""
+    n = 0
+    for ins in body:
+        n += 1
+        if ins.op in ("block", "loop", "if"):
+            n += count_instrs(ins.body) + count_instrs(ins.else_body or [])
+    return n
+
+
 class TestLowering:
     def test_terminal_entry(self):
         _, pf = prepare('(module (func (export "run")))')
@@ -63,16 +74,27 @@ class TestLowering:
             (block $b (result i32)
               (i32.add (local.get 0) (i32.const 2)))))"""
         module, pf = prepare(src)
+        assert pf.source_instrs == count_instrs(module.funcs[0].body)
 
-        def count(body):
-            n = 0
-            for ins in body:
-                n += 1
-                if ins.op in ("block", "loop", "if"):
-                    n += count(ins.body) + count(ins.else_body or [])
-            return n
-
-        assert pf.source_instrs == count(module.funcs[0].body)
+    def test_one_entry_per_instruction(self):
+        # Every entry weighs 0 or 1, so the metered loop always stops
+        # between two entries, exactly where the reference's fuel runs out.
+        src = """(module (memory 1)
+          (func (export "run") (param i32 i32) (result i32)
+            (local $i i32)
+            (block $out
+              (loop $top
+                (local.set $i (i32.add (local.get $i) (i32.const 1)))
+                (br_if $out (i32.ge_u (local.get $i) (local.get 0)))
+                (br $top)))
+            (if (result i32) (i32.lt_s (local.get 0) (local.get 1))
+              (then (i32.load (local.get 0)))
+              (else (i32.mul (i32.add (local.get 0) (local.get 1))
+                             (i32.sub (local.get 0) (i32.const 41)))))))"""
+        module, pf = prepare(src)
+        weights = [entry[2] for entry in pf.code]
+        assert set(weights) == {0, 1}
+        assert sum(weights) == pf.source_instrs == count_instrs(module.funcs[0].body)
 
     def test_unknown_op_rejected(self):
         from repro.errors import WasmTrap
@@ -87,46 +109,8 @@ class TestLowering:
 
 
 class TestFusion:
-    def test_local_get_pair_binop(self):
-        src = """(module (func (export "run") (param i32 i32) (result i32)
-            (i32.add (local.get 0) (local.get 1))))"""
-        _, pf = prepare(src)
-        assert rtc.h_lgg_binop in handlers(pf)
-        # Three source instructions collapse to one weight-3 entry.
-        entry = pf.code[handlers(pf).index(rtc.h_lgg_binop)]
-        assert entry[2] == 3
-
-    def test_const_binop(self):
-        src = """(module (func (export "run") (param i32) (result i32)
-            (i32.add (local.get 0) (i32.const 41))))"""
-        _, pf = prepare(src)
-        assert rtc.h_const_binop in handlers(pf)
-
-    def test_local_get_load(self):
-        src = """(module (memory 1) (func (export "run") (param i32) (result i32)
-            (i32.load (local.get 0))))"""
-        _, pf = prepare(src)
-        assert rtc.h_lg_i32_load in handlers(pf)
-
-    def test_cmp_br_if(self):
-        src = """(module (func (export "run") (param i32) (result i32)
-            (local $i i32)
-            (block $out
-              (loop $top
-                (local.set $i (i32.add (local.get $i) (i32.const 1)))
-                (br_if $out (i32.ge_u (i32.add (local.get $i) (i32.const 0))
-                                      (local.get 0)))
-                (br $top)))
-            (local.get $i)))"""
-        _, pf = prepare(src)
-        assert rtc.h_cmp_br_if in handlers(pf)
-
-    def test_fusion_shrinks_code(self):
-        src = """(module (func (export "run") (param i32 i32) (result i32)
-            (i32.mul (i32.add (local.get 0) (local.get 1))
-                     (i32.sub (local.get 0) (local.get 1)))))"""
-        _, pf = prepare(src)
-        assert len(pf.code) < pf.source_instrs
+    """A nested expression over locals runs as one flat entry per
+    instruction and computes the expected value."""
 
     def test_fused_semantics(self):
         src = """(module (func (export "run") (param i32 i32) (result i32)

@@ -344,7 +344,8 @@ class TestTrapsAgree:
         assert check(src)[0] == "trap"
 
     def test_fused_load_oob(self):
-        # The `local.get i32.load` superinstruction must trap identically.
+        # A load from a local's address, one expression in a closure,
+        # must trap identically.
         src = """(module (memory 1) (func (export "run") (param i32) (result i32)
             (i32.load (local.get 0))))"""
         assert check(src, args=(70000,))[0] == "trap"
@@ -403,7 +404,8 @@ class TestFuelAgrees:
         # Sweep fuel values around the exact cost: both interpreters must
         # flip from exhausted to ok at the same budget and agree on the
         # partial count when exhausted — this pins down per-instruction
-        # debiting through fused superinstructions and block headers.
+        # debiting through calls, block headers and the free jump over an
+        # else arm.
         cost = self._count(7)
         for fuel in [0, 1, 2, 3, cost - 2, cost - 1, cost, cost + 1]:
             check(self.SRC, args=(7,), fuel=fuel)
@@ -505,8 +507,9 @@ class TestMeteredClosures:
                 (i32.load (local.get 0))))
         """
         seen = sweep(src, args=(8,))
-        # `local.get local.get i32.add` is one flat entry of weight 3
-        # after the i32.const: budgets 2 and 3 stop inside it.
+        # `local.get local.get i32.add` after the i32.const is one
+        # expression in the metered closure: budgets 2 and 3 stop inside
+        # it, and nothing is stored.
         for fuel in (1, 2, 3):
             assert seen[fuel][:3] == (("exhausted", "fuel exhausted"), fuel, -1)
             assert seen[fuel][3][:4] == bytes(4)

@@ -40,6 +40,9 @@ from repro.wasm.runtime.specialize import (
     SpecializeReport,
     specialize_counts,
 )
+from repro.workloads.memhog import build_memhog_wasm
+from repro.workloads.microservice import build_microservice_wasm
+from repro.workloads.microservice_c import build_c_microservice_wasm
 
 _OOB_CHECK = "raise WT('out of bounds memory access')"
 
@@ -458,6 +461,20 @@ class TestDriver:
         sf = module.funcs[0].prepared
         assert sf.fallback is first_fallback  # never stacks tiers
         assert _run(module, args=(4,)) == [10]
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_microservice_wasm, build_c_microservice_wasm, build_memhog_wasm],
+        ids=lambda build: build.__name__,
+    )
+    def test_every_shipped_function_compiles_to_closures(self, build):
+        # What keeps the flat loop off every workload's path: it runs
+        # only the functions the closure compiler declines.
+        module = validate_module(decode_module(build()))
+        report = SpecializeReport()
+        specialize_module(module, report=report)
+        assert report.bytecode == 0
+        assert report.compiled == len(module.funcs)
 
     def test_counts_exposes_all_keys(self):
         counts = specialize_counts()
