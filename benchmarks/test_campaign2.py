@@ -18,10 +18,11 @@ import time
 from conftest import OUTPUT_DIR, SEED, emit
 
 from repro import obs
+from repro.measure import series
 from repro.measure.cache import MeasurementCache
 from repro.measure.campaign import render_campaign, run_campaign
 from repro.measure.experiment import ExperimentRunner
-from repro.measure.series import Cell, execute_cells, series_cells
+from repro.measure.series import Cell, execute_cells
 from repro.obs.export import chrome_trace
 from repro.obs.timeseries import WALLCLOCK_FAMILIES
 
@@ -57,21 +58,18 @@ def _deterministic_families():
 
 def _telemetry_matches_sequential() -> bool:
     """Merged --jobs 4 metrics + trace == a --jobs 1 run's, exactly."""
-    cells = [
-        Cell(series="matrix", kind="deploy", config=config, count=10, seed=SEED)
-        for config in ("crun-wamr", "crun-python")
-    ]
+    cells = [Cell(config, 10, SEED) for config in ("crun-wamr", "crun-python")]
     was = obs.enabled()
     obs.set_enabled(True)
     try:
         obs.reset()
-        seq, _ = execute_cells(cells, jobs=1, cache=None)
+        seq = execute_cells(cells, jobs=1, cache=None)
         seq_families = _deterministic_families()
         seq_trace = json.dumps(
             chrome_trace(obs.tagged_spans(), obs.context_labels()), sort_keys=True
         )
         obs.reset()
-        par, _ = execute_cells(cells, jobs=JOBS, cache=None)
+        par = execute_cells(cells, jobs=JOBS, cache=None)
         par_families = _deterministic_families()
         par_trace = json.dumps(
             chrome_trace(obs.tagged_spans(), obs.context_labels()), sort_keys=True
@@ -83,9 +81,9 @@ def _telemetry_matches_sequential() -> bool:
 
 
 def _resume_reruns_remainder_only(tmp_root) -> dict:
-    """Interrupt a 4-cell series after 2 cells; resuming re-runs only 2."""
+    """Interrupt a 4-cell run after 2 cells; resuming re-runs only 2."""
     cells = [
-        Cell("bench-resume", "deploy", config, count, SEED)
+        Cell(config, count, SEED)
         for config in ("crun-python", "crun-wamr")
         for count in (10, 25)
     ]
@@ -95,16 +93,21 @@ def _resume_reruns_remainder_only(tmp_root) -> dict:
         pass
 
     done = []
+    run_cell = series.run_cell
 
-    def interrupt(cell, _m):
-        done.append(cell.key)
+    def interrupt(cell):
         if len(done) == 2:
             raise Interrupted
+        done.append(cell)
+        return run_cell(cell)
 
+    series.run_cell = interrupt
     try:
-        execute_cells(cells, cache=cache, on_cell=interrupt)
+        execute_cells(cells, cache=cache)
     except Interrupted:
         pass
+    finally:
+        series.run_cell = run_cell
 
     reruns = []
     original = ExperimentRunner.run
@@ -112,22 +115,21 @@ def _resume_reruns_remainder_only(tmp_root) -> dict:
         reruns.append((c, n)) or original(self, c, n, **kw)
     )
     try:
-        _, resumed = execute_cells(cells, cache=cache)
+        execute_cells(cells, cache=cache)
     finally:
         ExperimentRunner.run = original
+    resumed = [cell for cell in cells if (cell.config, cell.count) not in reruns]
     return {
         "cells": 4,
         "interrupted_after": len(done),
         "rerun_on_resume": len(reruns),
         "resumed_from_cache": len(resumed),
-        "ok": len(reruns) == 2 and sorted(resumed) == sorted(done),
+        "ok": len(reruns) == 2 and resumed == done,
     }
 
 
 def test_bench_campaign2_json(tmp_path):
     """Emit BENCH_campaign2.json and hold the engine's correctness contract."""
-    assert len(series_cells("figures")) == 27
-
     engine, engine_s = _timed(
         lambda: run_campaign(seed=SEED, jobs=JOBS, cache=None)
     )
@@ -135,6 +137,7 @@ def test_bench_campaign2_json(tmp_path):
         lambda: run_campaign(seed=SEED, jobs=1, cache=None)
     )
 
+    assert len(engine.measurements) == 27
     render_identical = render_campaign(engine) == render_campaign(sequential)
     telemetry_ok = _telemetry_matches_sequential()
     resume = _resume_reruns_remainder_only(tmp_path)

@@ -10,7 +10,6 @@ Subcommands mirror the tools a user of the real system would reach for:
 * ``zygote`` — the snapshot-and-clone warm-start comparison,
 * ``fleet`` — multi-node scaling sweep and snapshot-locality ablation,
 * ``figures`` — regenerate the paper's tables/figures,
-* ``series`` — list/validate/run the shipped experiment series,
 * ``inspect`` — per-phase/per-layer breakdown of an exported trace file,
   plus ``--wasi`` for the eWAPA-style hostcall latency table,
 * ``monitor`` — ASCII dashboard over an exported time-series file.
@@ -261,10 +260,17 @@ def _cmd_zygote(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.measure.cache import MeasurementCache
     from repro.measure.campaign import render_campaign, run_campaign
+    from repro.measure.series import DEFAULT_CACHE
 
     telemetry = _enable_telemetry(args)
-    cache = _series_cache(args)
+    if args.no_cache:
+        cache = None
+    elif args.cache_dir:
+        cache = MeasurementCache(pathlib.Path(args.cache_dir))
+    else:
+        cache = DEFAULT_CACHE
     if telemetry and cache is not None:
         # Cache hits skip simulation — and with it the telemetry the
         # export is supposed to capture. Worker telemetry itself merges
@@ -339,80 +345,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if telemetry:
         _export_telemetry(args)
     return 0
-
-
-def _series_cache(args: argparse.Namespace):
-    from repro.measure.cache import MeasurementCache
-    from repro.measure.series import DEFAULT_CACHE
-
-    if getattr(args, "no_cache", False):
-        return None
-    if getattr(args, "cache_dir", None):
-        return MeasurementCache(pathlib.Path(args.cache_dir))
-    return DEFAULT_CACHE
-
-
-def _cmd_series(args: argparse.Namespace) -> int:
-    from repro.measure.series import SHIPPED_SERIES, run_series, series_cells
-
-    if args.action == "list":
-        for name in sorted(SHIPPED_SERIES):
-            cells = series_cells(name)
-            print(
-                f"{name:14s} {len(cells):3d} cells  kind={cells[0].kind:8s} "
-                f"{SHIPPED_SERIES[name].description}"
-            )
-        return 0
-
-    if args.action == "validate":
-        names = args.names or sorted(SHIPPED_SERIES)
-        for name in names:
-            cells = series_cells(name)
-            keys = [cell.key for cell in cells]
-            if len(set(keys)) != len(keys):
-                print(f"{name}: duplicate cells", file=sys.stderr)
-                return 2
-            print(f"{name}: ok ({len(cells)} cells)")
-        return 0
-
-    # run
-    if not args.names:
-        print("series run: name required (see `repro series list`)", file=sys.stderr)
-        return 2
-    telemetry = _enable_telemetry(args)
-    cache = _series_cache(args)
-    if telemetry and cache is not None:
-        print("telemetry export: bypassing the measurement cache")
-        cache = None
-    exit_code = 0
-    for name in args.names:
-        result = run_series(
-            name,
-            seed=args.seed,
-            jobs=args.jobs,
-            cache=cache,
-            on_cell=lambda cell, _m: print(f"  done {cell.key}"),
-        )
-        fresh = len(result.results) - len(result.resumed)
-        print(
-            f"{name}: {len(result.results)}/{len(result.cells)} cells "
-            f"({len(result.resumed)} from cache, {fresh} simulated)"
-        )
-        for cell in result.cells:
-            m = result.results.get(cell.key)
-            if cell.kind == "deploy" and m is not None:
-                print(
-                    f"  {cell.key:42s} mem={m.metrics_mib:8.2f} MiB  "
-                    f"startup={m.startup_seconds:7.2f} s"
-                )
-        for cell in result.cells:
-            m = result.results.get(cell.key)
-            ok = getattr(m, "converged", None)
-            if ok is False or getattr(m, "all_hold", lambda: True)() is False:
-                exit_code = 1
-    if telemetry:
-        _export_telemetry(args)
-    return exit_code
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
@@ -659,28 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_telemetry_flags(p)
     p.set_defaults(func=_cmd_fleet)
-
-    p = sub.add_parser(
-        "series",
-        help="shipped experiment series: list, validate, or run them",
-    )
-    p.add_argument(
-        "action", choices=("list", "validate", "run"),
-        help="list shipped series, check their cells, or execute",
-    )
-    p.add_argument("names", nargs="*", metavar="NAME", help="series names")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="experiment worker processes (0 = auto-detect CPU count)",
-    )
-    p.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="measurement cache directory",
-    )
-    p.add_argument("--no-cache", action="store_true")
-    _add_telemetry_flags(p)
-    p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser(
         "inspect", help="per-phase/per-layer breakdown of an exported trace"

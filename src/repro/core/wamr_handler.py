@@ -5,9 +5,12 @@ Differences from :class:`~repro.container.lowlevel.crun.EmbeddedEngineHandler`
 
 * ``libiwasm`` is loaded through :class:`DynamicLibraryLoader` — lazy,
   shared, and tiny, instead of an eagerly linked multi-MiB engine;
-* the OCI process spec is translated into a full WASI world: argv from
-  ``process.args``, environ from ``process.env``, preopens from the
-  rootfs + bind mounts (so ConfigMap/volume mounts appear to the guest);
+* the OCI process spec is translated into a WASI world: argv from
+  ``process.args`` and environ from ``process.env`` reach the guest.
+  The preopens the rootfs and bind mounts would give are computed and
+  recorded in ``facts["wasi_preopens"]``, but not handed to the guest:
+  a run with preopens always executes (it skips the run layer of the
+  engine caches), so passing them would execute every pod;
 * execution happens in-process with WAMR's interpreter — no JIT code
   buffers, no separate engine binary, no exec.
 
@@ -67,7 +70,11 @@ class WamrCrunHandler:
     # -- WASI argument handling (§III-C.2) ---------------------------------
 
     def build_wasi_world(self, bundle: Bundle) -> dict:
-        """OCI spec → WASI argv/environ/preopens."""
+        """OCI spec → WASI argv/environ, and the preopens the spec names.
+
+        :meth:`execute` passes only argv and environ to the guest; the
+        preopens are recorded in ``facts["wasi_preopens"]``.
+        """
         spec = bundle.spec
         return {
             "args": list(spec.process.args),

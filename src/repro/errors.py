@@ -155,8 +155,8 @@ class AdmissionRejected(ContainerError):
 
 
 class SeriesError(ReproError):
-    """An unknown series or cell kind, a campaign on fewer than one
-    node, or a campaign-engine failure (dead worker pool)."""
+    """A campaign on fewer than one node, or a campaign-engine failure:
+    a dead worker pool, or a worker error that cannot travel back."""
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ EXPERIMENTS.md quotes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.core.integration import (
@@ -20,7 +20,7 @@ from repro.core.integration import (
 )
 from repro.errors import SeriesError
 from repro.measure.experiment import DENSITIES, DeploymentMeasurement
-from repro.measure.series import DEFAULT_CACHE, execute_cells, series_cells
+from repro.measure.series import DEFAULT_CACHE, Cell, execute_cells
 from repro.measure.stats import percent_lower
 
 
@@ -58,10 +58,11 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute the full matrix and evaluate the §IV-F headline claims.
 
-    Runs the cells of the shipped ``campaign`` series (every runtime
-    configuration × density) through the campaign engine: ``jobs`` > 1
-    fans the 27 independent experiments out over a persistent warm-worker
-    pool (0 = auto-detect); results and telemetry merge
+    Runs one deploy cell per runtime configuration × density, in
+    config-name order, through the campaign engine: that is the order
+    ``jobs=1`` runs them in and the order telemetry merges in. ``jobs``
+    > 1 fans the 27 independent experiments out over a persistent
+    warm-worker pool (0 = auto-detect); results and telemetry merge
     deterministically, so the summary is byte-identical at any worker
     count. ``cache=None`` bypasses the persistent measurement cache;
     with a cache, each cell is stored as it finishes, so an interrupted
@@ -75,10 +76,14 @@ def run_campaign(
     """
     if nodes < 1:
         raise SeriesError(f"campaign: nodes must be a positive int, got {nodes}")
-    cells = [replace(cell, nodes=nodes) for cell in series_cells("campaign", seed)]
-    results, _ = execute_cells(cells, jobs=jobs, cache=cache)
+    cells = [
+        Cell(config, count, seed, nodes)
+        for config in sorted(RUNTIME_CONFIGS)
+        for count in DENSITIES
+    ]
+    results = execute_cells(cells, jobs=jobs, cache=cache)
     result = CampaignResult(
-        measurements={(cell.config, cell.count): results[cell.key] for cell in cells}
+        measurements={(cell.config, cell.count): results[cell] for cell in cells}
     )
     ours = CRUN_WAMR_CONFIG
 

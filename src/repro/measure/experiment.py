@@ -232,6 +232,5 @@ def measure(config: str, count: int, seed: int = 1) -> DeploymentMeasurement:
     on-disk cache."""
     from repro.measure.series import Cell, execute_cells  # series imports this module
 
-    cell = Cell("measure", "deploy", config, count, seed)
-    results, _ = execute_cells([cell])
-    return results[cell.key]
+    cell = Cell(config, count, seed)
+    return execute_cells([cell])[cell]

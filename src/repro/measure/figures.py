@@ -61,13 +61,9 @@ def _measurements(
 ) -> Dict[Tuple[str, int], DeploymentMeasurement]:
     """The figure's own deploy cells, fetched through the campaign engine:
     ``(config, count) -> measurement``."""
-    cells = [
-        Cell("figures", "deploy", config, n, seed)
-        for config in configs
-        for n in densities
-    ]
-    results, _ = execute_cells(cells, jobs=jobs)
-    return {(cell.config, cell.count): results[cell.key] for cell in cells}
+    cells = [Cell(config, n, seed) for config in configs for n in densities]
+    results = execute_cells(cells, jobs=jobs)
+    return {(cell.config, cell.count): results[cell] for cell in cells}
 
 
 def _memory_series(

@@ -154,7 +154,7 @@ class WorkerPool:
                 if not any(p.is_alive() for p in self._procs):
                     self.close()
                     raise SeriesError(
-                        "worker pool died before completing the series"
+                        "worker pool died before completing its cells"
                     )
                 continue
             if isinstance(msg, BaseException):

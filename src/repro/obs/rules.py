@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro import obs
 from repro.obs.timeseries import Labels, TimeSeriesDB
 
 INACTIVE, PENDING, FIRING = 0, 1, 2
@@ -49,22 +50,25 @@ class Expr:
     q: float = 0.99
     denominator: Optional[str] = None
 
-    def evaluate(self, db: TimeSeriesDB, at: float) -> Optional[float]:
+    def evaluate(self, db: TimeSeriesDB, at: float, cid: int) -> Optional[float]:
+        """The expression's value at ``at`` over trace context ``cid``."""
         if self.fn == "instant":
-            return db.instant(self.metric, self.labels, at=at)
+            return db.instant(self.metric, self.labels, at=at, cid=cid)
         if self.fn == "rate":
-            return db.rate(self.metric, self.labels, at, self.window)
+            return db.rate(self.metric, self.labels, at, self.window, cid=cid)
         if self.fn in ("avg_over_time", "max_over_time", "sum_over_time"):
             return db.over_time(
-                self.fn.split("_", 1)[0], self.metric, self.labels, at, self.window
+                self.fn.split("_", 1)[0], self.metric, self.labels, at, self.window,
+                cid=cid,
             )
         if self.fn == "histogram_quantile":
             return db.histogram_quantile(
-                self.metric, self.q, at, self.window, match=self.labels
+                self.metric, self.q, at, self.window, match=self.labels, cid=cid
             )
         if self.fn == "ratio_rate":
-            num = db.rate(self.metric, self.labels, at, self.window)
-            den = db.rate(self.denominator or "", self.labels, at, self.window)
+            num = db.rate(self.metric, self.labels, at, self.window, cid=cid)
+            den = db.rate(self.denominator or "", self.labels, at, self.window,
+                          cid=cid)
             if num is None or not den:
                 return None
             return num / den
@@ -92,11 +96,17 @@ class AlertRule:
 
 
 class RuleEngine:
-    """Owns the shipped rules; ticked by the sampler after each scrape."""
+    """Owns the shipped rules; ticked by the sampler after each scrape.
+
+    An engine reads and writes the trace context that was current when
+    it was built, which is its cluster's run: another run's samples in
+    the same log never reach its alerts.
+    """
 
     def __init__(self, db: TimeSeriesDB, registry, tracer=None,
                  alerts: Optional[List[AlertRule]] = None) -> None:
         self.db = db
+        self.cid = obs.current_context()
         self.tracer = tracer
         self.alerts = list(shipped_alerts() if alerts is None else alerts)
         self._m_transitions = registry.counter(
@@ -111,9 +121,10 @@ class RuleEngine:
 
     def evaluate(self, now: float) -> None:
         for alert in self.alerts:
-            self._step(alert, alert.expr.evaluate(self.db, now), now)
+            self._step(alert, alert.expr.evaluate(self.db, now, self.cid), now)
             self.db.append("sample", "repro_alert_state",
-                           (("alert", alert.name),), now, float(alert.state))
+                           (("alert", alert.name),), now, float(alert.state),
+                           cid=self.cid)
 
     def _step(self, alert: AlertRule, value: Optional[float], now: float) -> None:
         breach = alert.breaches(value)
@@ -144,7 +155,7 @@ class RuleEngine:
             "alert", alert.name,
             (("from", _STATE_NAMES[frm]), ("to", to_name),
              ("severity", alert.severity)),
-            now, float(to),
+            now, float(to), cid=self.cid,
         )
         if self.tracer is not None:
             self.tracer.record(

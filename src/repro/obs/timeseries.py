@@ -112,56 +112,47 @@ class TimeSeriesDB:
                 del points[: len(points) - self.retention]
 
     # -- queries (instant / range) --------------------------------------------
+    #
+    # Every query reads one trace context ``cid``: a run's alerts see that
+    # run's samples and no other run's in the same log.
 
-    def _points(self, name: str, labels: Labels, cid: Optional[int]) -> List[Tuple[float, float]]:
-        if cid is not None:
-            return self._index.get((cid, name, labels), [])
-        merged: List[Tuple[float, float]] = []
-        for (c, n, lbls), pts in self._index.items():
-            if n == name and lbls == labels:
-                merged.extend(pts)
-        merged.sort()
-        return merged
-
-    def series_labels(self, name: str, match: Labels = (), cid: Optional[int] = None
+    def series_labels(self, name: str, match: Labels = (), *, cid: int
                       ) -> List[Labels]:
         """All label sets recorded for ``name`` whose items include ``match``."""
         out = []
         want = set(match)
         for (c, n, lbls) in self._index:
-            if n != name or (cid is not None and c != cid):
-                continue
-            if want <= set(lbls) and lbls not in out:
+            if c == cid and n == name and want <= set(lbls) and lbls not in out:
                 out.append(lbls)
         return out
 
     def instant(self, name: str, labels: Labels = (), at: Optional[float] = None,
-                cid: Optional[int] = None) -> Optional[float]:
+                *, cid: int) -> Optional[float]:
         """Most recent value at or before ``at`` (last sample if None)."""
-        pts = self._points(name, labels, cid)
+        pts = self._index.get((cid, name, labels), [])
         if at is not None:
             pts = [p for p in pts if p[0] <= at]
         return pts[-1][1] if pts else None
 
     def window(self, name: str, labels: Labels, at: float, window: float,
-               cid: Optional[int] = None) -> List[Tuple[float, float]]:
+               *, cid: int) -> List[Tuple[float, float]]:
         lo = at - window
-        return [p for p in self._points(name, labels, cid) if lo <= p[0] <= at]
+        return [p for p in self._index.get((cid, name, labels), []) if lo <= p[0] <= at]
 
     def increase(self, name: str, labels: Labels, at: float, window: float,
-                 cid: Optional[int] = None) -> Optional[float]:
+                 *, cid: int) -> Optional[float]:
         """last - first over the window; None with <2 points."""
-        pts = self.window(name, labels, at, window, cid)
+        pts = self.window(name, labels, at, window, cid=cid)
         if len(pts) < 2:
             return None
         return pts[-1][1] - pts[0][1]
 
     def rate(self, name: str, match: Labels, at: float, window: float,
-             cid: Optional[int] = None) -> Optional[float]:
+             *, cid: int) -> Optional[float]:
         """Sum of per-series increase/elapsed across label-matching series."""
         total = None
-        for lbls in self.series_labels(name, match, cid):
-            pts = self.window(name, lbls, at, window, cid)
+        for lbls in self.series_labels(name, match, cid=cid):
+            pts = self.window(name, lbls, at, window, cid=cid)
             if len(pts) < 2:
                 continue
             elapsed = pts[-1][0] - pts[0][0]
@@ -171,9 +162,9 @@ class TimeSeriesDB:
         return total
 
     def over_time(self, fn: str, name: str, labels: Labels, at: float,
-                  window: float, cid: Optional[int] = None) -> Optional[float]:
+                  window: float, *, cid: int) -> Optional[float]:
         """avg|max|sum over the raw points in the window."""
-        pts = self.window(name, labels, at, window, cid)
+        pts = self.window(name, labels, at, window, cid=cid)
         if not pts:
             return None
         values = [v for _, v in pts]
@@ -186,8 +177,7 @@ class TimeSeriesDB:
         raise ValueError(f"unknown over_time fn {fn!r}")
 
     def histogram_quantile(self, name: str, q: float, at: float, window: float,
-                           match: Labels = (), cid: Optional[int] = None
-                           ) -> Optional[float]:
+                           match: Labels = (), *, cid: int) -> Optional[float]:
         """Quantile over the histogram's *increase* in the window.
 
         Buckets are the synthetic ``<name>_bucket{le=...}`` series the
@@ -198,11 +188,11 @@ class TimeSeriesDB:
 
         bucket_name = name + "_bucket"
         per_le: Dict[float, float] = {}
-        for lbls in self.series_labels(bucket_name, match, cid):
+        for lbls in self.series_labels(bucket_name, match, cid=cid):
             le = dict(lbls).get("le")
             if le is None:
                 continue
-            inc = self.increase(bucket_name, lbls, at, window, cid)
+            inc = self.increase(bucket_name, lbls, at, window, cid=cid)
             if inc is None:
                 continue
             upper = math.inf if le == "+Inf" else float(le)

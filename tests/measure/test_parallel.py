@@ -22,13 +22,9 @@ PAIRS = [("crun-wamr", 10), ("crun-python", 10)]
 
 def measure_pairs(pairs, seed=1, jobs=1, cache=DEFAULT_CACHE):
     """Deploy cells for (config, count) pairs, in the engine's result order."""
-    cells = [
-        Cell(series="matrix", kind="deploy", config=config, count=count, seed=seed)
-        for config, count in pairs
-    ]
-    results, _ = execute_cells(cells, jobs=jobs, cache=cache)
-    pair_of = {cell.key: (cell.config, cell.count) for cell in cells}
-    return {pair_of[key]: m for key, m in results.items()}
+    cells = [Cell(config, count, seed) for config, count in pairs]
+    results = execute_cells(cells, jobs=jobs, cache=cache)
+    return {(cell.config, cell.count): m for cell, m in results.items()}
 
 
 @pytest.fixture(scope="module")

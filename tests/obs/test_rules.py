@@ -30,39 +30,46 @@ class TestExpr:
     def test_instant(self):
         db = TimeSeriesDB()
         db.append("sample", "m", (), 1.0, 0.25, cid=1)
-        assert Expr("instant", "m").evaluate(db, 1.0) == 0.25
-        assert Expr("instant", "missing").evaluate(db, 1.0) is None
+        assert Expr("instant", "m").evaluate(db, 1.0, 1) == 0.25
+        assert Expr("instant", "missing").evaluate(db, 1.0, 1) is None
+        # Another context's samples are another run's.
+        assert Expr("instant", "m").evaluate(db, 1.0, 2) is None
 
     def test_rate_and_ratio(self):
         db = TimeSeriesDB()
         for ts, num, den in [(0.0, 0.0, 0.0), (10.0, 5.0, 10.0)]:
             db.append("sample", "errs", (), ts, num, cid=1)
             db.append("sample", "reqs", (), ts, den, cid=1)
-        assert Expr("rate", "errs", window=10.0).evaluate(db, 10.0) == pytest.approx(0.5)
+        assert Expr("rate", "errs", window=10.0).evaluate(db, 10.0, 1) == pytest.approx(0.5)
         ratio = Expr("ratio_rate", "errs", window=10.0, denominator="reqs")
-        assert ratio.evaluate(db, 10.0) == pytest.approx(0.5)
+        assert ratio.evaluate(db, 10.0, 1) == pytest.approx(0.5)
         # Zero/missing denominator rate -> no value, not a crash.
         bad = Expr("ratio_rate", "errs", window=10.0, denominator="missing")
-        assert bad.evaluate(db, 10.0) is None
+        assert bad.evaluate(db, 10.0, 1) is None
 
     def test_over_time_and_quantile(self):
         db = TimeSeriesDB()
         for ts, v in [(0.0, 0.2), (1.0, 0.4)]:
             db.append("sample", "g", (), ts, v, cid=1)
-        assert Expr("avg_over_time", "g", window=2.0).evaluate(db, 1.0) == pytest.approx(0.3)
-        assert Expr("max_over_time", "g", window=2.0).evaluate(db, 1.0) == 0.4
+        assert Expr("avg_over_time", "g", window=2.0).evaluate(db, 1.0, 1) == pytest.approx(0.3)
+        assert Expr("max_over_time", "g", window=2.0).evaluate(db, 1.0, 1) == 0.4
         for ts, c in [(0.0, 0.0), (1.0, 10.0)]:
             for le in ("1", "+Inf"):
                 db.append("sample", "h_bucket", (("le", le),), ts, c, cid=1)
-        q = Expr("histogram_quantile", "h", window=2.0, q=0.5).evaluate(db, 1.0)
+        q = Expr("histogram_quantile", "h", window=2.0, q=0.5).evaluate(db, 1.0, 1)
         assert q is not None and q <= 1.0
 
     def test_unknown_fn_raises(self):
         with pytest.raises(ValueError):
-            Expr("stddev", "m").evaluate(TimeSeriesDB(), 0.0)
+            Expr("stddev", "m").evaluate(TimeSeriesDB(), 0.0, 1)
 
 
 class TestStateMachine:
+    @pytest.fixture(autouse=True)
+    def run_context(self, telemetry):
+        """Engines and samples share trace context 1, as in one run."""
+        assert telemetry.new_context("run") == 1
+
     def _alert(self, for_s=1.0):
         return AlertRule(
             name="A", expr=Expr("instant", "m"), op="<", threshold=0.5, for_s=for_s
@@ -132,6 +139,15 @@ class TestStateMachine:
         alert = self._alert(for_s=0.0)
         engine = _engine(db, alerts=[alert])
         engine.evaluate(0.0)  # metric never sampled
+        assert alert.state == INACTIVE
+
+    def test_engine_reads_only_its_own_context(self, telemetry):
+        db = TimeSeriesDB()
+        self._feed(db, 0.0, 0.1)  # an earlier run's breach
+        telemetry.new_context("next run")
+        alert = self._alert(for_s=0.0)
+        engine = _engine(db, alerts=[alert])
+        engine.evaluate(0.0)
         assert alert.state == INACTIVE
 
     def test_alert_state_series_emitted_every_tick(self):
@@ -214,6 +230,33 @@ class TestShippedAlerts:
         resolved = [name for name in fired if arcs[name][-1] == "resolved"]
         assert resolved, f"no fired alert resolved after recovery (arcs: {arcs})"
         assert "PodReadyAvailabilityLow" in resolved
+
+    def test_alerts_read_only_their_own_run(self, telemetry):
+        """A chaos run's alert arc is the same after an earlier sampled
+        run in this process as alone: rules query their run's context."""
+        from repro.measure.chaos import run_chaos
+        from repro.measure.recovery import run_recovery
+        from repro.obs import timeseries
+
+        def chaos_arc():
+            run_chaos(count=100, seed=3)
+            cid = max(telemetry.context_labels())
+            return [
+                (e[1], dict(e[2])["to"], e[3])
+                for c, e in timeseries.default_db().tagged_entries()
+                if c == cid and e[0] == "alert"
+            ]
+
+        timeseries.set_sampling(True, timeseries.DEFAULT_PERIOD)
+        try:
+            alone = chaos_arc()
+            telemetry.reset()
+            run_recovery(count=100, seed=2)
+            after = chaos_arc()
+        finally:
+            timeseries.set_sampling(False)
+        assert ("ColdStartP99High", "firing", 26.0) in alone
+        assert after == alone
 
     def test_canary_fires_and_resolves_on_real_deploy(self, telemetry):
         """Full arc on a real cluster: ready_fraction is 0 during the

@@ -37,33 +37,33 @@ def _db_with(points, name="m", labels=(), cid=1):
 class TestQueries:
     def test_instant_returns_last_at_or_before(self):
         db = _db_with([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
-        assert db.instant("m") == 3.0
-        assert db.instant("m", at=1.5) == 2.0
-        assert db.instant("m", at=-1.0) is None
-        assert db.instant("missing") is None
+        assert db.instant("m", cid=1) == 3.0
+        assert db.instant("m", at=1.5, cid=1) == 2.0
+        assert db.instant("m", at=-1.0, cid=1) is None
+        assert db.instant("missing", cid=1) is None
 
     def test_increase_and_rate_over_window(self):
         db = _db_with([(0.0, 0.0), (1.0, 4.0), (2.0, 10.0)])
-        assert db.increase("m", (), at=2.0, window=2.0) == 10.0
-        assert db.rate("m", (), at=2.0, window=2.0) == pytest.approx(5.0)
+        assert db.increase("m", (), at=2.0, window=2.0, cid=1) == 10.0
+        assert db.rate("m", (), at=2.0, window=2.0, cid=1) == pytest.approx(5.0)
         # A single point has no increase.
-        assert db.increase("m", (), at=0.0, window=1.0) is None
+        assert db.increase("m", (), at=0.0, window=1.0, cid=1) is None
 
     def test_rate_sums_across_matching_series(self):
         db = TimeSeriesDB()
         for node in ("a", "b"):
             for ts, v in [(0.0, 0.0), (2.0, 4.0)]:
                 db.append("sample", "m", (("node", node),), ts, v, cid=1)
-        assert db.rate("m", (), at=2.0, window=2.0) == pytest.approx(4.0)
-        assert db.rate("m", (("node", "a"),), at=2.0, window=2.0) == pytest.approx(2.0)
+        assert db.rate("m", (), at=2.0, window=2.0, cid=1) == pytest.approx(4.0)
+        assert db.rate("m", (("node", "a"),), at=2.0, window=2.0, cid=1) == pytest.approx(2.0)
 
     def test_over_time_avg_max_sum(self):
         db = _db_with([(0.0, 1.0), (1.0, 3.0), (2.0, 2.0)])
-        assert db.over_time("avg", "m", (), at=2.0, window=2.0) == pytest.approx(2.0)
-        assert db.over_time("max", "m", (), at=2.0, window=2.0) == 3.0
-        assert db.over_time("sum", "m", (), at=2.0, window=2.0) == 6.0
+        assert db.over_time("avg", "m", (), at=2.0, window=2.0, cid=1) == pytest.approx(2.0)
+        assert db.over_time("max", "m", (), at=2.0, window=2.0, cid=1) == 3.0
+        assert db.over_time("sum", "m", (), at=2.0, window=2.0, cid=1) == 6.0
         with pytest.raises(ValueError):
-            db.over_time("median", "m", (), at=2.0, window=2.0)
+            db.over_time("median", "m", (), at=2.0, window=2.0, cid=1)
 
     def test_histogram_quantile_from_bucket_series(self):
         db = TimeSeriesDB()
@@ -72,19 +72,28 @@ class TestQueries:
         for ts, counts in [(0.0, (0, 0, 0)), (1.0, (8, 10, 10))]:
             for le, c in zip(("1", "10", "+Inf"), counts):
                 db.append("sample", "h_bucket", (("le", le),), ts, float(c), cid=1)
-        q50 = db.histogram_quantile("h", 0.5, at=1.0, window=1.0)
+        q50 = db.histogram_quantile("h", 0.5, at=1.0, window=1.0, cid=1)
         assert q50 is not None and q50 <= 1.0
-        q99 = db.histogram_quantile("h", 0.99, at=1.0, window=1.0)
+        q99 = db.histogram_quantile("h", 0.99, at=1.0, window=1.0, cid=1)
         assert 1.0 < q99 <= 10.0
         # No increase in the window -> no quantile.
-        assert db.histogram_quantile("h", 0.5, at=0.0, window=0.5) is None
+        assert db.histogram_quantile("h", 0.5, at=0.0, window=0.5, cid=1) is None
+
+    def test_queries_read_one_context(self):
+        db = _db_with([(0.0, 0.0), (2.0, 4.0)], cid=1)
+        for ts, value in [(0.0, 0.0), (2.0, 100.0)]:
+            db.append("sample", "m", (), ts, value, cid=2)
+        assert db.instant("m", cid=1) == 4.0
+        assert db.instant("m", cid=2) == 100.0
+        assert db.rate("m", (), at=2.0, window=2.0, cid=1) == pytest.approx(2.0)
+        assert db.instant("m", cid=3) is None
 
     def test_retention_caps_index_not_log(self):
         db = TimeSeriesDB(retention=4)
         for i in range(10):
             db.append("sample", "m", (), float(i), float(i), cid=1)
         assert len(db.tagged_entries()) == 10
-        assert len(db.window("m", (), at=10.0, window=100.0)) == 4
+        assert len(db.window("m", (), at=10.0, window=100.0, cid=1)) == 4
 
 
 class TestSampler:

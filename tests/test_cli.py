@@ -155,7 +155,10 @@ class TestFailureContract:
             (["chaos", "-n", "2", "--seed", "-3"], "seed must be non-negative, got -3"),
             (["fleet", "--fleets", "1", "1", "-n", "8"], "repeat [1]"),
             (["campaign", "--nodes", "0"], "nodes must be a positive int, got 0"),
-            (["series", "run", "no-such"], "unknown series 'no-such'"),
+            (
+                ["campaign", "--seed", "-1", "-j", "1", "--no-cache"],
+                "seed must be non-negative, got -1",
+            ),
             (["inspect", "{tmp}/text.json"], "line 1: not JSON"),
             (["inspect", "{tmp}/list.json"], "line 1: not a trace event"),
             (["inspect", "{tmp}/object.json"], "not a Chrome trace"),
@@ -256,45 +259,17 @@ class TestFiguresCommand:
         assert "unknown figure" in capsys.readouterr().err
 
 
-class TestSeriesCommand:
-    def test_list_shows_every_shipped_series(self, capsys):
-        assert main(["series", "list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("campaign", "figures", "zygote", "recovery", "chaos"):
-            assert name in out
-        assert "27 cells" in out
+class TestCampaignCommand:
+    def test_rerun_resumes_from_cache(self, tmp_path, capsys, monkeypatch):
+        from repro.measure.experiment import ExperimentRunner
 
-    def test_validate_expands_all_shipped_specs(self, capsys):
-        assert main(["series", "validate"]) == 0
-        out = capsys.readouterr().out
-        assert "campaign: ok (27 cells)" in out
-        assert "zygote: ok (2 cells)" in out
-
-    def test_validate_unknown_series_fails(self, capsys):
-        assert main(["series", "validate", "no-such"]) == 1
-        assert "unknown series" in capsys.readouterr().err
-
-    def test_run_requires_a_name(self, capsys):
-        assert main(["series", "run"]) == 2
-        assert "name required" in capsys.readouterr().err
-
-    def test_run_recovery_series(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        assert main(["series", "run", "recovery", "--cache-dir", str(cache)]) == 0
-        out = capsys.readouterr().out
-        assert "done recovery:crun-wamr:n100:s1" in out
-        assert "1/1 cells" in out
-
-    def test_rerun_resumes_from_cache(self, tmp_path, capsys):
-        argv = ["series", "run", "zygote", "--cache-dir", str(tmp_path / "cache")]
+        argv = ["campaign", "-j", "1", "--cache-dir", str(tmp_path / "cache")]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert "zygote: 2/2 cells (0 from cache, 2 simulated)" in first
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("a cached cell simulated again")
+
+        monkeypatch.setattr(ExperimentRunner, "run", simulate)
         assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert "zygote: 2/2 cells (2 from cache, 0 simulated)" in second
-        assert "done " not in second
-        # The cached cells print the figures the simulated ones did.
-        rows = [line for line in first.splitlines() if "mem=" in line]
-        assert len(rows) == 2
-        assert [line for line in second.splitlines() if "mem=" in line] == rows
+        assert capsys.readouterr().out == first
